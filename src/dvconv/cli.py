@@ -1,34 +1,47 @@
 """Command-line front door: state I/O, suite invocation, CLT runs.
 
-Exit codes: 0 pass, 1 suite violation, 2 usage/parse error, 3 numeric
-precondition failure.  All floats print with 17 significant digits so
-outputs are byte-identical across runs and platforms.
+Exit codes: 0 pass; 1 suite violation (and nothing else); 2 usage error
+(bad arguments, unsupported (d, n), or a parameter matrix that cannot be
+built); 3 numeric precondition failure on valid arguments; 4 internal error
+(any exception that is not a DvconvError, printed with its traceback before
+one ``internal error:`` line).  Codes 2 and 3 print one ``error:`` line.
+All floats print with 17 significant digits so outputs are byte-identical
+across runs and platforms.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
+import traceback
 
 import numpy as np
 
 from . import conv, experiments, magic, states, weyl
-from .errors import DvconvError, ParseError, UnsupportedDimension
-from .zmod import gmatrix_new
+from .errors import DvconvError, ParseError
+from .experiments import fmt
+from .zmod import check_system, gmatrix_new
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 RANDOM_PRESETS = ("random-pure", "random-mixed")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+@contextlib.contextmanager
+def _usage_errors():
+    """Report any DvconvError raised inside as a usage error (exit 2)."""
+    try:
+        yield
+    except DvconvError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -59,22 +72,23 @@ def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.Den
         return states.state_from_json(json.load(fh))
 
 
-def _spec_from_args(args, d: int, n: int) -> conv.ConvolutionSpec:
-    if d == 2:
-        raise ParseError("convolution is undefined at d=2: no positive "
-                         "invertible parameter matrix exists mod 2")
-    if args.spec is not None:
-        if d in (3, 5):
-            raise ParseError(f"no {args.spec} parameters exist at d={d}")
-        if args.spec == "beam-splitter":
+def _spec_from_args(spec: str | None, G: str | None, d: int,
+                    n: int) -> conv.ConvolutionSpec:
+    """The one place a convolution spec is built from command-line arguments."""
+    with _usage_errors():
+        if spec == "beam-splitter":
             return conv.beam_splitter_spec(d, n)
-        return conv.amplifier_spec(d, n)
-    if args.G is not None:
-        entries = [int(v) for v in args.G.split(",")]
+        if spec == "amplifier":
+            return conv.amplifier_spec(d, n)
+        if G is None:
+            return conv.default_spec(d, n)
+        try:
+            entries = [int(v) for v in G.split(",")]
+        except ValueError:
+            entries = []
         if len(entries) != 4:
-            raise ParseError("--G expects four comma-separated entries")
+            raise ParseError("--G expects four comma-separated integers")
         return conv.ConvolutionSpec(d, n, gmatrix_new(entries, d))
-    return conv.default_spec(d, n)
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -111,8 +125,8 @@ def cmd_gap(args) -> int:
     if args.json:
         print(json.dumps(out, sort_keys=True, default=str))
     else:
-        print(f"MG        {_fmt(out['magic_gap'])}")
-        print(f"LMG       {_fmt(out['log_magic_gap'])}")
+        print(f"MG        {fmt(out['magic_gap'])}")
+        print(f"LMG       {fmt(out['log_magic_gap'])}")
         print(f"PauliRank {out['pauli_rank']}")
         print(f"IsMSPS    {str(out['is_msps']).lower()}")
         print(f"MeanVec   {out['mean_vector']}")
@@ -121,7 +135,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    spec = _spec_from_args(args, args.d, args.n)
+    spec = _spec_from_args(args.spec, args.G, args.d, args.n)
     a = _load_state(args.a, args.d, args.n, args.seed)
     b = _load_state(args.b, args.d, args.n,
                     None if args.seed is None else args.seed + 1)
@@ -130,13 +144,13 @@ def cmd_convolve(args) -> int:
         dual = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec)
         dev = float(np.max(np.abs(weyl.char_function(out).values - dual.values)))
-        print(f"duality-deviation {_fmt(dev)}")
+        print(f"duality-deviation {fmt(dev)}")
     _atomic_write(args.out, json.dumps(states.state_to_json(out), sort_keys=True))
     return EXIT_PASS
 
 
 def cmd_clt(args) -> int:
-    spec = conv.beam_splitter_spec(args.d, args.n)
+    spec = _spec_from_args("beam-splitter", None, args.d, args.n)
     rho = _load_state(args.state, args.d, args.n, args.seed)
     series = experiments.clt_run(rho, spec, args.steps)
     if args.format == "json":
@@ -151,8 +165,8 @@ def cmd_clt(args) -> int:
         lines = ["N,norm,bound," + ",".join(
             f"H_{a}" for a in experiments.ALPHAS_SECOND_LAW)]
         for s in series.steps:
-            row = [str(s["N"]), _fmt(s["norm"]), _fmt(s["bound"])]
-            row += [_fmt(s["entropies"][a]) for a in experiments.ALPHAS_SECOND_LAW]
+            row = [str(s["N"]), fmt(s["norm"]), fmt(s["bound"])]
+            row += [fmt(s["entropies"][a]) for a in experiments.ALPHAS_SECOND_LAW]
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -177,7 +191,7 @@ def cmd_suite(args) -> int:
     else:
         sys.stdout.write(text)
     print(f"suite {args.name}: {'PASS' if report.passed else 'FAIL'} "
-          f"(max violation {_fmt(report.max_violation)})", file=sys.stderr)
+          f"(max violation {fmt(report.max_violation)})", file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_VIOLATION
 
 
@@ -196,17 +210,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_capacity_bounds(args) -> int:
-    spec = _spec_from_args(args, args.d, args.n)
+    spec = _spec_from_args(args.spec, args.G, args.d, args.n)
     sigma = _load_state(args.sigma, args.d, args.n, args.seed)
-    chan = conv.ConvolutionChannel(spec, sigma)
-    lower, upper = conv.holevo_bounds(chan)
-    print(f"lower {_fmt(lower)}")
-    print(f"upper {_fmt(upper)}")
+    lower, upper = conv.holevo_bounds(spec, sigma)
+    print(f"lower {fmt(lower)}")
+    print(f"upper {fmt(upper)}")
     if args.rho0:
         rho0 = _load_state(args.rho0, args.d, args.n,
                            None if args.seed is None else args.seed + 2)
-        val = conv.holevo_weyl_ensemble(chan, rho0)
-        print(f"weyl-ensemble {_fmt(val)}")
+        val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
+        print(f"weyl-ensemble {fmt(val)}")
     return EXIT_PASS
 
 
@@ -258,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; suites run serially")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_suite)
@@ -283,33 +294,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reject_invalid_config(args) -> None:
-    """RunConfig invariants rejected at parse time."""
-    if args.command in ("convolve", "clt", "capacity-bounds") and args.d == 2:
-        raise ParseError("d=2 is rejected for convolution commands")
-    if args.command == "clt" and args.d in (3, 5):
-        raise ParseError(f"no beam-splitter parameters exist at d={args.d}")
-    spec_name = getattr(args, "spec", None)
-    if spec_name is not None and args.d in (3, 5):
-        raise ParseError(f"no {spec_name} parameters exist at d={args.d}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _reject_invalid_config(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        if "d" in args:
+            with _usage_errors():
+                check_system(args.d, args.n)
         return args.fn(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedDimension, DvconvError) as exc:
+    except DvconvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception as exc:  # a defect, not a bad input: keep the traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,11 +23,21 @@ from .entropy import renyi_entropy
 from .linalg import partial_trace_B
 from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup
-from .weyl import CharFunction, phase_points, weyl_op
-from .zmod import GMatrix, find_amplifier_params, find_beam_splitter_params, \
-    gmatrix_new, is_prime, mod_inverse
+from .weyl import CharFunction, phase_points, point_index, weyl_op
+from .zmod import GMatrix, check_system, find_amplifier_params, \
+    find_beam_splitter_params, gmatrix_new, mod_inverse
 
 AVG_TOL = 1e-9
+
+
+def _require_odd_prime(d: int, n: int) -> None:
+    """A supported system with d != 2: the convolution's domain."""
+    check_system(d, n)
+    if d == 2:
+        raise UnsupportedDimension(
+            "convolution needs an odd prime d; no positive invertible "
+            "parameter matrix exists mod 2"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,11 +50,7 @@ class ConvolutionSpec:
     _unitary_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d == 2 or not is_prime(self.d):
-            raise UnsupportedDimension(
-                "convolution needs an odd prime d; no positive invertible "
-                "parameter matrix exists mod 2"
-            )
+        _require_odd_prime(self.d, self.n)
         if self.G.d != self.d:
             raise DimensionMismatch("G modulus differs from spec d")
 
@@ -58,17 +64,9 @@ class ConvolutionSpec:
         return self._unitary_cache["U"]
 
 
-def _require_odd_prime(d: int) -> None:
-    if d == 2 or not is_prime(d):
-        raise UnsupportedDimension(
-            "convolution needs an odd prime d; no positive invertible "
-            "parameter matrix exists mod 2"
-        )
-
-
 def default_spec(d: int, n: int) -> ConvolutionSpec:
     """The canonical positive invertible choice G = [1, 1; 1, d-1]."""
-    _require_odd_prime(d)
+    _require_odd_prime(d, n)
     return ConvolutionSpec(d, n, gmatrix_new((1, 1, 1, d - 1), d))
 
 
@@ -89,22 +87,20 @@ def key_unitary(spec: ConvolutionSpec) -> np.ndarray:
     d, n, g = spec.d, spec.n, spec.G
     N = g.N
     D = d**n
-    idx = np.arange(D * D)
-    # decode |i, j>: first n digits i, last n digits j
-    full_radix = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-    digits = (idx[:, None] // full_radix[None, :]) % d
+    # |i, j> has the digits of a phase point: first n digits i, last n digits j
+    digits = phase_points(d, n)
     i_dig, j_dig = digits[:, :n], digits[:, n:]
-    i_new = (N * g.g11 * i_dig - N * g.g10 * j_dig) % d
-    j_new = (-N * g.g01 * i_dig + N * g.g00 * j_dig) % d
-    new_idx = np.concatenate([i_new, j_new], axis=1) @ full_radix
+    i_new = N * g.g11 * i_dig - N * g.g10 * j_dig
+    j_new = -N * g.g01 * i_dig + N * g.g00 * j_dig
     U = np.zeros((D * D, D * D), dtype=complex)
-    U[new_idx, idx] = 1.0
+    U[point_index(np.concatenate([i_new, j_new], axis=1), d), np.arange(D * D)] = 1.0
     return U
 
 
-def _check_pair(rho: DensityMatrix, sigma: DensityMatrix, spec: ConvolutionSpec):
+def _check_pair(rho, sigma, spec: ConvolutionSpec) -> None:
+    """Both operands (states or characteristic tables) live on spec's system."""
     if (rho.d, rho.n) != (spec.d, spec.n) or (sigma.d, sigma.n) != (spec.d, spec.n):
-        raise DimensionMismatch("states do not match the convolution spec")
+        raise DimensionMismatch("operands do not match the convolution spec")
 
 
 def convolve(rho: DensityMatrix, sigma: DensityMatrix,
@@ -120,36 +116,14 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
 def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
                             spec: ConvolutionSpec) -> CharFunction:
     """Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q)."""
-    if (t_rho.d, t_rho.n) != (spec.d, spec.n) or (t_sigma.d, t_sigma.n) != (spec.d, spec.n):
-        raise DimensionMismatch("tables do not match the convolution spec")
+    _check_pair(t_rho, t_sigma, spec)
     d, n, g = spec.d, spec.n, spec.G
     N = g.N
     pts = phase_points(d, n)
     p, q = pts[:, :n], pts[:, n:]
-    full_radix = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-
-    def table_index(pp, qq):
-        return np.concatenate([pp % d, qq % d], axis=1) @ full_radix
-
-    a = t_rho.values[table_index(N * g.g11 * p, g.g00 * q)]
-    b = t_sigma.values[table_index(-N * g.g10 * p, g.g01 * q)]
+    a = t_rho.values[point_index(np.concatenate([N * g.g11 * p, g.g00 * q], axis=1), d)]
+    b = t_sigma.values[point_index(np.concatenate([-N * g.g10 * p, g.g01 * q], axis=1), d)]
     return CharFunction(d, n, a * b)
-
-
-@dataclass(frozen=True)
-class ConvolutionChannel:
-    """E_sigma(rho) = rho boxtimes sigma for a fixed second input."""
-
-    spec: ConvolutionSpec
-    sigma: DensityMatrix
-
-    def __post_init__(self):
-        if (self.sigma.d, self.sigma.n) != (self.spec.d, self.spec.n):
-            raise DimensionMismatch("sigma does not match the convolution spec")
-
-
-def channel_apply(chan: ConvolutionChannel, rho: DensityMatrix) -> DensityMatrix:
-    return convolve(rho, chan.sigma, chan.spec)
 
 
 def partner_stabilizer_group(s2: StabilizerGroup,
@@ -172,25 +146,27 @@ def partner_stabilizer_group(s2: StabilizerGroup,
     return StabilizerGroup(d, n, tuple(gens), (0,) * n)
 
 
-def holevo_bounds(chan: ConvolutionChannel) -> tuple[float, float]:
-    """(n log2 d - H(M(sigma)), n log2 d - H(sigma)) sandwiching the capacity."""
-    cap = chan.spec.n * np.log2(chan.spec.d)
-    lower = cap - renyi_entropy(mean_state(chan.sigma), 1)
-    upper = cap - renyi_entropy(chan.sigma, 1)
+def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix) -> tuple[float, float]:
+    """(n log2 d - H(M(sigma)), n log2 d - H(sigma)) sandwiching the capacity
+    of the channel rho -> rho boxtimes sigma."""
+    _check_pair(sigma, sigma, spec)
+    cap = spec.n * np.log2(spec.d)
+    lower = cap - renyi_entropy(mean_state(sigma), 1)
+    upper = cap - renyi_entropy(sigma, 1)
     return float(lower), float(upper)
 
 
-def holevo_weyl_ensemble(chan: ConvolutionChannel, rho0: DensityMatrix) -> float:
-    """Holevo quantity of the uniform Weyl orbit of rho0: a certified lower bound.
+def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
+                         rho0: DensityMatrix) -> float:
+    """Holevo quantity of the uniform Weyl orbit of rho0 through
+    rho -> rho boxtimes sigma: a certified lower bound on the capacity.
 
     Verifies that the average output is maximally mixed and that all orbit
     outputs share one entropy (channel covariance), then returns
-    n log2 d - H(E(rho0)).
+    n log2 d - H(rho0 boxtimes sigma).
     """
-    spec = chan.spec
+    _check_pair(rho0, sigma, spec)
     d, n = spec.d, spec.n
-    if (rho0.d, rho0.n) != (d, n):
-        raise DimensionMismatch("rho0 does not match the channel")
     D = d**n
     pts = phase_points(d, n)
     avg = np.zeros((D, D), dtype=complex)
@@ -198,7 +174,7 @@ def holevo_weyl_ensemble(chan: ConvolutionChannel, rho0: DensityMatrix) -> float
     for label in pts:
         W = weyl_op(d, n, label[:n], label[n:])
         displaced = DensityMatrix(d, n, W @ rho0.mat @ W.conj().T)
-        out = channel_apply(chan, displaced)
+        out = convolve(displaced, sigma, spec)
         avg += out.mat
         H = renyi_entropy(out, 1)
         if base_H is None:

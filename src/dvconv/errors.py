@@ -29,10 +29,6 @@ class NotUnitary(DvconvError):
     """Operator deviates from unitarity beyond tolerance."""
 
 
-class DomainError(DvconvError):
-    """Scalar function undefined on a clamped eigenvalue."""
-
-
 class DimensionMismatch(DvconvError):
     """Operator dimensions are inconsistent."""
 
@@ -42,9 +38,8 @@ class UnsupportedScale(DvconvError):
 
 
 class UnsupportedDimension(DvconvError):
-    """Convolution requested at a local dimension where no positive
-    invertible parameter matrix exists (d = 2) or where the named
-    spec has no parameters (beam splitter / amplifier at d in {3, 5})."""
+    """System outside the supported set: d not prime or n < 1, or d = 2
+    for convolution (no positive invertible parameter matrix exists mod 2)."""
 
 
 class InvalidGroup(DvconvError):

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conv, entropy, linalg, magic, states, weyl
+from .zmod import find_beam_splitter_params, mod_inverse
 
 INF = math.inf
 
@@ -73,13 +74,14 @@ class ExperimentReport:
         for rec in self.records:
             writer.writerow([
                 self.suite, self.seed, rec["index"], rec["metric"],
-                _fmt(rec["value"]), _fmt(rec["bound"]), int(rec["pass"]),
+                fmt(rec["value"]), fmt(rec["bound"]), int(rec["pass"]),
             ])
         return buf.getvalue()
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def fmt(x: float) -> str:
+    """17 significant digits: every float output round-trips exactly."""
+    return format(float(x), ".17g")
 
 
 def _json_default(obj):
@@ -298,8 +300,6 @@ def suite_stability(seed: int | None = None, trials: int | None = None) -> Exper
 
 def _canonical_line(label: tuple[int, int], d: int) -> tuple[int, int]:
     """Scale a nonzero n=1 label so its first nonzero entry is 1."""
-    from .zmod import mod_inverse
-
     p, q = label[0] % d, label[1] % d
     lead = p if p != 0 else q
     inv = mod_inverse(lead, d)
@@ -351,27 +351,25 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
         spec = _spec_for(d, 1)
         rng = np.random.default_rng(seeds[2 * i])
         sigma = states.random_density(seeds[2 * i], d, 1, int(rng.integers(1, d + 1)))
-        chan = conv.ConvolutionChannel(spec, sigma)
-        lower, upper = conv.holevo_bounds(chan)
+        lower, upper = conv.holevo_bounds(spec, sigma)
         report.add(i, f"sandwich_order_d{d}", lower - upper, HOLEVO_TOL)
         rho0 = states.random_density(seeds[2 * i + 1], d, 1, 1)
-        val = conv.holevo_weyl_ensemble(chan, rho0)
+        val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         report.add(i, f"ensemble_below_upper_d{d}", val - upper, HOLEVO_TOL)
     # equality branch: sigma an MSPS at d=3; some enumerated rho0 meets the bound
     d = 3
     spec = conv.default_spec(d, 1)
     candidates = states.enumerate_msps(d)
     for j, sigma in enumerate(candidates):
-        chan = conv.ConvolutionChannel(spec, sigma)
-        _, upper = conv.holevo_bounds(chan)
+        _, upper = conv.holevo_bounds(spec, sigma)
         best = -INF
         for rho0 in candidates:
-            best = max(best, conv.holevo_weyl_ensemble(chan, rho0))
+            best = max(best, conv.holevo_weyl_ensemble(spec, sigma, rho0))
         report.add(j, "msps_equality_gap", upper - best, HOLEVO_TOL)
     # pure stabilizer sigma: bounds collapse to n log2 d
     cap = float(np.log2(d))
     for j, sigma in enumerate(states.enumerate_pure_stabilizers(d)):
-        lower, upper = conv.holevo_bounds(conv.ConvolutionChannel(spec, sigma))
+        lower, upper = conv.holevo_bounds(spec, sigma)
         report.add(j, "stab_bounds_collapse",
                    max(abs(lower - cap), abs(upper - cap)), HOLEVO_TOL)
     return report
@@ -440,8 +438,6 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = 30) -> ExperimentRep
     """Norm decay bound, fitted slope, and second law along CLT trajectories."""
     d, n = 7, 1
     spec = conv.beam_splitter_spec(d, n)
-    from .zmod import find_beam_splitter_params
-
     report = ExperimentReport("clt", seed, {
         "d": d, "n": n, "steps": steps, "trials": trials,
         "s_t": list(find_beam_splitter_params(d)),

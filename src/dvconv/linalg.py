@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotHermitian
+from .errors import DimensionMismatch, NotHermitian
 
 HERM_TOL = 1e-10
 #: eigenvalues below this are treated as exact zeros for rank/support work
 SUPPORT_TOL = 1e-10
-#: floor applied inside matrix functions to separate noise from true kernel
-CLAMP_FLOOR = 1e-14
 
 
 def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> None:
@@ -28,20 +26,6 @@ def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     check_hermitian(A)
     vals, vecs = np.linalg.eigh(A)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def mat_fn(A: np.ndarray, f, clamp: float = CLAMP_FLOOR) -> np.ndarray:
-    """V f(max(lam, clamp)) V^dag for Hermitian PSD A."""
-    vals, vecs = herm_eig(A)
-    clamped = np.maximum(vals, clamp)
-    fvals = np.asarray(f(clamped), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise DomainError("f undefined on a clamped eigenvalue")
-    return (vecs * fvals) @ vecs.conj().T
-
-
-def tensor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.kron(A, B)
 
 
 def partial_trace_B(M: np.ndarray, dimA: int, dimB: int) -> np.ndarray:

@@ -14,7 +14,8 @@ import numpy as np
 from .errors import NoSolution, PhaseNotRoot
 from .linalg import SUPPORT_TOL
 from .states import UNIT_TOL, DensityMatrix, StabilizerGroup, is_msps
-from .weyl import CharFunction, char_function, inverse_char, weyl_op, xi
+from .weyl import (CharFunction, char_function, inverse_char, pauli_rank,
+                   point_index, weyl_op, xi)
 from .zmod import mod_inverse, solve_mod_linear
 
 PHASE_TOL = 1e-8
@@ -63,8 +64,6 @@ def magic_gap_purity_bound(rho: DensityMatrix) -> dict:
     K is taken as the size of the unit-modulus support (the group of the
     mean state).  Returned for reporting, never asserted.
     """
-    from .weyl import pauli_rank
-
     mags = np.abs(char_function(rho).values)
     K = int(np.sum(np.abs(mags - 1.0) <= UNIT_TOL))
     R = pauli_rank(rho)
@@ -155,13 +154,11 @@ def _phase_gate(d: int) -> np.ndarray:
 def _sum_gate(d: int, n: int, ctrl: int, tgt: int) -> np.ndarray:
     """|i, j> -> |i, i+j> on wires (ctrl, tgt); CNOT at d=2."""
     D = d**n
+    digits = np.indices((d,) * n).reshape(n, D).T
+    out = digits.copy()
+    out[:, tgt] = (digits[:, tgt] + digits[:, ctrl]) % d
     U = np.zeros((D, D), dtype=complex)
-    radix = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for idx in range(D):
-        digits = (idx // radix) % d
-        out = digits.copy()
-        out[tgt] = (digits[tgt] + digits[ctrl]) % d
-        U[int(out @ radix), idx] = 1.0
+    U[point_index(out, d), np.arange(D)] = 1.0
     return U
 
 

@@ -11,18 +11,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGroup, InvalidState, UnsupportedScale
+from .errors import InvalidGroup, InvalidState, ParseError, UnsupportedScale
 from .linalg import SUPPORT_TOL, herm_eig
 from .weyl import (
     CharFunction,
     char_function,
+    inverse_char,
     phase_points,
     point_index,
     symplectic_form,
     weyl_op,
     xi,
 )
-from .zmod import rank_mod, rref_mod
+from .zmod import check_system, rank_mod, rref_mod
 
 STATE_TOL = 1e-10
 #: |Xi| within this of 1 counts as unit modulus
@@ -38,6 +39,7 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_system(self.d, self.n)
         D = self.d**self.n
         if self.mat.shape != (D, D):
             raise InvalidState(f"matrix is {self.mat.shape}, expected {(D, D)}")
@@ -73,18 +75,8 @@ def maximally_mixed(d: int, n: int) -> DensityMatrix:
 
 def ket_state(d: int, n: int, digits) -> DensityMatrix:
     """|digits><digits| in the computational basis."""
-    digits = np.asarray(digits, dtype=np.int64).reshape(n) % d
-    idx = 0
-    for dig in digits:
-        idx = idx * d + int(dig)
     psi = np.zeros(d**n, dtype=complex)
-    psi[idx] = 1.0
-    return DensityMatrix(d, n, np.outer(psi, psi.conj()))
-
-
-def pure_state(d: int, n: int, psi: np.ndarray) -> DensityMatrix:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi = psi / np.linalg.norm(psi)
+    psi[point_index(np.reshape(digits, n), d)] = 1.0
     return DensityMatrix(d, n, np.outer(psi, psi.conj()))
 
 
@@ -194,21 +186,16 @@ def is_msps(rho: DensityMatrix) -> tuple[bool, StabilizerGroup | None]:
     if not np.all(unit | zero):
         return False, None
     support_idx = np.flatnonzero(unit)
-    pts = phase_points(d, n)
-    weights = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-    support_set = set(int(i) for i in support_idx)
-    labels = pts[support_idx]
+    labels = phase_points(d, n)[support_idx]
     vals = table.values[support_idx]
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            s = (labels[i] + labels[j]) % d
-            s_idx = int(s @ weights)
-            if s_idx not in support_set:
-                return False, None
-            if abs(table.values[s_idx] - vals[i] * vals[j]) > UNIT_TOL:
-                return False, None
-            if symplectic_form(labels[i], labels[j], d) != 0:
-                return False, None
+    sums = point_index(labels[:, None, :] + labels[None, :, :], d)
+    if not np.all(unit[sums]):
+        return False, None
+    if np.any(np.abs(table.values[sums] - np.outer(vals, vals)) > UNIT_TOL):
+        return False, None
+    p, q = labels[:, :n], labels[:, n:]
+    if np.any((p @ q.T - q @ p.T) % d):
+        return False, None
     group = _recover_group(table, support_idx)
     if d**group.r != len(support_idx):
         return False, None
@@ -267,9 +254,6 @@ def char_to_json(table: CharFunction) -> dict:
 
 
 def state_from_json(obj: dict) -> DensityMatrix:
-    from .errors import ParseError
-    from .weyl import inverse_char
-
     try:
         d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -293,8 +277,6 @@ def state_from_json(obj: dict) -> DensityMatrix:
 
 
 def preset_state(name: str, d: int, n: int) -> DensityMatrix:
-    from .errors import ParseError
-
     if name == "maximally-mixed":
         return maximally_mixed(d, n)
     if name == "zero-ket":

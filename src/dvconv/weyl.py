@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotUnitary
 from .linalg import SUPPORT_TOL
-from .zmod import mod_inverse
+from .zmod import check_system, mod_inverse
 
 UNITARY_TOL = 1e-10
 CLIFFORD_TOL = 1e-9
@@ -73,22 +73,20 @@ def phase_points(d: int, n: int) -> np.ndarray:
     return pts
 
 
-def point_index(label, d: int) -> int:
-    """Row-major index of a length-2n label."""
-    label = np.asarray(label, dtype=np.int64) % d
-    idx = 0
-    for digit in label:
-        idx = idx * d + int(digit)
-    return idx
+def point_index(labels, d: int):
+    """Row-major index of base-d digit vectors, vectorised over the last axis.
+
+    The one base-d encoding: a length-2n label gives its phase-point index,
+    a length-n digit vector its computational-basis index.
+    """
+    labels = np.asarray(labels, dtype=np.int64) % d
+    return labels @ d ** np.arange(labels.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def neg_perm(d: int, n: int) -> np.ndarray:
     """Permutation sending index of x to index of -x mod d."""
-    pts = phase_points(d, n)
-    neg = (-pts) % d
-    weights = d ** np.arange(2 * n - 1, -1, -1, dtype=np.int64)
-    perm = neg @ weights
+    perm = point_index(-phase_points(d, n), d)
     perm.flags.writeable = False
     return perm
 
@@ -114,6 +112,7 @@ class CharFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        check_system(self.d, self.n)
         if self.values.shape != (self.d ** (2 * self.n),):
             raise ValueError("characteristic table has wrong length")
 

@@ -7,10 +7,12 @@ eagerly so outputs are bit-exact across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoSolution, NotInvertible, NotPositive, ZeroElement
+from .errors import (NoSolution, NotInvertible, NotPositive,
+                     UnsupportedDimension, ZeroElement)
 
 
 def is_prime(d: int) -> bool:
@@ -25,23 +27,17 @@ def is_prime(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated prime local dimension.
+@lru_cache(maxsize=None)
+def check_system(d: int, n: int) -> None:
+    """The one definition of a supported system: d prime, n >= 1.
 
-    d = 2 is valid for characteristic-function and magic work but admits
-    no positive invertible parameter matrix, so convolution rejects it.
+    The Weyl phase uses 2^{-1} mod d, which is well defined only for
+    prime d.  Cached, so repeated validation costs one lookup.
     """
-
-    d: int
-
-    def __post_init__(self):
-        if not is_prime(self.d):
-            raise ValueError(f"d={self.d} is not prime")
-
-    @property
-    def supports_convolution(self) -> bool:
-        return self.d != 2
+    if not is_prime(d):
+        raise UnsupportedDimension(f"local dimension d={d} is not prime")
+    if n < 1:
+        raise UnsupportedDimension(f"qudit count n={n} must be >= 1")
 
 
 def mod_inverse(a: int, d: int) -> int:
@@ -115,7 +111,8 @@ def find_beam_splitter_params(d: int) -> tuple[int, int]:
         for t in range(1, d):
             if (s * s + t * t) % d == 1:
                 return s, t
-    raise NoSolution(f"no nonzero (s, t) with s^2+t^2=1 mod {d}")
+    raise NoSolution(f"no beam-splitter parameters at d={d}: "
+                     f"no nonzero (s, t) with s^2+t^2=1 mod {d}")
 
 
 def find_amplifier_params(d: int) -> tuple[int, int]:
@@ -124,7 +121,8 @@ def find_amplifier_params(d: int) -> tuple[int, int]:
         for m in range(1, d):
             if (l * l - m * m) % d == 1:
                 return l, m
-    raise NoSolution(f"no nonzero (l, m) with l^2-m^2=1 mod {d}")
+    raise NoSolution(f"no amplifier parameters at d={d}: "
+                     f"no nonzero (l, m) with l^2-m^2=1 mod {d}")
 
 
 @dataclass(frozen=True)

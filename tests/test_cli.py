@@ -157,3 +157,41 @@ def test_capacity_bounds(capsys):
 def test_unsupported_scale_is_numeric_error(capsys):
     code, _, _ = run(capsys, "enumerate", "msps", "--d", "7")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gap", "--d", "4", "--preset", "zero-ket"), "d=4 is not prime"),
+    (("gap", "--d", "9", "--preset", "zero-ket"), "d=9 is not prime"),
+    (("gap", "--d", "-3", "--preset", "zero-ket"), "d=-3 is not prime"),
+    (("gap", "--d", "3", "--n", "0", "--preset", "zero-ket"), "n=0"),
+    (("convolve", "--d", "3", "--n", "0", "--a", "zero-ket", "--b", "zero-ket"),
+     "n=0"),
+    (("convolve", "--d", "9", "--a", "zero-ket", "--b", "zero-ket"),
+     "d=9 is not prime"),
+    (("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket",
+      "--G", "a,b,c,d"), "--G expects four comma-separated integers"),
+    (("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket",
+      "--G", "1,0,1,2"), "zero entry"),
+], ids=["gap-d4", "gap-d9", "gap-d-3", "gap-n0", "convolve-n0", "convolve-d9",
+        "convolve-G-letters", "convolve-G-zero-entry"])
+def test_bad_system_is_usage_error(tmp_path, capsys, argv, message):
+    out_file = tmp_path / "x.json"
+    if argv[0] == "convolve":
+        argv += ("--out", str(out_file))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+    assert not out_file.exists()
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dvconv.weyl.char_function", boom)
+    code, _, err = run(capsys, "gap", "--d", "3", "--preset", "zero-ket")
+    assert code == 4
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: RuntimeError: boom"

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvconv.conv import (
-    ConvolutionChannel,
     ConvolutionSpec,
     amplifier_spec,
     beam_splitter_spec,
-    channel_apply,
     convolve,
     convolve_characteristic,
     default_spec,
@@ -134,11 +132,9 @@ def test_stability_exhaustive():
 
 def test_channel_apply():
     spec = default_spec(3, 1)
-    chan = ConvolutionChannel(spec, maximally_mixed(3, 1))
-    out = channel_apply(chan, random_density(1, 3, 1))
+    out = convolve(random_density(1, 3, 1), maximally_mixed(3, 1), spec)
     assert np.max(np.abs(out.mat - np.eye(3) / 3)) < 1e-12
-    chan2 = ConvolutionChannel(spec, random_density(2, 3, 1))
-    out2 = channel_apply(chan2, random_density(3, 3, 1))
+    out2 = convolve(random_density(3, 3, 1), random_density(2, 3, 1), spec)
     assert abs(np.trace(out2.mat) - 1) < 1e-12
 
 
@@ -169,26 +165,32 @@ def test_mismatched_pair_has_entropy():
 
 def test_holevo_bounds_cases():
     spec = default_spec(3, 1)
-    lo, hi = holevo_bounds(ConvolutionChannel(spec, maximally_mixed(3, 1)))
+    lo, hi = holevo_bounds(spec, maximally_mixed(3, 1))
     assert abs(lo) < 1e-9 and abs(hi) < 1e-9
     for sigma in enumerate_pure_stabilizers(3):
-        lo, hi = holevo_bounds(ConvolutionChannel(spec, sigma))
+        lo, hi = holevo_bounds(spec, sigma)
         assert abs(lo - np.log2(3)) < 1e-9
         assert abs(hi - np.log2(3)) < 1e-9
     # magic pure sigma: strict gap
     sigma = random_density(11, 7, 1, rank=1)
-    lo, hi = holevo_bounds(ConvolutionChannel(beam_splitter_spec(7, 1), sigma))
+    lo, hi = holevo_bounds(beam_splitter_spec(7, 1), sigma)
     assert lo < hi - 1e-6
+
+
+def test_holevo_bounds_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        holevo_bounds(default_spec(3, 1), random_density(0, 3, 2))
+    with pytest.raises(DimensionMismatch):
+        holevo_bounds(default_spec(3, 1), random_density(0, 7, 1))
 
 
 def test_holevo_weyl_ensemble():
     spec = default_spec(3, 1)
-    chan = ConvolutionChannel(spec, maximally_mixed(3, 1))
-    assert abs(holevo_weyl_ensemble(chan, random_density(0, 3, 1))) < 1e-9
+    mixed = maximally_mixed(3, 1)
+    assert abs(holevo_weyl_ensemble(spec, mixed, random_density(0, 3, 1))) < 1e-9
     # MSPS sigma: some enumerated rho0 achieves the upper bound
     for sigma in enumerate_msps(3)[:3]:
-        chan = ConvolutionChannel(spec, sigma)
-        _, upper = holevo_bounds(chan)
-        best = max(holevo_weyl_ensemble(chan, rho0)
+        _, upper = holevo_bounds(spec, sigma)
+        best = max(holevo_weyl_ensemble(spec, sigma, rho0)
                    for rho0 in enumerate_msps(3))
         assert abs(best - upper) < 1e-9

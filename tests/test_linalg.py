@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 from dvconv.errors import DimensionMismatch, NotHermitian
 from dvconv.linalg import (
     herm_eig,
-    mat_fn,
     partial_trace_B,
     schatten2_norm,
-    tensor,
     trace_norm,
 )
 from dvconv.states import random_density
@@ -48,49 +46,10 @@ def test_herm_eig_reconstruction(seed):
     assert np.max(np.abs(vecs @ vecs.conj().T - np.eye(5))) < 1e-10
 
 
-def test_mat_fn_identity_function():
-    A = _random_hermitian(3, 4)
-    A = A @ A.conj().T  # PSD
-    assert np.max(np.abs(mat_fn(A, lambda x: x) - A)) < 1e-10
-
-
-def test_mat_fn_log_of_mixed():
-    d = 3
-    out = mat_fn(np.eye(d) / d, np.log2)
-    assert np.allclose(out, -np.log2(d) * np.eye(d))
-
-
-def test_mat_fn_sqrt_roundtrip():
-    A = _random_hermitian(7, 5)
-    A = A @ A.conj().T
-    root = mat_fn(A, np.sqrt)
-    assert np.max(np.abs(root @ root - A)) < 1e-9
-
-
-def test_tensor_blocks():
-    A = _random_hermitian(1, 2)
-    out = tensor(np.eye(2, dtype=complex), A)
-    assert np.allclose(out[:2, :2], A)
-    assert np.allclose(out[2:, 2:], A)
-    assert np.allclose(out[:2, 2:], 0)
-
-
-def test_tensor_xx():
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    XX = tensor(X, X)
-    assert np.allclose(XX, np.fliplr(np.eye(4)))
-
-
-def test_tensor_trace_multiplicative():
-    A = _random_hermitian(2, 3)
-    B = _random_hermitian(4, 2)
-    assert np.isclose(np.trace(tensor(A, B)), np.trace(A) * np.trace(B))
-
-
 def test_partial_trace_of_product():
     A = _random_hermitian(5, 3)
     B = _random_hermitian(6, 2)
-    out = partial_trace_B(tensor(A, B), 3, 2)
+    out = partial_trace_B(np.kron(A, B), 3, 2)
     assert np.max(np.abs(out - np.trace(B) * A)) < 1e-12
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dvconv.errors import InvalidGroup, InvalidState, UnsupportedScale
+from dvconv.errors import (
+    InvalidGroup,
+    InvalidState,
+    UnsupportedDimension,
+    UnsupportedScale,
+)
 from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
@@ -30,6 +35,11 @@ def test_density_matrix_validation():
         DensityMatrix(2, 1, np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
     with pytest.raises(InvalidState):
         DensityMatrix(2, 1, np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_matrix_rejects_non_prime_d():
+    with pytest.raises(UnsupportedDimension, match="d=4"):
+        DensityMatrix(4, 1, np.eye(4, dtype=complex) / 4)
 
 
 def test_random_density_rank_and_determinism():

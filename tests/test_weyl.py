@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dvconv.errors import NotUnitary
+from dvconv.errors import NotUnitary, UnsupportedDimension
 from dvconv.states import maximally_mixed, ket_state, random_density, t_state
 from dvconv.weyl import (
     CharFunction,
@@ -71,6 +71,12 @@ def test_phase_points_row_major():
     assert list(pts[1]) == [0, 1]
     for i, label in enumerate(pts):
         assert point_index(label, 3) == i
+    assert np.array_equal(point_index(phase_points(3, 2), 3), np.arange(81))
+
+
+def test_char_function_rejects_n0():
+    with pytest.raises(UnsupportedDimension, match="n=0"):
+        CharFunction(3, 0, np.ones(1, dtype=complex))
 
 
 def test_char_maximally_mixed():

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dvconv.errors import NoSolution, NotInvertible, NotPositive, ZeroElement
+from dvconv.errors import (
+    NoSolution,
+    NotInvertible,
+    NotPositive,
+    UnsupportedDimension,
+    ZeroElement,
+)
 from dvconv.zmod import (
     GMatrix,
-    PrimeModulus,
+    check_system,
     find_amplifier_params,
     find_beam_splitter_params,
     gmatrix_new,
@@ -24,11 +30,19 @@ def test_is_prime():
     assert not is_prime(0)
 
 
-def test_prime_modulus():
-    assert PrimeModulus(3).supports_convolution
-    assert not PrimeModulus(2).supports_convolution
-    with pytest.raises(ValueError):
-        PrimeModulus(4)
+def test_check_system_accepts_exactly_the_primes():
+    accepted = []
+    for d in range(-3, 25):
+        try:
+            check_system(d, 1)
+        except UnsupportedDimension as exc:
+            assert f"d={d}" in str(exc)
+        else:
+            accepted.append(d)
+    assert accepted == SMALL_PRIMES
+    for n in (0, -1):
+        with pytest.raises(UnsupportedDimension, match=f"n={n}"):
+            check_system(3, n)
 
 
 def test_mod_inverse_examples():
