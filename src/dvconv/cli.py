@@ -1,10 +1,12 @@
 """Command-line front door: state I/O, suite invocation, CLT runs.
 
 Exit codes: 0 pass; 1 suite violation (and nothing else); 2 usage error
-(bad arguments, unsupported (d, n), or a parameter matrix that cannot be
-built); 3 numeric precondition failure on valid arguments; 4 internal error
-(any exception that is not a DvconvError, printed with its traceback before
-one ``internal error:`` line).  Codes 2 and 3 print one ``error:`` line.
+(bad arguments, unsupported (d, n), a parameter matrix that cannot be
+built, a state file that cannot be read or parsed or holds another (d, n),
+or an output path that cannot be written); 3 numeric precondition failure
+on valid arguments; 4 internal error (any exception that is not a
+DvconvError, printed with its traceback before one ``internal error:``
+line).  Codes 2 and 3 print one ``error:`` line.
 All floats print with 17 significant digits so outputs are byte-identical
 across runs and platforms.
 """
@@ -45,19 +47,22 @@ def _usage_errors():
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dvconv-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".dvconv-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.DensityMatrix:
-    """Resolve a preset name, seeded random preset, or JSON file path."""
+    """Resolve a preset name, seeded random preset, or JSON file of this (d, n)."""
     if descriptor in states.PRESETS:
         return states.preset_state(descriptor, d, n)
     if descriptor in RANDOM_PRESETS:
@@ -68,8 +73,15 @@ def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.Den
     if not os.path.exists(descriptor):
         raise ParseError(f"state descriptor {descriptor!r} is neither a preset "
                          f"({', '.join(states.PRESETS + RANDOM_PRESETS)}) nor a file")
-    with open(descriptor) as fh:
-        return states.state_from_json(json.load(fh))
+    try:
+        with open(descriptor) as fh:
+            rho = states.state_from_json(json.load(fh))
+    except (OSError, ValueError, ParseError) as exc:  # ValueError: not JSON text
+        raise ParseError(f"state file {descriptor!r}: {exc}") from exc
+    if (rho.d, rho.n) != (d, n):
+        raise ParseError(f"state file {descriptor!r} holds d={rho.d}, n={rho.n}; "
+                         f"expected d={d}, n={n}")
+    return rho
 
 
 def _spec_from_args(spec: str | None, G: str | None, d: int,

@@ -1,15 +1,16 @@
-"""The quantum convolution: key unitary, state convolution, duality,
+"""The quantum convolution: key permutation, state convolution, duality,
 beam-splitter/amplifier specializations, minimal-output-entropy partners,
 and Holevo capacity bounds.
 
-The matrix path (build the key unitary, conjugate, partial trace) is the
-primary implementation; the characteristic-side product is an independent
-cross-check.
+The matrix path gathers entries through the key permutation, O(D^3) with no
+D^2 x D^2 operand; the characteristic-side product is an independent
+cross-check.  ``key_unitary`` is the dense permutation, kept as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .entropy import renyi_entropy
-from .linalg import partial_trace_B
 from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup
 from .weyl import CharFunction, phase_points, point_index, weyl_op
@@ -47,21 +47,11 @@ class ConvolutionSpec:
     d: int
     n: int
     G: GMatrix
-    _unitary_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         _require_odd_prime(self.d, self.n)
         if self.G.d != self.d:
             raise DimensionMismatch("G modulus differs from spec d")
-
-    @property
-    def N(self) -> int:
-        return self.G.N
-
-    def key_unitary(self) -> np.ndarray:
-        if "U" not in self._unitary_cache:
-            self._unitary_cache["U"] = key_unitary(self)
-        return self._unitary_cache["U"]
 
 
 def default_spec(d: int, n: int) -> ConvolutionSpec:
@@ -82,18 +72,28 @@ def amplifier_spec(d: int, n: int) -> ConvolutionSpec:
     return ConvolutionSpec(d, n, gmatrix_new((l, -m, -m, l), d))
 
 
-def key_unitary(spec: ConvolutionSpec) -> np.ndarray:
-    """Permutation on the 2n-qudit basis: |i, j> -> |(G^-1)^T (i, j)> per wire."""
+@lru_cache(maxsize=None)
+def _key_sources(spec: ConvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """D x D arrays (a, b): the key unitary sends |a[i, j], b[i, j]> to |i, j>.
+
+    U applies (G^-1)^T to (i, j) on each wire, so (a, b) is G^T (i, j) there.
+    """
     d, n, g = spec.d, spec.n, spec.G
-    N = g.N
     D = d**n
-    # |i, j> has the digits of a phase point: first n digits i, last n digits j
+    # row i*D + j of the phase points holds the digits of i, then those of j
     digits = phase_points(d, n)
     i_dig, j_dig = digits[:, :n], digits[:, n:]
-    i_new = N * g.g11 * i_dig - N * g.g10 * j_dig
-    j_new = -N * g.g01 * i_dig + N * g.g00 * j_dig
-    U = np.zeros((D * D, D * D), dtype=complex)
-    U[point_index(np.concatenate([i_new, j_new], axis=1), d), np.arange(D * D)] = 1.0
+    a = point_index(g.g00 * i_dig + g.g10 * j_dig, d).reshape(D, D)
+    b = point_index(g.g01 * i_dig + g.g11 * j_dig, d).reshape(D, D)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def key_unitary(spec: ConvolutionSpec) -> np.ndarray:
+    """Permutation on the 2n-qudit basis: |i, j> -> |(G^-1)^T (i, j)> per wire."""
+    a, b = _key_sources(spec)
+    U = np.zeros((a.size, a.size), dtype=complex)
+    U[np.arange(a.size), (a * a.shape[0] + b).ravel()] = 1.0
     return U
 
 
@@ -105,24 +105,33 @@ def _check_pair(rho, sigma, spec: ConvolutionSpec) -> None:
 
 def convolve(rho: DensityMatrix, sigma: DensityMatrix,
              spec: ConvolutionSpec) -> DensityMatrix:
-    """rho boxtimes sigma = Tr_B[U (rho (x) sigma) U^dag]."""
+    """rho boxtimes sigma = Tr_B[U (rho (x) sigma) U^dag]: entry (i, k) is
+    sum_j rho[a(i, j), a(k, j)] sigma[b(i, j), b(k, j)], with (a, b) from
+    _key_sources, summed in j order as the dense partial trace sums it."""
     _check_pair(rho, sigma, spec)
-    U = spec.key_unitary()
-    joint = U @ np.kron(rho.mat, sigma.mat) @ U.conj().T
-    out = partial_trace_B(joint, rho.dim, sigma.dim)
+    a, b = _key_sources(spec)
+    D = a.shape[0]
+    # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)], by j
+    flat_a = a.T[:, :, None] * D + a.T[:, None, :]
+    flat_b = b.T[:, :, None] * D + b.T[:, None, :]
+    r, s = rho.mat.ravel(), sigma.mat.ravel()
+    out = np.zeros((D, D), dtype=complex)
+    for j in range(D):
+        out += r.take(flat_a[j]) * s.take(flat_b[j])
     return DensityMatrix(spec.d, spec.n, (out + out.conj().T) / 2)
 
 
 def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
                             spec: ConvolutionSpec) -> CharFunction:
-    """Xi_out(p, q) = Xi_rho(N g11 p, g00 q) Xi_sigma(-N g10 p, g01 q)."""
+    """Xi_out(p, q) = Xi_rho(h00 p, g00 q) Xi_sigma(h10 p, g01 q),
+    with G^-1 = [h00, h01; h10, h11]."""
     _check_pair(t_rho, t_sigma, spec)
     d, n, g = spec.d, spec.n, spec.G
-    N = g.N
+    h00, _, h10, _ = g.inverse_entries()
     pts = phase_points(d, n)
     p, q = pts[:, :n], pts[:, n:]
-    a = t_rho.values[point_index(np.concatenate([N * g.g11 * p, g.g00 * q], axis=1), d)]
-    b = t_sigma.values[point_index(np.concatenate([-N * g.g10 * p, g.g01 * q], axis=1), d)]
+    a = t_rho.values[point_index(np.concatenate([h00 * p, g.g00 * q], axis=1), d)]
+    b = t_sigma.values[point_index(np.concatenate([h10 * p, g.g01 * q], axis=1), d)]
     return CharFunction(d, n, a * b)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .linalg import SUPPORT_TOL, herm_eig
-from .states import DensityMatrix, maximally_mixed
+from .states import DensityMatrix
 from .weyl import xi
 
 #: below this minimum eigenvalue a state counts as rank deficient
@@ -22,12 +22,14 @@ FULL_RANK_TOL = 1e-12
 
 INF = math.inf
 
+#: rotation angle of the finite-difference Fisher oracle
+FD_STEP = 1e-3
 
-def renyi_entropy(rho: DensityMatrix, alpha: float, strict: bool = False) -> float:
+
+def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
     """Generalized Renyi entropy H_alpha in bits.
 
-    alpha < 0 on a rank-deficient state returns +inf by convention
-    (RankDeficient when strict=True).
+    alpha < 0 on a rank-deficient state returns +inf by convention.
     """
     lam = rho.eigenvalues()
     if alpha == 1:
@@ -39,8 +41,6 @@ def renyi_entropy(rho: DensityMatrix, alpha: float, strict: bool = False) -> flo
         return float(-np.log2(lam[0]))
     if alpha < 0:
         if lam[-1] <= FULL_RANK_TOL:
-            if strict:
-                raise RankDeficient("negative-alpha entropy needs full rank")
             return INF
         if alpha == -INF:
             return float(np.log2(lam[-1]))
@@ -146,14 +146,14 @@ def total_fisher(rho: DensityMatrix, eps: float = 0.0) -> float:
     return total
 
 
-def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray, step: float = 1e-3) -> float:
+def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> float:
     """Finite-difference check: second derivative of D(rho || e^{i t H} rho e^{-i t H})."""
     def div(t: float) -> float:
         U = _expm_herm(1j * t * H)
         rotated = DensityMatrix(rho.d, rho.n, U @ rho.mat @ U.conj().T)
         return relative_entropy(rho, rotated)
 
-    return (div(step) + div(-step)) / step**2
+    return (div(FD_STEP) + div(-FD_STEP)) / FD_STEP**2
 
 
 def _expm_herm(A: np.ndarray) -> np.ndarray:

@@ -15,10 +15,10 @@ HERM_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 
 
-def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> None:
+def check_hermitian(A: np.ndarray) -> None:
     dev = np.max(np.abs(A - A.conj().T))
-    if dev > tol:
-        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} > {tol:.0e}")
+    if dev > HERM_TOL:
+        raise NotHermitian(f"max |A - A^dag| = {dev:.3e} > {HERM_TOL:.0e}")
 
 
 def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,11 +14,13 @@ import numpy as np
 from .errors import NoSolution, PhaseNotRoot
 from .linalg import SUPPORT_TOL
 from .states import UNIT_TOL, DensityMatrix, StabilizerGroup, is_msps
-from .weyl import (CharFunction, char_function, inverse_char, pauli_rank,
-                   point_index, weyl_op, xi)
+from .weyl import (CharFunction, char_function, inverse_char, point_index,
+                   weyl_op, xi)
 from .zmod import mod_inverse, solve_mod_linear
 
 PHASE_TOL = 1e-8
+#: gates per random Clifford word, before its closing Weyl displacement
+CLIFFORD_WORD_LENGTH = 8
 
 
 def mean_state(rho: DensityMatrix) -> DensityMatrix:
@@ -56,23 +58,6 @@ def log_magic_gap(rho: DensityMatrix) -> float:
     if cand.size == 0:
         return 0.0
     return float(-np.log2(np.max(cand)))
-
-
-def magic_gap_purity_bound(rho: DensityMatrix) -> dict:
-    """Reported-only upper bound on MG from purity and Pauli rank.
-
-    K is taken as the size of the unit-modulus support (the group of the
-    mean state).  Returned for reporting, never asserted.
-    """
-    mags = np.abs(char_function(rho).values)
-    K = int(np.sum(np.abs(mags - 1.0) <= UNIT_TOL))
-    R = pauli_rank(rho)
-    num = rho.dim * rho.purity() - K
-    den = R - K
-    bound = 1.0 - float(np.sqrt(max(num, 0.0) / den)) if den > 0 else 0.0
-    mg = magic_gap(rho)
-    return {"mg": mg, "bound": bound, "K": K, "pauli_rank": R,
-            "satisfied": den <= 0 or mg <= bound + 1e-9}
 
 
 @dataclass(frozen=True)
@@ -169,11 +154,12 @@ def _embed(gate: np.ndarray, d: int, n: int, wire: int) -> np.ndarray:
     return out
 
 
-def random_clifford(rng: np.random.Generator, d: int, n: int, length: int = 8) -> np.ndarray:
-    """Random word over Fourier, phase, and SUM gates (H, S, CNOT at d=2)."""
+def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Random word of CLIFFORD_WORD_LENGTH Fourier, phase and SUM gates
+    (H, S, CNOT at d=2)."""
     D = d**n
     U = np.eye(D, dtype=complex)
-    for _ in range(length):
+    for _ in range(CLIFFORD_WORD_LENGTH):
         kind = rng.integers(0, 3 if n > 1 else 2)
         if kind == 0:
             U = _embed(_fourier_gate(d), d, n, int(rng.integers(n))) @ U

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidGroup, InvalidState, ParseError, UnsupportedScale
-from .linalg import SUPPORT_TOL, herm_eig
+from .linalg import herm_eig
 from .weyl import (
     CharFunction,
     char_function,
@@ -63,9 +63,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         vals, _ = herm_eig(self.mat)
         return np.clip(vals, 0.0, None)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
 
 
 def maximally_mixed(d: int, n: int) -> DensityMatrix:
@@ -254,25 +251,25 @@ def char_to_json(table: CharFunction) -> dict:
 
 
 def state_from_json(obj: dict) -> DensityMatrix:
+    """The state a JSON object describes; a malformed one is a ParseError."""
     try:
         d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
+        if kind in ("dense", "char"):
+            mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+            if kind == "char":
+                mat = inverse_char(CharFunction(d, n, mat))
+            return DensityMatrix(d, n, mat)
+        if kind == "msps":
+            group = StabilizerGroup(
+                d, n,
+                tuple(tuple(int(v) for v in g) for g in obj["generators"]),
+                tuple(int(x) for x in obj["phases"]),
+            )
+            return msps_from_group(group)
+        if kind == "preset":
+            return preset_state(obj["name"], d, n)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed state object: {exc}") from exc
-    if kind == "dense":
-        mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return DensityMatrix(d, n, mat)
-    if kind == "char":
-        values = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return DensityMatrix(d, n, inverse_char(CharFunction(d, n, values)))
-    if kind == "msps":
-        group = StabilizerGroup(
-            d, n,
-            tuple(tuple(int(v) for v in g) for g in obj["generators"]),
-            tuple(int(x) for x in obj["phases"]),
-        )
-        return msps_from_group(group)
-    if kind == "preset":
-        return preset_state(obj["name"], d, n)
+        raise ParseError(f"malformed state object: {exc!r}") from exc
     raise ParseError(f"unknown state kind {kind!r}")
 
 

@@ -144,7 +144,7 @@ def pauli_rank(rho) -> int:
     return int(np.sum(np.abs(values) > SUPPORT_TOL))
 
 
-def is_clifford(U: np.ndarray, d: int, n: int, tol: float = CLIFFORD_TOL) -> bool:
+def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
     """True iff U maps every Weyl generator to a phase times a Weyl operator.
 
     Checking the 2n generators suffices by the group structure.
@@ -163,7 +163,7 @@ def is_clifford(U: np.ndarray, d: int, n: int, tol: float = CLIFFORD_TOL) -> boo
             coeffs = np.abs(char_table(B, d, n)) / D
             top = np.max(coeffs)
             rest = np.partition(coeffs, -2)[-2]
-            if abs(top - 1.0) > tol or rest > tol:
+            if abs(top - 1.0) > CLIFFORD_TOL or rest > CLIFFORD_TOL:
                 return False
     return True
 

@@ -10,7 +10,7 @@ import pytest
 
 from dvconv import experiments
 from dvconv.cli import main as cli_main
-from dvconv.conv import beam_splitter_spec, default_spec
+from dvconv.conv import beam_splitter_spec, default_spec, key_unitary
 from dvconv.magic import magic_gap, random_clifford
 from dvconv.states import DensityMatrix, random_density
 from dvconv.weyl import char_function, inverse_char, is_clifford
@@ -124,7 +124,7 @@ def test_criterion_12_infrastructure(tmp_path, capsys):
     # key unitaries are Clifford
     for spec in (default_spec(3, 1), default_spec(3, 2),
                  beam_splitter_spec(7, 1)):
-        ok &= is_clifford(spec.key_unitary(), spec.d, 2 * spec.n)
+        ok &= is_clifford(key_unitary(spec), spec.d, 2 * spec.n)
     details.append("key unitaries Clifford")
 
     # MG invariance under seeded Cliffords

@@ -195,3 +195,71 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 4
     assert "Traceback" in err
     assert err.splitlines()[-1] == "internal error: RuntimeError: boom"
+
+
+def _write(path, obj):
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+BAD_STATE_FILES = {
+    "not-json": "{not json",
+    "dense-without-re-im": {"d": 3, "n": 1, "kind": "dense"},
+    "msps-without-generators": {"d": 3, "n": 1, "kind": "msps", "phases": [0]},
+    "im-not-numbers": {"d": 3, "n": 1, "kind": "dense",
+                       "re": np.eye(3).tolist(), "im": "x"},
+    "char-wrong-length": {"d": 3, "n": 1, "kind": "char", "re": [1.0], "im": [0.0]},
+    "not-an-object": [1, 2, 3],
+}
+
+
+def _assert_usage_error(code, err, message):
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_STATE_FILES))
+def test_bad_state_file_is_usage_error(tmp_path, capsys, name):
+    path = _write(tmp_path / "state.json", BAD_STATE_FILES[name])
+    code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
+    assert out == ""
+    _assert_usage_error(code, err, "state.json")
+
+
+def test_directory_as_state_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "gap", "--d", "3", "--input", str(tmp_path))
+    _assert_usage_error(code, err, "Is a directory")
+
+
+@pytest.mark.parametrize("argv", [
+    ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out"),
+    ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char"),
+    ("clt", "--d", "7", "--steps", "1", "--seed", "1", "--out"),
+], ids=["convolve-out", "gap-emit-char", "clt-out"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, *argv, target)
+    _assert_usage_error(code, err, "No such file or directory")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "convolve", "--d", "3", "--a", "zero-ket",
+                       "--b", "zero-ket", "--out", str(tmp_path))
+    _assert_usage_error(code, err, "Is a directory")
+    assert list(tmp_path.iterdir()) == []  # the temporary file is removed
+
+
+@pytest.mark.parametrize("argv", [
+    ("gap", "--d", "3", "--input"),
+    ("gap", "--d", "5", "--n", "2", "--input"),
+    ("convolve", "--d", "3", "--b", "zero-ket", "--out", "x.json", "--a"),
+    ("capacity-bounds", "--d", "3", "--sigma"),
+], ids=["gap-other-d", "gap-other-n", "convolve", "capacity-bounds"])
+def test_state_file_of_other_system_is_usage_error(tmp_path, capsys, argv):
+    path = _write(tmp_path / "state.json", state_to_json(random_density(0, 5, 1)))
+    code, out, err = run(capsys, *argv, path)
+    assert out == ""
+    _assert_usage_error(code, err, "holds d=5, n=1")

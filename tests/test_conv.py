@@ -20,6 +20,7 @@ from dvconv.errors import (
     NoSolution,
     UnsupportedDimension,
 )
+from dvconv.linalg import partial_trace_B
 from dvconv.states import (
     StabilizerGroup,
     enumerate_msps,
@@ -31,6 +32,14 @@ from dvconv.states import (
     random_density,
 )
 from dvconv.weyl import char_function, is_clifford
+from dvconv.zmod import gmatrix_new
+
+#: every named spec has a symmetric G; these do not, so a key map that used
+#: G where it needs G^T would show
+SKEW_SPECS = [ConvolutionSpec(d, n, gmatrix_new(g, d)) for d, n, g in (
+    (3, 1, (1, 2, 1, 1)), (3, 2, (1, 2, 1, 1)), (7, 1, (1, 2, 3, 4)))]
+NAMED_SPECS = [default_spec(3, 1), default_spec(3, 2), beam_splitter_spec(7, 1),
+               amplifier_spec(7, 1)]
 
 
 def test_spec_rejects_d2():
@@ -50,7 +59,7 @@ def test_named_specs():
 
 def test_key_unitary_is_permutation_and_clifford():
     for spec in (default_spec(3, 1), default_spec(3, 2), beam_splitter_spec(7, 1)):
-        U = spec.key_unitary()
+        U = key_unitary(spec)
         assert np.all(np.isin(U.real, [0.0, 1.0]))
         assert np.allclose(U.sum(axis=0), 1) and np.allclose(U.sum(axis=1), 1)
         assert is_clifford(U, spec.d, 2 * spec.n)
@@ -61,7 +70,7 @@ def test_key_unitary_is_permutation_and_clifford():
 def test_beam_splitter_index_map():
     # |i, j> -> |si+tj, ti-sj> mod 7 with (s, t) = (2, 2)
     d, s, t = 7, 2, 2
-    U = beam_splitter_spec(d, 1).key_unitary()
+    U = key_unitary(beam_splitter_spec(d, 1))
     for i in range(d):
         for j in range(d):
             src = i * d + j
@@ -72,7 +81,7 @@ def test_beam_splitter_index_map():
 def test_amplifier_index_map():
     # |i, j> -> |li+mj, mi+lj> mod 7 with (l, m) = (3, 1)
     d, l, m = 7, 3, 1
-    U = amplifier_spec(d, 1).key_unitary()
+    U = key_unitary(amplifier_spec(d, 1))
     for i in range(d):
         for j in range(d):
             src = i * d + j
@@ -93,16 +102,28 @@ def test_convolve_basics():
         convolve(random_density(0, 3, 2), sigma, spec)
 
 
-@given(st.sampled_from([(3, 1), (3, 2), (7, 1)]), st.integers(0, 10**6))
+@given(st.integers(0, 10**6))
 @settings(max_examples=20, deadline=None)
-def test_duality(cfg, seed):
-    d, n = cfg
-    spec = beam_splitter_spec(d, n) if d >= 7 else default_spec(d, n)
-    a = random_density(seed, d, n)
-    b = random_density(seed + 1, d, n)
-    lhs = char_function(convolve(a, b, spec)).values
-    rhs = convolve_characteristic(char_function(a), char_function(b), spec).values
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
+def test_duality(seed):
+    for spec in NAMED_SPECS + SKEW_SPECS:
+        d, n = spec.d, spec.n
+        a = random_density(seed, d, n)
+        b = random_density(seed + 1, d, n)
+        lhs = char_function(convolve(a, b, spec)).values
+        rhs = convolve_characteristic(char_function(a), char_function(b), spec).values
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def test_convolve_equals_dense_oracle():
+    # the gather adds the partial-trace terms in the dense path's order, so
+    # the two agree bit for bit, not only to rounding
+    for k, spec in enumerate(NAMED_SPECS + SKEW_SPECS):
+        d, n, D = spec.d, spec.n, spec.d**spec.n
+        a = random_density(k, d, n, rank=1)
+        b = random_density(k + 100, d, n)
+        U = key_unitary(spec)
+        out = partial_trace_B(U @ np.kron(a.mat, b.mat) @ U.conj().T, D, D)
+        assert np.array_equal(convolve(a, b, spec).mat, (out + out.conj().T) / 2)
 
 
 def test_beam_splitter_char_form():

@@ -6,7 +6,6 @@ from dvconv.magic import (
     clifford_t_circuit,
     log_magic_gap,
     magic_gap,
-    magic_gap_purity_bound,
     make_zero_mean,
     mean_state,
     mean_vector,
@@ -72,13 +71,6 @@ def test_magic_gap_clifford_invariance():
             U = random_clifford(rng, d, 1)
             rotated = DensityMatrix(d, 1, U @ rho.mat @ U.conj().T)
             assert abs(magic_gap(rotated) - magic_gap(rho)) < 1e-9
-
-
-def test_purity_bound_reported():
-    # reported-only: verify the dict shape and that MSPS saturate trivially
-    out = magic_gap_purity_bound(random_density(4, 3, 1))
-    assert set(out) >= {"mg", "bound", "K", "pauli_rank", "satisfied"}
-    assert magic_gap_purity_bound(maximally_mixed(3, 1))["mg"] == 0.0
 
 
 def test_mean_vector_examples():
