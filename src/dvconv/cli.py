@@ -75,13 +75,17 @@ def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.Den
                          f"({', '.join(states.PRESETS + RANDOM_PRESETS)}) nor a file")
     try:
         with open(descriptor) as fh:
-            rho = states.state_from_json(json.load(fh))
-    except (OSError, ValueError, ParseError) as exc:  # ValueError: not JSON text
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON text
         raise ParseError(f"state file {descriptor!r}: {exc}") from exc
-    if (rho.d, rho.n) != (d, n):
-        raise ParseError(f"state file {descriptor!r} holds d={rho.d}, n={rho.n}; "
-                         f"expected d={d}, n={n}")
-    return rho
+    held = (obj.get("d"), obj.get("n")) if isinstance(obj, dict) else (None, None)
+    if held != (d, n):  # checked before the state is built
+        raise ParseError(f"state file {descriptor!r} holds d={held[0]!r}, "
+                         f"n={held[1]!r}; expected d={d}, n={n}")
+    try:
+        return states.state_from_json(obj)
+    except ParseError as exc:
+        raise ParseError(f"state file {descriptor!r}: {exc}") from exc
 
 
 def _spec_from_args(spec: str | None, G: str | None, d: int,
@@ -122,18 +126,18 @@ def cmd_gap(args) -> int:
     if args.emit_char:
         _atomic_write(args.emit_char,
                       json.dumps(states.char_to_json(table), sort_keys=True))
-    ok, group = states.is_msps(rho)
+    ok, _ = states.is_msps(table)
     out = {
         "d": rho.d,
         "n": rho.n,
-        "magic_gap": magic.magic_gap(rho),
-        "log_magic_gap": magic.log_magic_gap(rho),
-        "pauli_rank": weyl.pauli_rank(rho),
+        "magic_gap": magic.magic_gap(table),
+        "log_magic_gap": magic.log_magic_gap(table),
+        "pauli_rank": weyl.pauli_rank(table),
         "is_msps": ok,
     }
-    mv = magic.mean_vector(rho)
-    out["mean_vector"] = list(mv.k)
-    out["mean_state_generators"] = [list(g) for g in mv.group.generators]
+    group = magic.mean_vector(table)
+    out["mean_vector"] = list(group.phases)
+    out["mean_state_generators"] = [list(g) for g in group.generators]
     if args.json:
         print(json.dumps(out, sort_keys=True, default=str))
     else:

@@ -23,7 +23,7 @@ from .errors import (
 from .entropy import renyi_entropy
 from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup
-from .weyl import CharFunction, phase_points, point_index, weyl_op
+from .weyl import CharFunction, char_function, phase_points, point_index, weyl_op
 from .zmod import GMatrix, check_system, find_amplifier_params, \
     find_beam_splitter_params, gmatrix_new, mod_inverse
 
@@ -160,7 +160,7 @@ def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix) -> tuple[float, f
     of the channel rho -> rho boxtimes sigma."""
     _check_pair(sigma, sigma, spec)
     cap = spec.n * np.log2(spec.d)
-    lower = cap - renyi_entropy(mean_state(sigma), 1)
+    lower = cap - renyi_entropy(mean_state(char_function(sigma)), 1)
     upper = cap - renyi_entropy(sigma, 1)
     return float(lower), float(upper)
 

@@ -139,8 +139,9 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     displacement is recorded in the series.
     """
     displacement, rho0 = magic.make_zero_mean(rho)
-    M = magic.mean_state(rho0)
-    mg = magic.magic_gap(rho0)
+    table = weyl.char_function(rho0)
+    M = magic.mean_state(table)
+    mg = magic.magic_gap(table)
     base = linalg.schatten2_norm(rho0.mat - M.mat)
     steps = []
     cur = rho0
@@ -287,7 +288,7 @@ def suite_stability(seed: int | None = None, trials: int | None = None) -> Exper
     idx = 0
     for a in stabs:
         for b in stabs:
-            ok, _ = states.is_msps(conv.convolve(a, b, spec))
+            ok, _ = states.is_msps(weyl.char_function(conv.convolve(a, b, spec)))
             report.add(idx, "is_msps", 0.0 if ok else 1.0, 0.0)
             idx += 1
     return report
@@ -307,8 +308,7 @@ def suite_min_output(seed: int | None = None, trials: int | None = None) -> Expe
     d = 3
     spec = conv.default_spec(d, 1)
     report = ExperimentReport("min_output", seed, {"d": d})
-    lines = [(1, b) for b in range(d)] + [(0, 1)]
-    for i, line in enumerate(lines):
+    for i, line in enumerate(states.line_generators(d)):
         s2 = states.StabilizerGroup(d, 1, (line,), (0,))
         s1 = conv.partner_stabilizer_group(s2, spec)
         out = conv.convolve(states.msps_from_group(s1),
@@ -316,7 +316,7 @@ def suite_min_output(seed: int | None = None, trials: int | None = None) -> Expe
         report.add(i, "partner_output_entropy",
                    entropy.renyi_entropy(out, 1), PURE_OUT_TOL)
     stabs = states.enumerate_pure_stabilizers(d)
-    groups = [states.is_msps(s)[1] for s in stabs]
+    groups = [states.is_msps(weyl.char_function(s))[1] for s in stabs]
     idx = 0
     for ia, a in enumerate(stabs):
         for ib, b in enumerate(stabs):
@@ -389,7 +389,7 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
             ket = states.DensityMatrix(2, n, U @ base.mat @ U.conj().T)
         out = states.DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
         report.add(i, f"lmg_minus_halfN_n{n}",
-                   magic.log_magic_gap(out) - n_t / 2, SYNTH_TOL)
+                   magic.log_magic_gap(weyl.char_function(out)) - n_t / 2, SYNTH_TOL)
     return report
 
 
@@ -409,7 +409,7 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
             rng = np.random.default_rng(seeds[i])
             rank = int(rng.integers(1, d + 1))
             rho = states.random_density(seeds[i], d, 1, rank)
-        M = magic.mean_state(rho)
+        M = magic.mean_state(weyl.char_function(rho))
         for alpha in ALPHAS_EXTREMALITY:
             d_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)
             identity_dev = abs(

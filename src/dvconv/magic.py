@@ -1,19 +1,21 @@
 """Mean-state projection, magic gap, mean-value vector, zero-mean
 normalization, and Clifford+T circuit generation.
 
+The diagnostics take a ``CharFunction``; ``make_zero_mean`` needs the
+dense state and transforms it once.
+
 Logarithms are base 2 throughout (bits), matching the entropy module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoSolution, PhaseNotRoot
 from .linalg import SUPPORT_TOL
-from .states import UNIT_TOL, DensityMatrix, StabilizerGroup, is_msps
+from .states import DensityMatrix, StabilizerGroup, is_msps, unit_phases
 from .weyl import (CharFunction, char_function, inverse_char, point_index,
                    weyl_op, xi)
 from .zmod import mod_inverse, solve_mod_linear
@@ -23,67 +25,55 @@ PHASE_TOL = 1e-8
 CLIFFORD_WORD_LENGTH = 8
 
 
-def mean_state(rho: DensityMatrix) -> DensityMatrix:
-    """Keep unit-modulus characteristic values, zero the rest, invert.
+def _mean_table(table: CharFunction) -> CharFunction:
+    """Keep unit-modulus characteristic values, zero the rest.
 
     Unit values are renormalized to exact modulus 1 so the projection is
     idempotent to machine precision.
     """
-    table = char_function(rho)
-    mags = np.abs(table.values)
-    unit = np.abs(mags - 1.0) <= UNIT_TOL
-    values = np.where(unit, table.values / np.where(unit, mags, 1.0), 0.0)
-    M = inverse_char(CharFunction(rho.d, rho.n, values))
-    return DensityMatrix(rho.d, rho.n, (M + M.conj().T) / 2)
+    return CharFunction(table.d, table.n, unit_phases(table.values))
 
 
-def _gap_candidates(rho: DensityMatrix) -> np.ndarray:
+def mean_state(table: CharFunction) -> DensityMatrix:
+    """M(rho) from rho's table: _mean_table, inverted and symmetrized."""
+    M = inverse_char(_mean_table(table))
+    return DensityMatrix(table.d, table.n, (M + M.conj().T) / 2)
+
+
+def _gap_candidates(table: CharFunction) -> np.ndarray:
     """|Xi| over support points that are not unit modulus."""
-    mags = np.abs(char_function(rho).values)
-    mask = (mags > SUPPORT_TOL) & (np.abs(mags - 1.0) > UNIT_TOL)
-    return mags[mask]
+    mags = np.abs(table.values)
+    return mags[(mags > SUPPORT_TOL) & (unit_phases(table.values) == 0)]
 
 
-def magic_gap(rho: DensityMatrix) -> float:
+def magic_gap(table: CharFunction) -> float:
     """1 - second-largest characteristic modulus on the support; 0 for MSPS."""
-    cand = _gap_candidates(rho)
+    cand = _gap_candidates(table)
     if cand.size == 0:
         return 0.0
     return float(1.0 - np.max(cand))
 
 
-def log_magic_gap(rho: DensityMatrix) -> float:
+def log_magic_gap(table: CharFunction) -> float:
     """-log2 of the second-largest characteristic modulus; 0 for MSPS."""
-    cand = _gap_candidates(rho)
+    cand = _gap_candidates(table)
     if cand.size == 0:
         return 0.0
     return float(-np.log2(np.max(cand)))
 
 
-@dataclass(frozen=True)
-class MeanVector:
-    """Phase exponents k_i of the mean state on its canonical generators."""
-
-    group: StabilizerGroup
-
-    @property
-    def k(self) -> tuple[int, ...]:
-        return self.group.phases
-
-
-def mean_vector(rho: DensityMatrix) -> MeanVector:
-    """Generators of the mean state's group with Xi_rho(p_i, q_i) = xi^{k_i}."""
-    ok, group = is_msps(mean_state(rho))
-    if not ok or group is None:
+def mean_vector(table: CharFunction) -> StabilizerGroup:
+    """The mean state's group: generators g_i, phases k_i, Xi(g_i) = xi^{k_i}."""
+    ok, group = is_msps(_mean_table(table))
+    if not ok:
         raise PhaseNotRoot("mean state failed MSPS detection")
-    table = char_function(rho)
-    w = xi(rho.d)
+    w = xi(table.d)
     for g, k in zip(group.generators, group.phases):
         if abs(table.at(g) - w**k) > PHASE_TOL:
             raise PhaseNotRoot(
-                f"support value at {g} deviates from a {rho.d}-th root of unity"
+                f"support value at {g} deviates from a {table.d}-th root of unity"
             )
-    return MeanVector(group)
+    return group
 
 
 def make_zero_mean(rho: DensityMatrix) -> tuple[tuple[int, ...], DensityMatrix]:
@@ -93,8 +83,8 @@ def make_zero_mean(rho: DensityMatrix) -> tuple[tuple[int, ...], DensityMatrix]:
     the displacement solves a linear system over Z_d.
     """
     d, n = rho.d, rho.n
-    mv = mean_vector(rho)
-    gens, ks = mv.group.generators, mv.group.phases
+    group = mean_vector(char_function(rho))
+    gens, ks = group.generators, group.phases
     if not gens:
         return tuple([0] * (2 * n)), rho
     rows = []

@@ -1,8 +1,9 @@
 """Density matrices, stabilizer groups, MSPS construction and detection.
 
-MSPS detection works entirely in characteristic-function space: the table
-of an MSPS is a character supported on a symplectically-isotropic subgroup
-of the phase space, with unit modulus on the support and zero elsewhere.
+MSPS detection reads only a characteristic table (``is_msps`` takes a
+``CharFunction``): the table of an MSPS is a character supported on a
+symplectically-isotropic subgroup of the phase space, with unit modulus on
+the support and zero elsewhere.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .errors import InvalidGroup, InvalidState, ParseError, UnsupportedScale
 from .linalg import herm_eig
 from .weyl import (
     CharFunction,
-    char_function,
     inverse_char,
     phase_points,
     point_index,
@@ -28,6 +28,13 @@ from .zmod import check_system, rank_mod, rref_mod
 STATE_TOL = 1e-10
 #: |Xi| within this of 1 counts as unit modulus
 UNIT_TOL = 1e-9
+
+
+def unit_phases(values: np.ndarray) -> np.ndarray:
+    """Xi/|Xi| where |Xi| counts as 1, 0 elsewhere: the one unit-modulus rule."""
+    mags = np.abs(values)
+    unit = np.abs(mags - 1.0) <= UNIT_TOL
+    return np.where(unit, values / np.where(unit, mags, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -168,27 +175,25 @@ def _recover_group(table: CharFunction, support_idx: np.ndarray) -> StabilizerGr
     return StabilizerGroup(d, n, tuple(gens), tuple(phases))
 
 
-def is_msps(rho: DensityMatrix) -> tuple[bool, StabilizerGroup | None]:
-    """Characteristic-space MSPS test; returns the recovered group on success.
+def is_msps(table: CharFunction) -> tuple[bool, StabilizerGroup | None]:
+    """MSPS test on a table; returns the recovered group on success.
 
     Conditions: every |Xi| in {0, 1}; unit support closed under addition;
-    values on the support form a character; support labels commute
-    symplectically.
+    the phases Xi/|Xi| on the support form a character; support labels
+    commute symplectically.
     """
-    d, n = rho.d, rho.n
-    table = char_function(rho)
-    mags = np.abs(table.values)
-    unit = np.abs(mags - 1.0) <= UNIT_TOL
-    zero = mags <= UNIT_TOL
-    if not np.all(unit | zero):
+    d, n = table.d, table.n
+    phases = unit_phases(table.values)
+    unit = phases != 0
+    if not np.all(unit | (np.abs(table.values) <= UNIT_TOL)):
         return False, None
     support_idx = np.flatnonzero(unit)
     labels = phase_points(d, n)[support_idx]
-    vals = table.values[support_idx]
+    vals = phases[support_idx]
     sums = point_index(labels[:, None, :] + labels[None, :, :], d)
     if not np.all(unit[sums]):
         return False, None
-    if np.any(np.abs(table.values[sums] - np.outer(vals, vals)) > UNIT_TOL):
+    if np.any(np.abs(phases[sums] - np.outer(vals, vals)) > UNIT_TOL):
         return False, None
     p, q = labels[:, :n], labels[:, n:]
     if np.any((p @ q.T - q @ p.T) % d):
@@ -211,14 +216,14 @@ def enumerate_pure_stabilizers(d: int, n: int = 1) -> list[DensityMatrix]:
     if n != 1 or d not in (2, 3, 7):
         raise UnsupportedScale("enumeration supported only at n=1, d in {2, 3, 7}")
     out = []
-    for label in _line_generators(d):
+    for label in line_generators(d):
         for x in range(d):
             group = StabilizerGroup(d, 1, (label,), (x,))
             out.append(msps_from_group(group))
     return out
 
 
-def _line_generators(d: int) -> list[tuple[int, int]]:
+def line_generators(d: int) -> list[tuple[int, int]]:
     """Canonical generator of each of the d+1 lines through the origin."""
     return [(1, b) for b in range(d)] + [(0, 1)]
 

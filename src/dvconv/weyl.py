@@ -138,10 +138,9 @@ def inverse_char(table: CharFunction) -> np.ndarray:
     return np.einsum("x,xab->ab", table.values, W) / table.d**table.n
 
 
-def pauli_rank(rho) -> int:
+def pauli_rank(table: CharFunction) -> int:
     """Size of the characteristic-function support."""
-    values = char_function(rho).values
-    return int(np.sum(np.abs(values) > SUPPORT_TOL))
+    return int(np.sum(np.abs(table.values) > SUPPORT_TOL))
 
 
 def is_clifford(U: np.ndarray, d: int, n: int) -> bool:

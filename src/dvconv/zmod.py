@@ -139,10 +139,6 @@ class GMatrix:
     g11: int
     N: int
 
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return self.g00, self.g01, self.g10, self.g11
-
     def inverse_entries(self) -> tuple[int, int, int, int]:
         """Entries of G^{-1} = N [g11, -g01; -g10, g00] mod d."""
         d, N = self.d, self.N

@@ -133,7 +133,8 @@ def test_criterion_12_infrastructure(tmp_path, capsys):
         for s in range(5):
             U = random_clifford(np.random.default_rng(s), d, 1)
             rotated = DensityMatrix(d, 1, U @ rho.mat @ U.conj().T)
-            ok &= abs(magic_gap(rotated) - magic_gap(rho)) < 1e-9
+            ok &= abs(magic_gap(char_function(rotated))
+                      - magic_gap(char_function(rho))) < 1e-9
     details.append("MG Clifford-invariant")
 
     # byte-identical CLI outputs per seed

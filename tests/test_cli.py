@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from dvconv import magic, states, weyl
 from dvconv.cli import main
 from dvconv.states import random_density, state_from_json, state_to_json
 
@@ -252,14 +254,63 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # the temporary file is removed
 
 
-@pytest.mark.parametrize("argv", [
-    ("gap", "--d", "3", "--input"),
-    ("gap", "--d", "5", "--n", "2", "--input"),
-    ("convolve", "--d", "3", "--b", "zero-ket", "--out", "x.json", "--a"),
-    ("capacity-bounds", "--d", "3", "--sigma"),
-], ids=["gap-other-d", "gap-other-n", "convolve", "capacity-bounds"])
-def test_state_file_of_other_system_is_usage_error(tmp_path, capsys, argv):
-    path = _write(tmp_path / "state.json", state_to_json(random_density(0, 5, 1)))
+D5_STATE = state_to_json(random_density(0, 5, 1))
+D4_PRESET = {"d": 4, "n": 1, "kind": "preset", "name": "zero-ket"}
+
+
+@pytest.mark.parametrize("argv, state, message", [
+    (("gap", "--d", "3", "--input"), D5_STATE, "holds d=5, n=1"),
+    (("gap", "--d", "5", "--n", "2", "--input"), D5_STATE, "holds d=5, n=1"),
+    (("convolve", "--d", "3", "--b", "zero-ket", "--out", "x.json", "--a"), D5_STATE,
+     "holds d=5, n=1"),
+    (("capacity-bounds", "--d", "3", "--sigma"), D5_STATE, "holds d=5, n=1"),
+    (("gap", "--d", "3", "--input"), D4_PRESET, "holds d=4, n=1"),
+    (("gap", "--d", "3", "--input"), {"n": 1, "kind": "preset", "name": "zero-ket"},
+     "holds d=None, n=1"),
+    (("gap", "--d", "3", "--input"), dict(D4_PRESET, d="3"), "holds d='3', n=1"),
+], ids=["gap-other-d", "gap-other-n", "convolve", "capacity-bounds", "gap-d4-file",
+        "gap-d-missing", "gap-d-string"])
+def test_state_file_of_other_system_is_usage_error(tmp_path, capsys, argv, state,
+                                                   message):
+    path = _write(tmp_path / "state.json", state)
     code, out, err = run(capsys, *argv, path)
     assert out == ""
-    _assert_usage_error(code, err, "holds d=5, n=1")
+    _assert_usage_error(code, err, message)
+
+
+def test_state_file_whose_matrix_is_not_a_state_is_numeric_error(tmp_path, capsys):
+    path = _write(tmp_path / "state.json", {"d": 3, "n": 1, "kind": "dense",
+                                            "re": (2 * np.eye(3)).tolist(),
+                                            "im": np.zeros((3, 3)).tolist()})
+    code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
+    assert code == 3 and out == ""
+    assert err.startswith("error: InvalidState: trace deviation")
+
+
+def _count_calls(monkeypatch, fn):
+    """Replace every dvconv binding of fn with a wrapper that counts calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dvconv" or name.startswith("dvconv."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path / "rho.json", state_to_json(random_density(0, 7, 2)))
+    inverse_char = weyl.inverse_char
+    forward = _count_calls(monkeypatch, weyl.char_table)
+    inverse = _count_calls(monkeypatch, inverse_char)
+    # the by-name imports are counted too
+    assert states.inverse_char is magic.inverse_char is weyl.inverse_char
+    assert weyl.inverse_char is not inverse_char
+    code, out, _ = run(capsys, "gap", "--d", "7", "--n", "2", "--input", path, "--json")
+    assert code == 0 and json.loads(out)["d"] == 7
+    assert (len(forward), len(inverse)) == (1, 0)

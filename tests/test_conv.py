@@ -49,9 +49,9 @@ def test_spec_rejects_d2():
 
 def test_named_specs():
     bs = beam_splitter_spec(7, 1)
-    assert bs.G.entries == (2, 2, 2, 5)
+    assert (bs.G.g00, bs.G.g01, bs.G.g10, bs.G.g11) == (2, 2, 2, 5)
     amp = amplifier_spec(7, 1)
-    assert amp.G.entries == (3, 6, 6, 3)
+    assert (amp.G.g00, amp.G.g01, amp.G.g10, amp.G.g11) == (3, 6, 6, 3)
     for d in (3, 5):
         with pytest.raises(NoSolution):
             beam_splitter_spec(d, 1)
@@ -147,7 +147,7 @@ def test_stability_exhaustive():
     stabs = enumerate_pure_stabilizers(3)
     for a in stabs:
         for b in stabs:
-            ok, _ = is_msps(convolve(a, b, spec))
+            ok, _ = is_msps(char_function(convolve(a, b, spec)))
             assert ok
 
 

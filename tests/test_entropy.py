@@ -20,6 +20,7 @@ from dvconv.states import (
     maximally_mixed,
     random_density,
 )
+from dvconv.weyl import char_function
 
 INF = math.inf
 
@@ -98,7 +99,7 @@ def test_sandwiched_nonnegative_and_mean_state_identity(seed):
     sigma = random_density(seed + 1, 3, 1)
     for alpha in (1, 2, INF):
         assert sandwiched_relative_entropy(rho, sigma, alpha) > -1e-9
-        M = mean_state(rho)
+        M = mean_state(char_function(rho))
         identity_gap = sandwiched_relative_entropy(rho, M, alpha) \
             - (renyi_entropy(M, alpha) - renyi_entropy(rho, alpha))
         assert abs(identity_gap) < 1e-8

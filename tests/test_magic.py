@@ -12,55 +12,94 @@ from dvconv.magic import (
     random_clifford,
 )
 from dvconv.states import (
+    UNIT_TOL,
     DensityMatrix,
+    StabilizerGroup,
     enumerate_msps,
     is_msps,
     ket_state,
     maximally_mixed,
+    msps_from_group,
     random_density,
     t_state,
 )
-from dvconv.weyl import char_function, is_clifford, phase_points, weyl_op
+from dvconv.weyl import (CharFunction, char_function, is_clifford, phase_points,
+                         point_index, weyl_op)
 
 
 def test_mean_state_fixed_points():
     mixed = maximally_mixed(3, 1)
-    assert np.max(np.abs(mean_state(mixed).mat - mixed.mat)) < 1e-12
+    assert np.max(np.abs(mean_state(char_function(mixed)).mat - mixed.mat)) < 1e-12
     for sigma in enumerate_msps(3):
-        assert np.max(np.abs(mean_state(sigma).mat - sigma.mat)) < 1e-10
+        assert np.max(np.abs(mean_state(char_function(sigma)).mat - sigma.mat)) < 1e-10
 
 
 def test_mean_state_t_state():
-    assert np.max(np.abs(mean_state(t_state()).mat - np.eye(2) / 2)) < 1e-10
+    assert np.max(np.abs(mean_state(char_function(t_state())).mat - np.eye(2) / 2)) < 1e-10
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=20)
 def test_mean_state_is_msps_and_idempotent(seed):
     rho = random_density(seed, 3, 1)
-    M = mean_state(rho)
-    ok, _ = is_msps(M)
+    M = mean_state(char_function(rho))
+    ok, _ = is_msps(char_function(M))
     assert ok
-    assert np.max(np.abs(mean_state(M).mat - M.mat)) < 1e-10
+    assert np.max(np.abs(mean_state(char_function(M)).mat - M.mat)) < 1e-10
+
+
+NONZERO_POINTS_D3 = [tuple(int(v) for v in x) for x in phase_points(3, 1)[1:]]
+
+
+def _cliff_table(x, delta):
+    """d = 3, n = 1: Xi(0) = 1, Xi(x) = Xi(-x) = 1 + delta, 0 elsewhere."""
+    values = np.zeros(9, dtype=complex)
+    values[0] = 1.0
+    values[point_index(x, 3)] = values[point_index(np.negative(x), 3)] = 1.0 + delta
+    return CharFunction(3, 1, values)
+
+
+@given(st.sampled_from(NONZERO_POINTS_D3), st.floats(-0.99 * UNIT_TOL, 0.99 * UNIT_TOL))
+@settings(max_examples=50)
+def test_unit_modulus_cliff_inside(x, delta):
+    table = _cliff_table(x, delta)
+    ok, _ = is_msps(table)
+    assert ok
+    assert magic_gap(table) == 0.0
+    expected = msps_from_group(StabilizerGroup(3, 1, (x,), (0,)))
+    assert np.max(np.abs(mean_state(table).mat - expected.mat)) < 1e-12
+
+
+@given(st.sampled_from(NONZERO_POINTS_D3),
+       st.floats(1.01 * UNIT_TOL, 0.5) | st.floats(-0.5, -1.01 * UNIT_TOL))
+@settings(max_examples=50)
+def test_unit_modulus_cliff_outside(x, delta):
+    table = _cliff_table(x, delta)
+    ok, _ = is_msps(table)
+    assert not ok
+    assert abs(magic_gap(table) + delta) <= 1e-15
+    assert np.max(np.abs(mean_state(table).mat - np.eye(3) / 3)) < 1e-12
 
 
 def test_magic_gap_values():
     for sigma in enumerate_msps(3):
-        assert magic_gap(sigma) == 0.0
-    assert abs(magic_gap(t_state()) - (1 - 1 / np.sqrt(2))) < 1e-12
-    assert abs(log_magic_gap(t_state()) - 0.5) < 1e-12
+        assert magic_gap(char_function(sigma)) == 0.0
+    t = char_function(t_state())
+    assert abs(magic_gap(t) - (1 - 1 / np.sqrt(2))) < 1e-12
+    assert abs(log_magic_gap(t) - 0.5) < 1e-12
 
 
 def test_magic_gap_tensor_min_rule():
     rho = t_state()
     sigma = random_density(3, 2, 1)
     prod = DensityMatrix(2, 2, np.kron(rho.mat, sigma.mat))
-    assert abs(magic_gap(prod) - min(magic_gap(rho), magic_gap(sigma))) < 1e-9
+    mg_prod, mg_rho, mg_sigma = (magic_gap(char_function(s)) for s in (prod, rho, sigma))
+    assert abs(mg_prod - min(mg_rho, mg_sigma)) < 1e-9
 
 
 def test_lmg_mg_identity_single_gap():
-    rho = t_state()
-    assert abs(log_magic_gap(rho) + np.log2(1 - magic_gap(rho))) < 1e-12
+    t = char_function(t_state())
+    assert abs(log_magic_gap(t) + np.log2(1 - magic_gap(t))) < 1e-12
 
 
 def test_magic_gap_clifford_invariance():
@@ -70,15 +109,16 @@ def test_magic_gap_clifford_invariance():
             rng = np.random.default_rng(seed)
             U = random_clifford(rng, d, 1)
             rotated = DensityMatrix(d, 1, U @ rho.mat @ U.conj().T)
-            assert abs(magic_gap(rotated) - magic_gap(rho)) < 1e-9
+            assert abs(magic_gap(char_function(rotated))
+                       - magic_gap(char_function(rho))) < 1e-9
 
 
 def test_mean_vector_examples():
-    assert mean_vector(maximally_mixed(3, 1)).k == ()
+    assert mean_vector(char_function(maximally_mixed(3, 1))).phases == ()
     # |1><1| at d=3: Xi(1,0) = xi^{-1} = xi^2, so k = (2)
-    mv = mean_vector(ket_state(3, 1, [1]))
-    assert mv.group.generators == ((1, 0),)
-    assert mv.k == (2,)
+    group = mean_vector(char_function(ket_state(3, 1, [1])))
+    assert group.generators == ((1, 0),)
+    assert group.phases == (2,)
 
 
 def test_make_zero_mean_trivial_and_example():
@@ -95,7 +135,8 @@ def test_make_zero_mean_postcondition(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(seed, 3, 1, rank=int(rng.integers(1, 4)))
     disp, rho2 = make_zero_mean(rho)
-    assert mean_vector(rho2).k == (0,) * mean_vector(rho2).group.r
+    group = mean_vector(char_function(rho2))
+    assert group.phases == (0,) * group.r
 
 
 def test_make_zero_mean_matches_brute_force():
@@ -108,7 +149,7 @@ def test_make_zero_mean_matches_brute_force():
     for label in phase_points(d, 1):
         W = weyl_op(d, 1, label[:1], label[1:])
         cand = DensityMatrix(d, 1, W @ rho.mat @ W.conj().T)
-        if mean_vector(cand).k == (0,):
+        if mean_vector(char_function(cand)).phases == (0,):
             found.append(tuple(int(v) for v in label))
     assert tuple(disp) in found
 
@@ -130,6 +171,6 @@ def test_clifford_t_circuit():
         V = clifford_t_circuit(seed, 1, 1)
         ket = ket_state(2, 1, [0])
         out = DensityMatrix(2, 1, V @ ket.mat @ V.conj().T)
-        assert log_magic_gap(out) <= 0.5 + 1e-9
+        assert log_magic_gap(char_function(out)) <= 0.5 + 1e-9
     with pytest.raises(ValueError):
         clifford_t_circuit(0, 3, 1)

@@ -81,11 +81,11 @@ def test_msps_partial_group_n2():
 
 
 def test_is_msps_basics():
-    ok, group = is_msps(maximally_mixed(3, 1))
+    ok, group = is_msps(char_function(maximally_mixed(3, 1)))
     assert ok and group.r == 0
-    ok, group = is_msps(ket_state(3, 1, [0]))
+    ok, group = is_msps(char_function(ket_state(3, 1, [0])))
     assert ok and group.generators == ((1, 0),)
-    ok, _ = is_msps(t_state())
+    ok, _ = is_msps(char_function(t_state()))
     assert not ok
 
 
@@ -102,7 +102,7 @@ def test_enumerate_counts():
 def test_enumerated_msps_all_detected():
     for d in (2, 3):
         for rho in enumerate_msps(d):
-            ok, _ = is_msps(rho)
+            ok, _ = is_msps(char_function(rho))
             assert ok
 
 
@@ -133,7 +133,7 @@ def test_d2_stabilizers_are_pauli_eigenstates():
 
 def test_msps_idempotent_under_mean_state():
     for rho in enumerate_msps(3):
-        M = mean_state(rho)
+        M = mean_state(char_function(rho))
         assert np.max(np.abs(M.mat - rho.mat)) < 1e-10
 
 

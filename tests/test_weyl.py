@@ -122,9 +122,9 @@ def test_inverse_char_delta():
 
 
 def test_pauli_rank():
-    assert pauli_rank(maximally_mixed(3, 1)) == 1
-    assert pauli_rank(ket_state(3, 1, [0])) == 3
-    assert pauli_rank(t_state()) == 3
+    assert pauli_rank(char_function(maximally_mixed(3, 1))) == 1
+    assert pauli_rank(char_function(ket_state(3, 1, [0]))) == 3
+    assert pauli_rank(char_function(t_state())) == 3
 
 
 def test_is_clifford_identity_and_fourier():

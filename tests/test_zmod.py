@@ -124,13 +124,13 @@ def test_amplifier_examples():
 
 def test_gmatrix_default_d3():
     g = gmatrix_new((1, 1, 1, 2), 3)
-    assert g.entries == (1, 1, 1, 2)
+    assert (g.g00, g.g01, g.g10, g.g11) == (1, 1, 1, 2)
     assert g.N == 1
 
 
 def test_gmatrix_beam_splitter_d7():
     g = gmatrix_new((2, 2, 2, -2), 7)
-    assert g.entries == (2, 2, 2, 5)
+    assert (g.g00, g.g01, g.g10, g.g11) == (2, 2, 2, 5)
     assert g.N == 6
 
 
