@@ -34,7 +34,8 @@ class DimensionMismatch(DvconvError):
 
 
 class UnsupportedScale(DvconvError):
-    """Enumeration requested beyond desk scale (n > 1 or large d)."""
+    """Request beyond desk scale: a system with d^n > zmod.MAX_DIM, or an
+    enumeration outside the (d, n) it supports."""
 
 
 class UnsupportedDimension(DvconvError):

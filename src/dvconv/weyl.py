@@ -4,6 +4,11 @@ and Clifford detection.
 Phase-space points of an n-qudit system are length-2n integer vectors
 (p_1..p_n, q_1..q_n) with canonical residues in [0, d-1].  Characteristic
 tables are dense over all d^{2n} points in row-major (p, q) order.
+
+The transform and its inverse run qudit by qudit: a gather of the D^2
+entries that Weyl operators touch, one d x d DFT per qudit and one phase
+multiply, in O(n d D^2) time and O(D^2) memory (D = d^n).  weyl_basis, the
+stacked d^{2n} x D x D operators, is kept only as the dense oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +40,19 @@ def _clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
     return Z, X
 
 
+def _weyl_phase(d: int, pq) -> np.ndarray:
+    """The Weyl phase phi of w(p, q) = phi Z^p X^q, from pq = p . q.
+
+    phi = (-i)^{pq mod 4} at d = 2 and xi^{-2^{-1} pq mod d} otherwise.
+    The exponent is reduced first, so the angle stays below 2 pi and keeps
+    its accuracy at large d.
+    """
+    pq = np.asarray(pq, dtype=np.int64)
+    if d == 2:
+        return np.array([1, -1j, -1, 1j])[pq % 4]
+    return np.exp(2j * np.pi * ((-mod_inverse(2, d) * (pq % d)) % d) / d)
+
+
 @lru_cache(maxsize=None)
 def _single_weyl_table(d: int) -> np.ndarray:
     """All d^2 single-qudit Weyl operators, indexed by p*d + q."""
@@ -43,12 +61,7 @@ def _single_weyl_table(d: int) -> np.ndarray:
     for p in range(d):
         Zp = np.linalg.matrix_power(Z, p)
         for q in range(d):
-            m = Zp @ np.linalg.matrix_power(X, q)
-            if d == 2:
-                phase = (-1j) ** ((p * q) % 4)
-            else:
-                phase = xi(d) ** (-mod_inverse(2, d) * p * q)
-            out[p * d + q] = phase * m
+            out[p * d + q] = _weyl_phase(d, p * q) * (Zp @ np.linalg.matrix_power(X, q))
     out.flags.writeable = False
     return out
 
@@ -93,7 +106,11 @@ def neg_perm(d: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def weyl_basis(d: int, n: int) -> np.ndarray:
-    """Stacked w(x) for all phase points x, aligned with phase_points."""
+    """Stacked w(x) for all phase points x, aligned with phase_points.
+
+    The dense oracle of the transform: d^{2n} x D x D values, so tests use
+    it at small D only and no transform calls it.
+    """
     pts = phase_points(d, n)
     D = d**n
     out = np.empty((len(pts), D, D), dtype=complex)
@@ -101,6 +118,38 @@ def weyl_basis(d: int, n: int) -> np.ndarray:
         out[i] = weyl_op(d, n, label[:n], label[n:])
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=16)
+def _transform_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, phases, F) of the per-qudit transform of an (d, n) system.
+
+    w(p, q) = phi Z^p X^q has the entry phi xi^{p.(c+q)} = conj(phi) xi^{p.c}
+    (as phi^2 = xi^{-p.q}) at (c + q, c) for every basis digit vector c, and
+    no other.  index[c*D + q] is the flat position of (c + q, c) in a D x D
+    matrix, phases[x] = phi(x) over the phase points, and F[p, c] =
+    xi^{pc mod d} is the d x d DFT matrix.
+    """
+    D = d**n
+    pts = phase_points(d, n)
+    c, q = pts[:, :n], pts[:, n:]
+    index = point_index(c + q, d) * D + point_index(c, d)
+    phases = _weyl_phase(d, np.einsum("ij,ij->i", c, q))
+    r = np.arange(d)
+    F = np.exp(2j * np.pi * (np.outer(r, r) % d) / d)
+    for table in (index, phases, F):
+        table.flags.writeable = False
+    return index, phases, F
+
+
+def _per_digit(F: np.ndarray, T: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Apply the d x d matrix F along each of the n base-d digits of T's rows.
+
+    T has d^n rows; row digit k is the middle axis of a (d^k, d, rest) view.
+    """
+    for k in range(n):
+        T = F @ T.reshape(d**k, d, -1)
+    return T.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -121,10 +170,17 @@ class CharFunction:
 
 
 def char_table(M: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Xi_M(x) = Tr[M w(-x)] for every phase point x."""
-    W = weyl_basis(d, n)
-    traces = np.einsum("xab,ba->x", W, M)
-    return traces[neg_perm(d, n)]
+    """Xi_M(x) = Tr[M w(-x)] for every phase point x.
+
+    Tr[M w(-p, -q)] = phi(p, q) sum_c xi^{-p.c} M[c + q, c]: one gather of
+    the D^2 entries, one conjugate DFT per qudit and one phase multiply,
+    O(n d D^2) time and O(D^2) memory.
+    """
+    D = d**n
+    if np.shape(M) != (D, D):
+        raise ValueError(f"M has shape {np.shape(M)}, expected {(D, D)}")
+    index, phases, F = _transform_tables(d, n)
+    return _per_digit(F.conj(), np.ravel(M)[index], d, n) * phases
 
 
 def char_function(rho) -> CharFunction:
@@ -133,9 +189,17 @@ def char_function(rho) -> CharFunction:
 
 
 def inverse_char(table: CharFunction) -> np.ndarray:
-    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function."""
-    W = weyl_basis(table.d, table.n)
-    return np.einsum("x,xab->ab", table.values, W) / table.d**table.n
+    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function.
+
+    char_table's steps backwards: conjugate phases, one DFT per qudit, and
+    a scatter through the same index.
+    """
+    d, n = table.d, table.n
+    index, phases, F = _transform_tables(d, n)
+    D = d**n
+    out = np.empty(D * D, dtype=complex)
+    out[index] = _per_digit(F, table.values * phases.conj(), d, n) / D
+    return out.reshape(D, D)
 
 
 def pauli_rank(table: CharFunction) -> int:

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (NoSolution, NotInvertible, NotPositive,
-                     UnsupportedDimension, ZeroElement)
+                     UnsupportedDimension, UnsupportedScale, ZeroElement)
 
 
 def is_prime(d: int) -> bool:
@@ -27,17 +27,29 @@ def is_prime(d: int) -> bool:
     return True
 
 
+#: Largest supported Hilbert-space dimension D = d^n ("desk scale").
+MAX_DIM = 343
+
+
 @lru_cache(maxsize=None)
 def check_system(d: int, n: int) -> None:
-    """The one definition of a supported system: d prime, n >= 1.
+    """The one definition of a supported system: d prime, n >= 1, d^n <= MAX_DIM.
 
     The Weyl phase uses 2^{-1} mod d, which is well defined only for
-    prime d.  Cached, so repeated validation costs one lookup.
+    prime d.  A d above MAX_DIM is refused before the primality test, and
+    d^n is never formed for an n that must exceed it.  Cached, so repeated
+    validation costs one lookup.
     """
+    too_large = f"d^n = {d}^{n} exceeds the limit MAX_DIM = {MAX_DIM}"
+    if d > MAX_DIM:
+        raise UnsupportedScale(too_large)
     if not is_prime(d):
         raise UnsupportedDimension(f"local dimension d={d} is not prime")
     if n < 1:
         raise UnsupportedDimension(f"qudit count n={n} must be >= 1")
+    # d >= 2 here, so every n >= MAX_DIM.bit_length() gives d^n > MAX_DIM
+    if d ** min(n, MAX_DIM.bit_length()) > MAX_DIM:
+        raise UnsupportedScale(too_large)
 
 
 def mod_inverse(a: int, d: int) -> int:

@@ -98,6 +98,30 @@ def test_emit_char_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(back.mat - rho.mat)) < 1e-10
 
 
+@pytest.mark.parametrize("d, n", [(3, 5), (337, 1)])
+def test_gap_at_the_largest_systems(capsys, d, n):
+    code, out, err = run(capsys, "gap", "--d", str(d), "--n", str(n),
+                         "--preset", "random-mixed", "--seed", "0", "--json")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert (obj["d"], obj["n"]) == (d, n)
+    assert 0 < obj["magic_gap"] < 1
+
+
+def test_gap_dense_and_char_input_agree_at_d343(tmp_path, capsys):
+    char_path = tmp_path / "char.json"
+    size = ("--d", "7", "--n", "3")
+    code, dense_out, _ = run(capsys, "gap", *size, "--preset", "random-mixed",
+                             "--seed", "0", "--emit-char", str(char_path), "--json")
+    assert code == 0
+    code, char_out, _ = run(capsys, "gap", *size, "--input", str(char_path), "--json")
+    assert code == 0
+    first, second = json.loads(dense_out), json.loads(char_out)
+    assert abs(first["magic_gap"] - second["magic_gap"]) < 1e-9
+    assert first["pauli_rank"] == second["pauli_rank"]
+    assert first["mean_vector"] == second["mean_vector"]
+
+
 def test_clt_csv(tmp_path, capsys):
     out_file = tmp_path / "clt.csv"
     code, _, _ = run(capsys, "clt", "--d", "7", "--steps", "5", "--seed", "7",
@@ -174,8 +198,17 @@ def test_unsupported_scale_is_numeric_error(capsys):
       "--G", "a,b,c,d"), "--G expects four comma-separated integers"),
     (("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket",
       "--G", "1,0,1,2"), "zero entry"),
+    (("gap", "--d", "347", "--preset", "zero-ket"), "d^n = 347^1 exceeds the limit"),
+    (("gap", "--d", "2", "--n", "9", "--preset", "zero-ket"), "d^n = 2^9 exceeds"),
+    (("gap", "--d", "3", "--n", "1000000000", "--preset", "zero-ket"),
+     "d^n = 3^1000000000 exceeds"),
+    (("gap", "--d", str(10**30 + 57), "--preset", "zero-ket"),
+     f"d^n = {10**30 + 57}^1 exceeds the limit MAX_DIM = 343"),
+    (("convolve", "--d", "7", "--n", "4", "--a", "zero-ket", "--b", "zero-ket"),
+     "d^n = 7^4 exceeds"),
 ], ids=["gap-d4", "gap-d9", "gap-d-3", "gap-n0", "convolve-n0", "convolve-d9",
-        "convolve-G-letters", "convolve-G-zero-entry"])
+        "convolve-G-letters", "convolve-G-zero-entry", "gap-d347", "gap-2^9",
+        "gap-n-huge", "gap-d-huge-prime", "convolve-7^4"])
 def test_bad_system_is_usage_error(tmp_path, capsys, argv, message):
     out_file = tmp_path / "x.json"
     if argv[0] == "convolve":

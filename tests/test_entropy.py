@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvconv.entropy import (
+    FULL_RANK_TOL,
     fisher_fd_oracle,
     fisher_information,
     relative_entropy,
@@ -58,6 +59,37 @@ def test_renyi_limit_cases():
 def test_renyi_negative_alpha_rank_deficient():
     pure = ket_state(3, 1, [0])
     assert renyi_entropy(pure, -1) == INF
+
+
+#: smallest eigenvalue: 0, or FULL_RANK_TOL times a factor at least 1% from 1
+SMALLEST_EIGENVALUE = st.one_of(
+    st.just(0.0),
+    st.floats(1e-4, 0.99).map(lambda f: f * FULL_RANK_TOL),
+    st.floats(1.01, 100.0).map(lambda f: f * FULL_RANK_TOL),
+)
+
+
+def _state_with_smallest_eigenvalue(seed, share, eps):
+    """A d = 3 state with spectrum (share (1 - eps), (1 - share)(1 - eps), eps)."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lam = np.array([share * (1 - eps), (1 - share) * (1 - eps), eps])
+    return DensityMatrix(3, 1, (U * lam) @ U.conj().T)
+
+
+@given(st.integers(0, 10**6), st.floats(0.2, 0.8), SMALLEST_EIGENVALUE)
+@settings(max_examples=60)
+def test_renyi_at_the_full_rank_edge(seed, share, eps):
+    rho = _state_with_smallest_eigenvalue(seed, share, eps)
+    # only the alpha = 1 branch drops eigenvalues <= FULL_RANK_TOL; its
+    # neighbours keep them and must still agree with it
+    h1 = renyi_entropy(rho, 1)
+    for alpha in (1 - 1e-6, 1 + 1e-6):
+        assert abs(renyi_entropy(rho, alpha) - h1) < 1e-5
+    for alpha in (-0.5, -1.0, -2.0, -INF):
+        h = renyi_entropy(rho, alpha)
+        assert (h == INF) == (eps <= FULL_RANK_TOL)
+        assert h == INF or math.isfinite(h)
 
 
 @given(st.integers(0, 10**6))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,23 @@ from dvconv.states import maximally_mixed, ket_state, random_density, t_state
 from dvconv.weyl import (
     CharFunction,
     char_function,
+    char_table,
     inverse_char,
     is_clifford,
+    neg_perm,
     pauli_rank,
     phase_points,
     point_index,
     symplectic_form,
+    weyl_basis,
     weyl_op,
     xi,
 )
+
+#: shapes small enough for the dense d^{2n} x D x D oracle; d = 2 has its own phase rule
+ORACLE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+#: shapes at the edge of d^n <= 343, where the dense oracle cannot be allocated
+LARGE_SHAPES = [(5, 3), (7, 3), (3, 5), (2, 8), (17, 2), (337, 1)]
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -112,6 +122,58 @@ def test_char_invariants_and_roundtrip(cfg, seed):
         assert abs(table.at((-label) % d) - np.conj(table.at(label))) < 1e-10
     back = inverse_char(table)
     assert np.max(np.abs(back - rho.mat)) < 1e-10
+
+
+def _complex_gaussian(rng, D):
+    return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=10, deadline=None)
+def test_transform_matches_dense_oracle(seed):
+    # non-Hermitian, non-unit-trace M: the transform is linear on all matrices
+    rng = np.random.default_rng(seed)
+    for d, n in ORACLE_SHAPES:
+        D = d**n
+        W = weyl_basis(d, n)
+        M = _complex_gaussian(rng, D)
+        expected = np.einsum("xab,ba->x", W, M)[neg_perm(d, n)]
+        assert np.max(np.abs(char_table(M, d, n) - expected)) < 1e-11
+        values = _complex_gaussian(rng, D).reshape(-1)
+        expected = np.einsum("x,xab->ab", values, W) / D
+        assert np.max(np.abs(inverse_char(CharFunction(d, n, values)) - expected)) < 1e-11
+
+
+def test_char_table_rejects_a_matrix_of_another_size():
+    for shape in ((4, 4), (9, 9), (3, 4)):
+        with pytest.raises(ValueError, match="expected"):
+            char_table(np.eye(*shape), 3, 1)
+
+
+@pytest.mark.parametrize("d, n", LARGE_SHAPES)
+def test_transform_round_trip_and_parseval_at_scale(d, n):
+    rho = random_density(d * 100 + n, d, n)
+    table = char_function(rho)
+    # Parseval: sum_x |Xi(x)|^2 = D Tr[rho^2]
+    purity = np.vdot(rho.mat, rho.mat).real
+    assert abs(np.sum(np.abs(table.values) ** 2) / d**n - purity) < 1e-12
+    assert np.max(np.abs(inverse_char(table) - rho.mat)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(7, 3), (337, 1)])
+def test_transform_memory_stays_quadratic(d, n):
+    D = d**n
+    M = _complex_gaussian(np.random.default_rng(0), D)
+    table = CharFunction(d, n, char_table(M, d, n))  # fills the per-(d, n) tables
+    inverse_char(table)
+    tracemalloc.start()
+    try:
+        inverse_char(CharFunction(d, n, char_table(M, d, n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one D^3 complex temporary alone would be 16 D^3 bytes, over 600 MB here
+    assert peak < 64 * 2**20
 
 
 def test_inverse_char_delta():

@@ -7,9 +7,11 @@ from dvconv.errors import (
     NotInvertible,
     NotPositive,
     UnsupportedDimension,
+    UnsupportedScale,
     ZeroElement,
 )
 from dvconv.zmod import (
+    MAX_DIM,
     GMatrix,
     check_system,
     find_amplifier_params,
@@ -22,6 +24,9 @@ from dvconv.zmod import (
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+#: a prime far too large for trial division to finish
+HUGE_PRIME = 10**30 + 57
 
 
 def test_is_prime():
@@ -43,6 +48,12 @@ def test_check_system_accepts_exactly_the_primes():
     for n in (0, -1):
         with pytest.raises(UnsupportedDimension, match=f"n={n}"):
             check_system(3, n)
+    for d, n in ((7, 3), (2, 8), (337, 1), (3, 5)):
+        check_system(d, n)
+    # refused before d^n is formed or d is tested for primality
+    for d, n in ((2, 9), (347, 1), (3, 10**9), (HUGE_PRIME, 1)):
+        with pytest.raises(UnsupportedScale, match=rf"d\^n = {d}\^{n} .* {MAX_DIM}"):
+            check_system(d, n)
 
 
 def test_mod_inverse_examples():
