@@ -63,13 +63,19 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.DensityMatrix:
     """Resolve a preset name, seeded random preset, or JSON file of this (d, n)."""
+    return _load(descriptor, d, n, seed)[0]
+
+
+def _load(descriptor: str, d: int, n: int,
+          seed: int | None) -> tuple[states.DensityMatrix, weyl.CharFunction | None]:
+    """_load_state's state, and the table a ``kind: char`` file holds."""
     if descriptor in states.PRESETS:
-        return states.preset_state(descriptor, d, n)
+        return states.preset_state(descriptor, d, n), None
     if descriptor in RANDOM_PRESETS:
         if seed is None:
             raise ParseError(f"preset {descriptor!r} requires --seed")
         rank = 1 if descriptor == "random-pure" else d**n
-        return states.random_density(seed, d, n, rank)
+        return states.random_density(seed, d, n, rank), None
     if not os.path.exists(descriptor):
         raise ParseError(f"state descriptor {descriptor!r} is neither a preset "
                          f"({', '.join(states.PRESETS + RANDOM_PRESETS)}) nor a file")
@@ -83,7 +89,7 @@ def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.Den
         raise ParseError(f"state file {descriptor!r} holds d={held[0]!r}, "
                          f"n={held[1]!r}; expected d={d}, n={n}")
     try:
-        return states.state_from_json(obj)
+        return states.load_state_json(obj)
     except ParseError as exc:
         raise ParseError(f"state file {descriptor!r}: {exc}") from exc
 
@@ -121,8 +127,9 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 def cmd_gap(args) -> int:
     if args.state is None:
         raise ParseError("gap needs --preset or --input")
-    rho = _load_state(args.state, args.d, args.n, args.seed)
-    table = weyl.char_function(rho)
+    rho, table = _load(args.state, args.d, args.n, args.seed)
+    if table is None:
+        table = weyl.char_function(rho)
     if args.emit_char:
         _atomic_write(args.emit_char,
                       json.dumps(states.char_to_json(table), sort_keys=True))

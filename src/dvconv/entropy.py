@@ -15,7 +15,6 @@ import numpy as np
 from .errors import RankDeficient
 from .linalg import SUPPORT_TOL, herm_eig
 from .states import DensityMatrix
-from .weyl import xi
 
 #: below this minimum eigenvalue a state counts as rank deficient
 FULL_RANK_TOL = 1e-12
@@ -45,12 +44,13 @@ def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
         if alpha == -INF:
             return float(np.log2(lam[-1]))
         return float(-np.log2(np.sum(lam**alpha)) / (1 - alpha))
-    pos = lam[lam > 0]
+    # below 1, lam**alpha lifts eigensolver noise; cut it as alpha = 1 does
+    pos = lam[lam > FULL_RANK_TOL] if alpha < 1 else lam
     return float(np.log2(np.sum(pos**alpha)) / (1 - alpha))
 
 
 def _support_projector(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    vals, vecs = herm_eig(sigma.mat)
+    vals, vecs = sigma.eigenvalues(), sigma.eigenvectors
     keep = vals > SUPPORT_TOL
     return vals[keep], vecs[:, keep], vecs[:, ~keep]
 
@@ -66,9 +66,9 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     svals, svecs, skern = _support_projector(sigma)
     if _outside_support_weight(rho, skern) > SUPPORT_TOL:
         return INF
-    rvals, rvecs = herm_eig(rho.mat)
-    rpos = rvals > FULL_RANK_TOL
-    s1 = float(np.sum(rvals[rpos] * np.log2(rvals[rpos])))
+    rvals = rho.eigenvalues()
+    rpos = rvals[rvals > FULL_RANK_TOL]
+    s1 = float(np.sum(rpos * np.log2(rpos)))
     log_sigma = (svecs * np.log2(svals)) @ svecs.conj().T
     s2 = float(np.real(np.trace(rho.mat @ log_sigma)))
     return s1 - s2
@@ -102,48 +102,45 @@ def sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
 # ---------------------------------------------------------------------------
 
 
-def fisher_information(rho: DensityMatrix, H: np.ndarray, eps: float = 0.0) -> float:
-    """J(rho; H) = Tr rho [H, [H, log rho]], log base 2.
-
-    Requires full rank; eps > 0 mixes in eps * I/d^n first.
-    """
-    if eps > 0:
-        mixed = (1 - eps) * rho.mat + eps * np.eye(rho.dim) / rho.dim
-        rho = DensityMatrix(rho.d, rho.n, mixed)
-    vals, vecs = herm_eig(rho.mat)
+def _full_rank_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    vals = rho.eigenvalues()
     if vals[-1] <= FULL_RANK_TOL:
         raise RankDeficient("Fisher information needs a full-rank state")
+    return vals, rho.eigenvectors
+
+
+def fisher_information(rho: DensityMatrix, H: np.ndarray) -> float:
+    """J(rho; H) = Tr rho [H, [H, log rho]], log base 2; needs full rank."""
+    vals, vecs = _full_rank_eig(rho)
     L = (vecs * np.log2(vals)) @ vecs.conj().T
     comm = H @ (H @ L - L @ H) - (H @ L - L @ H) @ H
     return float(np.real(np.trace(rho.mat @ comm)))
 
 
-def _basis_projectors(d: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Eigenprojectors |j><j| of Z (computational) and X (Fourier) bases."""
-    z_projs = []
-    x_projs = []
-    w = xi(d)
-    for j in range(d):
-        ez = np.zeros(d, dtype=complex)
-        ez[j] = 1.0
-        z_projs.append(np.outer(ez, ez.conj()))
-        ex = w ** (-j * np.arange(d)) / np.sqrt(d)
-        x_projs.append(np.outer(ex, ex.conj()))
-    return z_projs, x_projs
+def total_fisher(rho: DensityMatrix) -> float:
+    """Sum of J(rho; H) over every wire and every X/Z eigenprojector H.
 
-
-def total_fisher(rho: DensityMatrix, eps: float = 0.0) -> float:
-    """Sum of J(rho; H) over every wire and every X/Z eigenprojector."""
+    In rho's eigenbasis J(rho; H) = sum_ij |H_ij|^2 (lam_i - lam_j)
+    (log2 lam_i - log2 lam_j), with H_ij the entries of V^dag H V.  One
+    weight matrix K = sum_H |V^dag H V|^2 serves every H.  The Z
+    projector |j><j| on wire k keeps the rows of V whose digit k is j, so
+    V^dag H V = A_j^dag A_j for that digit slice A_j; the X projectors do
+    the same after a DFT on the digit (their eigenvectors are its rows).
+    """
     d, n = rho.d, rho.n
-    z_projs, x_projs = _basis_projectors(d)
-    total = 0.0
+    D = d**n
+    vals, vecs = _full_rank_eig(rho)
+    r = np.arange(d)
+    fourier = np.exp(2j * np.pi * (np.outer(r, r) % d) / d) / np.sqrt(d)
+    weights = np.zeros((D, D))
     for k in range(n):
-        for proj in z_projs + x_projs:
-            H = np.eye(1, dtype=complex)
-            for m in range(n):
-                H = np.kron(H, proj if m == k else np.eye(d, dtype=complex))
-            total += fisher_information(rho, H, eps=eps)
-    return total
+        z = vecs.reshape(d**k, d, -1)
+        for digits in (z, fourier @ z):
+            slices = np.moveaxis(digits, 1, 0).reshape(d, -1, D)
+            weights += np.sum(np.abs(slices.conj().swapaxes(1, 2) @ slices) ** 2, axis=0)
+    logs = np.log2(vals)
+    return float(np.sum(weights * np.subtract.outer(vals, vals)
+                        * np.subtract.outer(logs, logs)))
 
 
 def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> float:

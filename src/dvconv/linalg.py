@@ -43,5 +43,5 @@ def schatten2_norm(A: np.ndarray) -> float:
 
 def trace_norm(A: np.ndarray) -> float:
     """Sum of |eigenvalues| for Hermitian A (the only case used here)."""
-    vals, _ = herm_eig(A)
-    return float(np.sum(np.abs(vals)))
+    check_hermitian(A)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(A))))

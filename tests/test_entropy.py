@@ -14,6 +14,7 @@ from dvconv.entropy import (
     total_fisher,
 )
 from dvconv.errors import RankDeficient
+from dvconv.experiments import ALPHAS_NONNEG
 from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
@@ -21,7 +22,7 @@ from dvconv.states import (
     maximally_mixed,
     random_density,
 )
-from dvconv.weyl import char_function
+from dvconv.weyl import char_function, xi
 
 INF = math.inf
 
@@ -54,6 +55,16 @@ def test_renyi_limit_cases():
     # finite negative alpha follows the sgn formula
     expected = -np.log2(0.5**-2 + 0.3**-2 + 0.2**-2) / 3
     assert abs(renyi_entropy(rho, -2) - expected) < 1e-12
+
+
+@given(st.integers(0, 10**6),
+       st.sampled_from([(3, 1), (7, 1), (3, 2), (2, 4), (7, 2), (5, 3), (7, 3)]))
+@settings(max_examples=30, deadline=None)
+def test_renyi_of_a_pure_state_is_zero(seed, shape):
+    # below alpha = 1, eigensolver noise of ~1e-16 would enter as lam**alpha
+    pure = random_density(seed, *shape, 1)
+    for alpha in ALPHAS_NONNEG + (0.25, 0.75):
+        assert abs(renyi_entropy(pure, alpha)) <= 1e-12, alpha
 
 
 def test_renyi_negative_alpha_rank_deficient():
@@ -148,10 +159,6 @@ def test_fisher_zero_cases():
 def test_fisher_rank_deficient():
     with pytest.raises(RankDeficient):
         fisher_information(ket_state(3, 1, [0]), np.eye(3, dtype=complex))
-    # smoothing lifts the requirement
-    val = fisher_information(ket_state(3, 1, [0]),
-                             np.diag([1.0, 0, 0]).astype(complex), eps=1e-3)
-    assert np.isfinite(val)
 
 
 @given(st.integers(0, 10**6))
@@ -173,3 +180,65 @@ def test_total_fisher_wire_permutation_invariance():
     ab = DensityMatrix(3, 2, np.kron(a.mat, b.mat))
     ba = DensityMatrix(3, 2, np.kron(b.mat, a.mat))
     assert abs(total_fisher(ab) - total_fisher(ba)) < 1e-6
+
+
+def _kron_total_fisher(rho):
+    """Oracle: sum of fisher_information over wire-local X/Z projectors built by kron."""
+    d, n = rho.d, rho.n
+    projs = []
+    for j in range(d):
+        z = np.eye(d)[j]
+        x = xi(d) ** (-j * np.arange(d)) / np.sqrt(d)
+        projs += [np.outer(z, z), np.outer(x, x.conj())]
+    total = 0.0
+    for k in range(n):
+        for P in projs:
+            H = np.eye(1)
+            for m in range(n):
+                H = np.kron(H, P if m == k else np.eye(d))
+            total += fisher_information(rho, H)
+    return total
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 2)])
+def test_total_fisher_matches_kron_oracle(d, n):
+    for seed in range(3):
+        rho = random_density(seed, d, n)
+        oracle = _kron_total_fisher(rho)
+        assert abs(total_fisher(rho) - oracle) <= 1e-12 * abs(oracle)
+    with pytest.raises(RankDeficient):
+        total_fisher(random_density(0, d, n, 1))
+
+
+def test_each_state_is_diagonalised_once(monkeypatch):
+    rho = random_density(8, 3, 2)
+    sigma = random_density(9, 3, 2)
+    sigma.eigenvectors  # solved now, so only rho's solves are counted
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    H = np.diag(np.arange(9.0)).astype(complex)
+    for _ in range(2):
+        for alpha in ALPHAS_NONNEG + (-1.0, -INF):
+            renyi_entropy(rho, alpha)
+        relative_entropy(rho, sigma)
+        relative_entropy(sigma, rho)
+        fisher_information(rho, H)
+        total_fisher(rho)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_cached_spectrum_is_read_only():
+    rho = random_density(10, 3, 1)
+    lam, vecs = rho.eigenvalues(), rho.eigenvectors
+    assert np.all(lam[:-1] >= lam[1:]) and lam[-1] >= 0
+    assert np.allclose((vecs * lam) @ vecs.conj().T, rho.mat, atol=1e-12)
+    for cached in (lam, vecs):
+        with pytest.raises(ValueError):
+            cached[0] = 0
