@@ -60,7 +60,7 @@ class RankDeficient(DvconvError):
 
 
 class CovarianceViolation(DvconvError):
-    """Weyl-orbit ensemble failed the covariance or average-output check."""
+    """The convolution channel failed its Weyl-covariance check on a generator."""
 
 
 class ParseError(DvconvError):

@@ -66,7 +66,8 @@ class DensityMatrix:
         lam = np.linalg.eigvalsh(self._hermitian_part())
         if lam[0] < -STATE_TOL:
             raise InvalidState(f"negative eigenvalue {lam[0]:.3e}")
-        m = np.ascontiguousarray(self.mat)
+        # a private copy: freezing the caller's own array would lock it too
+        m = np.array(self.mat, order="C")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "_spectrum", _read_only(np.maximum(lam[::-1], 0.0)))

@@ -1,11 +1,14 @@
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from dvconv import magic, states, weyl
 from dvconv.cli import main
+from dvconv.conv import convolve, default_spec
+from dvconv.entropy import renyi_entropy
 from dvconv.states import char_to_json, random_density, state_from_json, state_to_json
 
 
@@ -178,6 +181,23 @@ def test_capacity_bounds(capsys):
     assert abs(vals["lower"] - np.log2(3)) < 1e-9
     assert abs(vals["upper"] - np.log2(3)) < 1e-9
     assert abs(vals["weyl-ensemble"] - np.log2(3)) < 1e-9
+
+
+def test_capacity_bounds_weyl_ensemble_at_d125(capsys):
+    """(5,3): the orbit holds 15,625 displacements; the generator check needs 6."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "capacity-bounds", "--d", "5", "--n", "3",
+                       "--sigma", "random-mixed", "--rho0", "random-pure",
+                       "--seed", "1")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 2.0
+    vals = {line.split()[0]: float(line.split()[1])
+            for line in out.strip().splitlines()}
+    sigma = random_density(1, 5, 3, 125)
+    rho0 = random_density(3, 5, 3, 1)
+    expected = 3 * np.log2(5) - renyi_entropy(convolve(rho0, sigma, default_spec(5, 3)), 1)
+    assert abs(vals["weyl-ensemble"] - expected) < 1e-12
 
 
 def test_unsupported_scale_is_numeric_error(capsys):

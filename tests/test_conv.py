@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvconv import conv
 from dvconv.conv import (
     ConvolutionSpec,
     amplifier_spec,
@@ -16,12 +17,14 @@ from dvconv.conv import (
 )
 from dvconv.entropy import renyi_entropy
 from dvconv.errors import (
+    CovarianceViolation,
     DimensionMismatch,
     NoSolution,
     UnsupportedDimension,
 )
 from dvconv.linalg import partial_trace_B
 from dvconv.states import (
+    DensityMatrix,
     StabilizerGroup,
     enumerate_msps,
     enumerate_pure_stabilizers,
@@ -33,6 +36,7 @@ from dvconv.states import (
 )
 from dvconv.weyl import char_function, is_clifford
 from dvconv.zmod import gmatrix_new
+from oracles import weyl_orbit_holevo
 
 #: every named spec has a symmetric G; these do not, so a key map that used
 #: G where it needs G^T would show
@@ -215,3 +219,31 @@ def test_holevo_weyl_ensemble():
         best = max(holevo_weyl_ensemble(spec, sigma, rho0)
                    for rho0 in enumerate_msps(3))
         assert abs(best - upper) < 1e-9
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS + SKEW_SPECS,
+                         ids=lambda s: f"{s.d}-{s.n}-G{s.G.g00}{s.G.g01}{s.G.g10}{s.G.g11}")
+def test_holevo_weyl_ensemble_matches_full_orbit_oracle(spec):
+    """The generator check against the dense sweep of all d^{2n} displacements."""
+    D = spec.d**spec.n
+    for seed, rank in enumerate((1, 2, D)):
+        sigma = random_density(seed, spec.d, spec.n, rank)
+        rho0 = random_density(100 + seed, spec.d, spec.n, 1 + seed % 2)
+        holevo, avg_dev, spread = weyl_orbit_holevo(spec, sigma, rho0)
+        assert avg_dev < 1e-9
+        assert spread < 1e-9
+        assert abs(holevo_weyl_ensemble(spec, sigma, rho0) - holevo) < 1e-9
+
+
+def test_holevo_weyl_ensemble_rejects_a_non_covariant_channel(monkeypatch):
+    true_convolve = conv.convolve
+
+    def bumped(rho, sigma, spec):
+        out = true_convolve(rho, sigma, spec).mat.copy()
+        out[0, 0] += 1e-3
+        return DensityMatrix(spec.d, spec.n, out / (1 + 1e-3))
+
+    monkeypatch.setattr(conv, "convolve", bumped)
+    spec = beam_splitter_spec(7, 1)
+    with pytest.raises(CovarianceViolation, match="unit label"):
+        holevo_weyl_ensemble(spec, random_density(0, 7, 1, 7), random_density(1, 7, 1, 1))

@@ -37,6 +37,15 @@ def test_density_matrix_validation():
         DensityMatrix(2, 1, np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_density_matrix_leaves_the_callers_array_writeable():
+    m = np.eye(3, dtype=complex) / 3
+    rho = DensityMatrix(3, 1, m)
+    assert m.flags.writeable
+    assert not rho.mat.flags.writeable
+    m[0, 0] = 5.0
+    assert np.array_equal(rho.mat, np.eye(3) / 3)
+
+
 def test_density_matrix_rejects_non_prime_d():
     with pytest.raises(UnsupportedDimension, match="d=4"):
         DensityMatrix(4, 1, np.eye(4, dtype=complex) / 4)
