@@ -202,9 +202,13 @@ def cmd_clt(args) -> int:
 def cmd_suite(args) -> int:
     fn = experiments.SUITES[args.name]
     kwargs = {}
-    if args.name not in ("stability", "min-output"):
+    if args.name in ("stability", "min-output"):
+        # exhaustive suites: no sample to seed or size
+        if args.seed is not None or args.trials is not None:
+            raise ParseError(f"suite {args.name} takes no --seed or --trials")
+    else:
         kwargs["seed"] = args.seed if args.seed is not None else 0
-        kwargs["trials"] = args.trials
+        kwargs["trials"] = args.trials if args.trials is not None else 50
     if args.name == "clt":
         kwargs["steps"] = args.steps
     report = fn(**kwargs)
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a named verification suite")
     p.add_argument("name", choices=sorted(experiments.SUITES))
     p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int)
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")

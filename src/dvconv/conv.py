@@ -2,8 +2,9 @@
 beam-splitter/amplifier specializations, minimal-output-entropy partners,
 and Holevo capacity bounds.
 
-The matrix path gathers entries through the key permutation, O(D^3) with no
-D^2 x D^2 operand; the characteristic-side product is an independent
+The matrix path gathers entries through the key permutation, O(D^3) time in
+chunks of at most GATHER_BUDGET products, so O(GATHER_BUDGET + D^2) memory
+and no D^2 x D^2 operand; the characteristic-side product is an independent
 cross-check.  ``key_unitary`` is the dense permutation, kept as an oracle.
 """
 
@@ -28,6 +29,9 @@ from .zmod import GMatrix, check_system, find_amplifier_params, \
     find_beam_splitter_params, gmatrix_new, mod_inverse
 
 COVARIANCE_TOL = 1e-9
+#: products per chunk of the convolution's gather (at least one j per chunk):
+#: one chunk up to D = 16; larger chunks ran slower at D = 25 and 27
+GATHER_BUDGET = 2**12
 
 
 def _require_odd_prime(d: int, n: int) -> None:
@@ -107,18 +111,40 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
              spec: ConvolutionSpec) -> DensityMatrix:
     """rho boxtimes sigma = Tr_B[U (rho (x) sigma) U^dag]: entry (i, k) is
     sum_j rho[a(i, j), a(k, j)] sigma[b(i, j), b(k, j)], with (a, b) from
-    _key_sources, summed in j order as the dense partial trace sums it."""
+    _key_sources, summed in j order as the dense partial trace sums it.
+
+    The j terms are gathered in chunks of at most GATHER_BUDGET products;
+    the running sum joins each chunk's first term, so the order of the sum,
+    and the output bits, do not depend on the chunk size.
+    """
     _check_pair(rho, sigma, spec)
     a, b = _key_sources(spec)
     D = a.shape[0]
-    # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)], by j
-    flat_a = a.T[:, :, None] * D + a.T[:, None, :]
-    flat_b = b.T[:, :, None] * D + b.T[:, None, :]
     r, s = rho.mat.ravel(), sigma.mat.ravel()
+    step = max(1, GATHER_BUDGET // (D * D))
     out = np.zeros((D, D), dtype=complex)
-    for j in range(D):
-        out += r.take(flat_a[j]) * s.take(flat_b[j])
+    for j in range(0, D, step):
+        # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)]
+        aj, bj = a.T[j:j + step], b.T[j:j + step]
+        terms = r.take(aj[:, :, None] * D + aj[:, None, :])
+        terms *= s.take(bj[:, :, None] * D + bj[:, None, :])
+        terms[0] += out
+        out = np.add.reduce(terms, axis=0)
     return DensityMatrix(spec.d, spec.n, (out + out.conj().T) / 2)
+
+
+@lru_cache(maxsize=None)
+def _char_sources(spec: ConvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-point indices (h00 p, g00 q) and (h10 p, g01 q) of every (p, q),
+    with G^-1 = [h00, h01; h10, h11]."""
+    d, n, g = spec.d, spec.n, spec.G
+    h00, _, h10, _ = g.inverse_entries()
+    pts = phase_points(d, n)
+    p, q = pts[:, :n], pts[:, n:]
+    a = point_index(np.concatenate([h00 * p, g.g00 * q], axis=1), d)
+    b = point_index(np.concatenate([h10 * p, g.g01 * q], axis=1), d)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
@@ -126,13 +152,8 @@ def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
     """Xi_out(p, q) = Xi_rho(h00 p, g00 q) Xi_sigma(h10 p, g01 q),
     with G^-1 = [h00, h01; h10, h11]."""
     _check_pair(t_rho, t_sigma, spec)
-    d, n, g = spec.d, spec.n, spec.G
-    h00, _, h10, _ = g.inverse_entries()
-    pts = phase_points(d, n)
-    p, q = pts[:, :n], pts[:, n:]
-    a = t_rho.values[point_index(np.concatenate([h00 * p, g.g00 * q], axis=1), d)]
-    b = t_sigma.values[point_index(np.concatenate([h10 * p, g.g01 * q], axis=1), d)]
-    return CharFunction(d, n, a * b)
+    a, b = _char_sources(spec)
+    return CharFunction(spec.d, spec.n, t_rho.values[a] * t_sigma.values[b])
 
 
 def partner_stabilizer_group(s2: StabilizerGroup,

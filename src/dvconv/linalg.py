@@ -37,10 +37,6 @@ def partial_trace_B(M: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
     return np.trace(M.reshape(dimA, dimB, dimA, dimB), axis1=1, axis2=3)
 
 
-def schatten2_norm(A: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
-
-
 def trace_norm(A: np.ndarray) -> float:
     """Sum of |eigenvalues| for Hermitian A (the only case used here)."""
     check_hermitian(A)

@@ -107,6 +107,10 @@ def make_zero_mean(rho: DensityMatrix) -> tuple[tuple[int, ...], DensityMatrix]:
 # ---------------------------------------------------------------------------
 
 
+T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
+T_GATE.flags.writeable = False
+
+
 @lru_cache(maxsize=None)
 def _fourier_gate(d: int) -> np.ndarray:
     j, k = np.indices((d, d))
@@ -126,21 +130,32 @@ def _phase_gate(d: int) -> np.ndarray:
     return P
 
 
+#: the single-qudit gates of Clifford+T words, by name
+_SINGLE_GATES = {"fourier": _fourier_gate, "phase": _phase_gate,
+                 "t": lambda d: T_GATE}
+
+
+@lru_cache(maxsize=None)
 def _sum_gate(d: int, n: int, ctrl: int, tgt: int) -> np.ndarray:
-    """|i, j> -> |i, i+j> on wires (ctrl, tgt); CNOT at d=2."""
+    """|i, j> -> |i, i+j> on wires (ctrl, tgt); CNOT at d=2 (read-only)."""
     D = d**n
     digits = np.indices((d,) * n).reshape(n, D).T
     out = digits.copy()
     out[:, tgt] = (digits[:, tgt] + digits[:, ctrl]) % d
     U = np.zeros((D, D), dtype=complex)
     U[point_index(out, d), np.arange(D)] = 1.0
+    U.flags.writeable = False
     return U
 
 
-def _embed(gate: np.ndarray, d: int, n: int, wire: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _embed(gate: str, d: int, n: int, wire: int) -> np.ndarray:
+    """The named single-qudit gate on one wire of n (read-only)."""
     out = np.eye(1, dtype=complex)
     for k in range(n):
-        out = np.kron(out, gate if k == wire else np.eye(d, dtype=complex))
+        out = np.kron(out, _SINGLE_GATES[gate](d) if k == wire
+                      else np.eye(d, dtype=complex))
+    out.flags.writeable = False
     return out
 
 
@@ -152,9 +167,9 @@ def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     for _ in range(CLIFFORD_WORD_LENGTH):
         kind = rng.integers(0, 3 if n > 1 else 2)
         if kind == 0:
-            U = _embed(_fourier_gate(d), d, n, int(rng.integers(n))) @ U
+            U = _embed("fourier", d, n, int(rng.integers(n))) @ U
         elif kind == 1:
-            U = _embed(_phase_gate(d), d, n, int(rng.integers(n))) @ U
+            U = _embed("phase", d, n, int(rng.integers(n))) @ U
         else:
             ctrl, tgt = rng.choice(n, size=2, replace=False)
             U = _sum_gate(d, n, int(ctrl), int(tgt)) @ U
@@ -162,9 +177,6 @@ def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     p = rng.integers(0, d, size=n)
     q = rng.integers(0, d, size=n)
     return weyl_op(d, n, p, q) @ U
-
-
-T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
 
 def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:
@@ -177,6 +189,6 @@ def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     U = random_clifford(rng, 2, n)
     for _ in range(n_t):
-        U = _embed(T_GATE, 2, n, int(rng.integers(n))) @ U
+        U = _embed("t", 2, n, int(rng.integers(n))) @ U
         U = random_clifford(rng, 2, n) @ U
     return U

@@ -57,6 +57,9 @@ class DensityMatrix:
         D = self.d**self.n
         if self.mat.shape != (D, D):
             raise InvalidState(f"matrix is {self.mat.shape}, expected {(D, D)}")
+        # checked first: a NaN fails no comparison, and inf - inf warns
+        if not np.isfinite(self.mat).all():
+            raise InvalidState("matrix has a non-finite entry")
         herm_dev = np.max(np.abs(self.mat - self.mat.conj().T))
         if herm_dev > STATE_TOL:
             raise InvalidState(f"Hermiticity deviation {herm_dev:.3e}")

@@ -8,8 +8,13 @@ import numpy as np
 
 from dvconv.conv import ConvolutionSpec, convolve
 from dvconv.entropy import renyi_entropy
+from dvconv.magic import make_zero_mean, mean_state
 from dvconv.states import DensityMatrix
-from dvconv.weyl import phase_points, weyl_op
+from dvconv.weyl import char_function, phase_points, weyl_op
+
+
+def schatten2_norm(A: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.abs(A) ** 2)))
 
 
 def weyl_orbit_holevo(spec: ConvolutionSpec, sigma: DensityMatrix,
@@ -33,3 +38,22 @@ def weyl_orbit_holevo(spec: ConvolutionSpec, sigma: DensityMatrix,
         - np.mean(entropies)
     dev = float(np.max(np.abs(avg - np.eye(D) / D)))
     return float(holevo), dev, float(np.ptp(entropies))
+
+
+def dense_clt(rho: DensityMatrix, spec: ConvolutionSpec, n_max: int,
+              alphas) -> tuple[list[float], list[dict]]:
+    """The CLT iteration on dense matrices: rho_N = rho_{N-1} boxtimes rho_0
+    by the matrix-side ``convolve``, from the zero-mean displacement rho_0
+    of rho.  Returns ||rho_N - M||_2 and {alpha: H_alpha(rho_N)} for
+    N = 0..n_max, with M the mean state of rho_0.
+    """
+    _, rho0 = make_zero_mean(rho)
+    M = mean_state(char_function(rho0))
+    norms, entropies = [], []
+    cur = rho0
+    for N in range(n_max + 1):
+        if N > 0:
+            cur = convolve(cur, rho0, spec)
+        norms.append(schatten2_norm(cur.mat - M.mat))
+        entropies.append({a: renyi_entropy(cur, a) for a in alphas})
+    return norms, entropies

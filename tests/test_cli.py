@@ -9,7 +9,10 @@ from dvconv import magic, states, weyl
 from dvconv.cli import main
 from dvconv.conv import convolve, default_spec
 from dvconv.entropy import renyi_entropy
-from dvconv.states import char_to_json, random_density, state_from_json, state_to_json
+from dvconv.errors import InvalidState
+from dvconv.experiments import DUALITY_TOL
+from dvconv.states import (DensityMatrix, char_to_json, random_density,
+                           state_from_json, state_to_json)
 
 
 def run(capsys, *argv):
@@ -161,6 +164,25 @@ def test_suite_exit_codes(tmp_path, capsys):
     assert code == 0
     obj = json.loads((tmp_path / "d.json").read_text())
     assert obj["passed"]
+
+
+@pytest.mark.parametrize("name", ["stability", "min-output"])
+@pytest.mark.parametrize("flag", [("--seed", "5"), ("--trials", "3")])
+def test_exhaustive_suites_refuse_sample_flags(tmp_path, capsys, name, flag):
+    out_file = tmp_path / "s.csv"
+    code, out, err = run(capsys, "suite", name, *flag, "--out", str(out_file))
+    _assert_usage_error(code, err, f"suite {name} takes no --seed or --trials")
+    assert out == "" and not out_file.exists()
+
+
+def test_sampled_suites_default_to_50_trials(capsys):
+    code, out, _ = run(capsys, "suite", "holevo", "--format", "json")
+    assert code == 0
+    default = json.loads(out)
+    assert default["params"]["trials"] == 50
+    code, out, _ = run(capsys, "suite", "holevo", "--seed", "0", "--trials", "50",
+                       "--format", "json")
+    assert code == 0 and json.loads(out) == default
 
 
 def test_enumerate(capsys):
@@ -340,6 +362,38 @@ def test_state_file_whose_matrix_is_not_a_state_is_numeric_error(tmp_path, capsy
     assert err.startswith("error: InvalidState: trace deviation")
 
 
+def _non_finite(case):
+    m = np.eye(3, dtype=complex) / 3
+    if case == "nan-diagonal":
+        m[0, 0] = np.nan
+    elif case == "nan-off-diagonal":
+        m[0, 1] = np.nan
+    elif case == "inf-diagonal":
+        m[1, 1] = np.inf
+    else:  # a Hermitian pair, so the Hermiticity check would meet inf - inf
+        m[0, 2] = m[2, 0] = -np.inf
+    return m
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["nan-diagonal", "nan-off-diagonal", "inf-diagonal",
+                                  "minus-inf-off-diagonal"])
+def test_non_finite_state_is_invalid(tmp_path, capsys, case):
+    m = _non_finite(case)
+    with pytest.raises(InvalidState, match="non-finite"):
+        DensityMatrix(3, 1, m)
+    # JSON carries NaN and Infinity literals
+    path = _write(tmp_path / "state.json", {"d": 3, "n": 1, "kind": "dense",
+                                            "re": m.real.tolist(), "im": m.imag.tolist()})
+    for argv in (("gap", "--d", "3", "--input", path),
+                 ("convolve", "--d", "3", "--a", path, "--b", "zero-ket",
+                  "--out", str(tmp_path / "out.json"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "error: InvalidState: matrix has a non-finite entry\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def _count_calls(monkeypatch, fn):
     """Replace every dvconv binding of fn with a wrapper that counts calls."""
     calls = []
@@ -374,3 +428,29 @@ def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
                             "--json")
     assert code == 0 and char_out == out
     assert (len(forward), len(inverse)) == (1, 1)
+
+
+def test_convolve_at_d343(tmp_path, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "convolve", "--d", "7", "--n", "3", "--a", "random-pure",
+                         "--b", "random-mixed", "--seed", "0", "--check-duality",
+                         "--out", str(tmp_path / "out.json"))
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert float(out.split()[-1]) <= DUALITY_TOL
+    assert elapsed < 2.0
+
+
+def test_clt_at_d343(tmp_path, capsys):
+    out_file = tmp_path / "clt.csv"
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "clt", "--d", "7", "--n", "3", "--steps", "30",
+                       "--seed", "7", "--out", str(out_file))
+    elapsed = time.perf_counter() - t0
+    assert code == 0, err
+    assert elapsed < 10.0
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 32  # header + steps 0..30
+    for line in lines[1:]:
+        cols = line.split(",")
+        assert float(cols[1]) <= float(cols[2]) + 1e-9

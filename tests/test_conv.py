@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +130,39 @@ def test_convolve_equals_dense_oracle():
         U = key_unitary(spec)
         out = partial_trace_B(U @ np.kron(a.mat, b.mat) @ U.conj().T, D, D)
         assert np.array_equal(convolve(a, b, spec).mat, (out + out.conj().T) / 2)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 2), (7, 2)])
+def test_gather_chunking_keeps_the_output_bits(monkeypatch, d, n):
+    """Chunks of 1 j, 2 j or all D j values give the same bits, and match the
+    dense partial trace within 1e-15 where the dense key unitary fits."""
+    D = d**n
+    spec = default_spec(d, n)
+    a = random_density(d + n, d, n, rank=1)
+    b = random_density(d + n + 1, d, n)
+    outs = []
+    for per_chunk in (1, 2, D):
+        monkeypatch.setattr(conv, "GATHER_BUDGET", per_chunk * D * D)
+        outs.append(convolve(a, b, spec).mat)
+    assert all(np.array_equal(outs[0], out) for out in outs[1:])
+    if D <= 9:
+        U = key_unitary(spec)
+        dense = partial_trace_B(U @ np.kron(a.mat, b.mat) @ U.conj().T, D, D)
+        assert np.max(np.abs(outs[0] - (dense + dense.conj().T) / 2)) <= 1e-15
+
+
+def test_convolve_memory_at_d343():
+    """The gather holds one chunk at a time: no D^3 index arrays."""
+    spec = default_spec(7, 3)
+    a = random_density(0, 7, 3, rank=1)
+    b = random_density(1, 7, 3)
+    tracemalloc.start()
+    try:
+        convolve(a, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_beam_splitter_char_form():

@@ -2,11 +2,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from dvconv import experiments
 from dvconv.conv import beam_splitter_spec
-from dvconv.experiments import ExperimentReport, clt_run
+from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
 from dvconv.states import enumerate_msps, random_density
+from oracles import dense_clt
 
 
 def test_report_accumulation():
@@ -48,6 +50,22 @@ def test_clt_run_bound_and_second_law():
     slope = series.log_slope()
     assert slope is not None
     assert slope <= math.log(1 - series.mg) + 1e-6
+
+
+@pytest.mark.parametrize("n, steps", [(1, 30), (2, 12)])
+def test_clt_run_matches_dense_iteration(n, steps):
+    """The table-side iteration against the matrix-side one, pure and mixed."""
+    spec = beam_splitter_spec(7, n)
+    for seed, rank in ((0, 1), (1, 1), (2, 3), (3, None)):
+        rho = random_density(seed, 7, n, rank)
+        series = clt_run(rho, spec, steps)
+        norms, entropies = dense_clt(rho, spec, steps, ALPHAS_SECOND_LAW)
+        assert [s["N"] for s in series.steps] == list(range(steps + 1))
+        assert series.base_norm == series.steps[0]["norm"]
+        for step, norm, hs in zip(series.steps, norms, entropies):
+            assert abs(step["norm"] - norm) <= 1e-12
+            for alpha in ALPHAS_SECOND_LAW:
+                assert abs(step["entropies"][alpha] - hs[alpha]) <= 1e-10
 
 
 def test_suites_reproducible():

@@ -6,11 +6,11 @@ from dvconv.errors import DimensionMismatch, NotHermitian
 from dvconv.linalg import (
     herm_eig,
     partial_trace_B,
-    schatten2_norm,
     trace_norm,
 )
 from dvconv.states import random_density
 from dvconv.weyl import char_function
+from oracles import schatten2_norm
 
 
 def _random_hermitian(seed, dim):

@@ -1,7 +1,10 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvconv import magic
 from dvconv.magic import (
     clifford_t_circuit,
     log_magic_gap,
@@ -174,3 +177,51 @@ def test_clifford_t_circuit():
         assert log_magic_gap(char_function(out)) <= 0.5 + 1e-9
     with pytest.raises(ValueError):
         clifford_t_circuit(0, 3, 1)
+
+
+def _on_wire(gate, n, wire):
+    ops = [gate if k == wire else np.eye(2, dtype=complex) for k in range(n)]
+    return reduce(np.kron, ops, np.eye(1, dtype=complex))
+
+
+#: CNOT as |i, j> -> |i, i + j> on (ctrl, tgt), by (ctrl, tgt)
+CNOT = {(0, 1): np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                         dtype=complex),
+        (1, 0): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
+                         dtype=complex)}
+
+
+def _kron_clifford(rng, n):
+    """random_clifford at d=2 with every gate built by np.kron on the spot."""
+    U = np.eye(2**n, dtype=complex)
+    for _ in range(magic.CLIFFORD_WORD_LENGTH):
+        kind = rng.integers(0, 3 if n > 1 else 2)
+        if kind == 0:
+            U = _on_wire(magic._fourier_gate(2), n, int(rng.integers(n))) @ U
+        elif kind == 1:
+            U = _on_wire(magic._phase_gate(2), n, int(rng.integers(n))) @ U
+        else:
+            ctrl, tgt = rng.choice(n, size=2, replace=False)
+            U = CNOT[int(ctrl), int(tgt)] @ U
+    p = rng.integers(0, 2, size=n)
+    q = rng.integers(0, 2, size=n)
+    return weyl_op(2, n, p, q) @ U
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_t_circuit_matches_kron_built_gates(n):
+    for seed in range(20):
+        n_t = seed % 4
+        rng = np.random.default_rng(seed)
+        V = _kron_clifford(rng, n)
+        for _ in range(n_t):
+            V = _on_wire(magic.T_GATE, n, int(rng.integers(n))) @ V
+            V = _kron_clifford(rng, n) @ V
+        assert np.array_equal(clifford_t_circuit(seed, n, n_t), V)
+
+
+def test_cached_gates_are_read_only():
+    for gate in (magic._embed("fourier", 3, 2, 1), magic._embed("t", 2, 2, 0),
+                 magic._sum_gate(3, 2, 0, 1), magic.T_GATE):
+        with pytest.raises(ValueError):
+            gate[0, 0] = 0
