@@ -36,6 +36,9 @@ EXIT_INTERNAL = 4
 
 RANDOM_PRESETS = ("random-pure", "random-mixed")
 
+#: the least value each count option takes, checked before any command runs
+COUNT_FLOORS = {"seed": 0, "steps": 0, "trials": 1}
+
 
 @contextlib.contextmanager
 def _usage_errors():
@@ -209,7 +212,9 @@ def cmd_suite(args) -> int:
     else:
         kwargs["seed"] = args.seed if args.seed is not None else 0
         kwargs["trials"] = args.trials if args.trials is not None else 50
-    if args.name == "clt":
+    if args.steps is not None:
+        if args.name != "clt":
+            raise ParseError(f"suite {args.name} takes no --steps")
         kwargs["steps"] = args.steps
     report = fn(**kwargs)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(experiments.SUITES))
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--steps", type=int, default=30)
+    p.add_argument("--steps", type=int, help="clt only (default 30)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_suite)
@@ -324,6 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, low in COUNT_FLOORS.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise ParseError(f"--{flag} must be >= {low}, got {value}")
         if "d" in args:
             with _usage_errors():
                 check_system(args.d, args.n)

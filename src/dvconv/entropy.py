@@ -30,23 +30,36 @@ def renyi_entropy(rho: DensityMatrix, alpha: float) -> float:
 
     alpha < 0 on a rank-deficient state returns +inf by convention.
     """
-    lam = rho.eigenvalues()
+    return float(renyi_spectra(rho.eigenvalues(), alpha))
+
+
+def renyi_spectra(lam: np.ndarray, alpha: float) -> np.ndarray:
+    """H_alpha in bits of every spectrum along the last axis of ``lam``.
+
+    Each spectrum is a state's: clipped at 0 and descending, as
+    ``DensityMatrix.eigenvalues()`` and ``validated_spectra`` give it.  The
+    rules apply to each spectrum on its own, and the eigenvalues a rule
+    cuts are replaced before any log or power, so no zero meets a log or a
+    negative power.
+    """
     if alpha == 1:
-        pos = lam[lam > FULL_RANK_TOL]
-        return float(-np.sum(pos * np.log2(pos)))
+        pos = np.where(lam > FULL_RANK_TOL, lam, 1.0)
+        return -(pos * np.log2(pos)).sum(axis=-1)
     if alpha == 0:
-        return float(np.log2(np.sum(lam > SUPPORT_TOL)))
+        return np.log2((lam > SUPPORT_TOL).sum(axis=-1))
     if alpha == INF:
-        return float(-np.log2(lam[0]))
+        return -np.log2(lam[..., 0])
     if alpha < 0:
-        if lam[-1] <= FULL_RANK_TOL:
-            return INF
+        # +inf on a rank-deficient spectrum; the clip keeps its powers finite
+        low = np.maximum(lam, FULL_RANK_TOL)
         if alpha == -INF:
-            return float(np.log2(lam[-1]))
-        return float(-np.log2(np.sum(lam**alpha)) / (1 - alpha))
+            h = np.log2(low[..., -1])
+        else:
+            h = -np.log2((low**alpha).sum(axis=-1)) / (1 - alpha)
+        return np.where(lam[..., -1] > FULL_RANK_TOL, h, INF)
     # below 1, lam**alpha lifts eigensolver noise; cut it as alpha = 1 does
-    pos = lam[lam > FULL_RANK_TOL] if alpha < 1 else lam
-    return float(np.log2(np.sum(pos**alpha)) / (1 - alpha))
+    pos = np.where(lam > FULL_RANK_TOL, lam, 0.0) if alpha < 1 else lam
+    return np.log2((pos**alpha).sum(axis=-1)) / (1 - alpha)
 
 
 def _support_projector(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

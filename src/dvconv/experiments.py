@@ -137,32 +137,48 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
 
     Non-zero-mean inputs are displaced to zero mean first; the applied
     displacement is recorded in the series.  The iteration runs on
-    characteristic tables, each norm ||rho_N - M||_2 is taken on them by
-    Parseval, and each step inverts its table once into a validated state
-    for the entropies.
+    characteristic tables, in chunks of at most GATHER_BUDGET // D^2 steps
+    (at least one), so no more than a chunk of tables is held.  Per chunk,
+    the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
+    tables are inverted and validated as one stack whose spectra give the
+    entropies.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     displacement, rho0 = magic.make_zero_mean(rho)
     d, n = spec.d, spec.n
+    D = d**n
     table0 = weyl.char_function(rho0)
     mean = weyl.char_function(magic.mean_state(table0)).values
     mg = magic.magic_gap(table0)
 
-    def norm(table: weyl.CharFunction) -> float:
-        return float(np.sqrt(np.sum(np.abs(table.values - mean) ** 2) / d**n))
+    def norms(tables: np.ndarray) -> np.ndarray:
+        return np.sqrt((np.abs(tables - mean) ** 2).sum(axis=-1) / D)
 
-    base = norm(table0)
+    def chunks():
+        yield table0.values[None], rho0.eigenvalues()[None]
+        size = max(1, conv.GATHER_BUDGET // D**2)
+        table = table0
+        for start in range(1, n_max + 1, size):
+            tables = []
+            for _ in range(start, min(start + size, n_max + 1)):
+                table = conv.convolve_characteristic(table, table0, spec)
+                tables.append(table.values)
+            tables = np.array(tables)
+            yield tables, states.validated_spectra(d, n, weyl.inverse_tables(d, n, tables))
+
+    base = float(norms(table0.values))
     steps = []
-    table, cur = table0, rho0
-    for N in range(n_max + 1):
-        if N > 0:
-            table = conv.convolve_characteristic(table, table0, spec)
-            cur = states.DensityMatrix(d, n, weyl.inverse_char(table))
-        steps.append({
-            "N": N,
-            "norm": norm(table),
-            "bound": (1 - mg) ** N * base,
-            "entropies": {a: entropy.renyi_entropy(cur, a) for a in ALPHAS_SECOND_LAW},
-        })
+    for tables, spectra in chunks():
+        hs = {a: entropy.renyi_spectra(spectra, a).tolist() for a in ALPHAS_SECOND_LAW}
+        for k, norm in enumerate(norms(tables).tolist()):
+            N = len(steps)
+            steps.append({
+                "N": N,
+                "norm": norm,
+                "bound": (1 - mg) ** N * base,
+                "entropies": {a: h[k] for a, h in hs.items()},
+            })
     return CltSeries(d, n, displacement, mg, base, steps)
 
 
@@ -217,6 +233,7 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
     for d, n in configs:
         spec = _spec_for(d, n)
         seeds = _child_seeds(seed + d, 2 * trials)
+        trial_spectra = []
         for i in range(trials):
             rng = np.random.default_rng(seeds[2 * i])
             full_rank = i % 2 == 0
@@ -225,12 +242,17 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
             a = states.random_density(seeds[2 * i], d, n, int(ranks[0]))
             b = states.random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
             out = conv.convolve(a, b, spec)
-            alphas = ALPHAS_NONNEG + (ALPHAS_NEG if full_rank else ())
+            trial_spectra.append((a.eigenvalues(), b.eigenvalues(), out.eigenvalues()))
+        spectra = np.array(trial_spectra)  # (trials, 3, D): a, b and out
+        hs = {alpha: entropy.renyi_spectra(spectra, alpha).tolist()
+              for alpha in ALPHAS_NONNEG + ALPHAS_NEG}
+        for i in range(trials):
+            # the negative alphas only on the full-rank (even) trials
+            alphas = ALPHAS_NONNEG + (ALPHAS_NEG if i % 2 == 0 else ())
             for alpha in alphas:
-                gap = max(entropy.renyi_entropy(a, alpha),
-                          entropy.renyi_entropy(b, alpha)) \
-                    - entropy.renyi_entropy(out, alpha)
-                report.add(i, f"entropy_gap_d{d}n{n}_a{alpha}", gap, ENTROPY_TOL)
+                h_a, h_b, h_out = hs[alpha][i]
+                report.add(i, f"entropy_gap_d{d}n{n}_a{alpha}",
+                           max(h_a, h_b) - h_out, ENTROPY_TOL)
     return report
 
 

@@ -39,6 +39,38 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
     return np.where(unit, values / np.where(unit, mags, 1.0), 0.0)
 
 
+def validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
+    """Spectra of a (..., D, D) stack of density matrices: the one state check.
+
+    Every matrix must be finite, Hermitian, of unit trace and positive
+    semidefinite, each within STATE_TOL, checked in that order over the
+    whole stack.  The eigenvalues are those of the Hermitian part, clipped
+    at 0, in descending order along the last axis.  Numbers in an error
+    message are the stack's worst, which is the one bad member's own.
+    """
+    check_system(d, n)
+    D = d**n
+    if mats.shape[-2:] != (D, D):
+        raise InvalidState(f"matrix is {mats.shape}, expected {(D, D)}")
+    # checked first: a NaN fails no comparison, and inf - inf warns
+    if not np.isfinite(mats).all():
+        raise InvalidState("matrix has a non-finite entry")
+    adj = mats.conj().swapaxes(-1, -2)
+    herm_dev = abs(mats - adj).max()
+    if herm_dev > STATE_TOL:
+        raise InvalidState(f"Hermiticity deviation {herm_dev:.3e}")
+    # builtin max and min over .flat: for one state, a numpy reduction of
+    # one value costs more than the iteration
+    tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
+    if tr_dev > STATE_TOL:
+        raise InvalidState(f"trace deviation {tr_dev:.3e}")
+    lam = np.linalg.eigvalsh((mats + adj) / 2)  # ascending
+    low = min(lam[..., 0].flat)
+    if low < -STATE_TOL:
+        raise InvalidState(f"negative eigenvalue {low:.3e}")
+    return np.maximum(lam[..., ::-1], 0.0)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Dense d^n x d^n state with validated invariants.
@@ -57,23 +89,12 @@ class DensityMatrix:
         D = self.d**self.n
         if self.mat.shape != (D, D):
             raise InvalidState(f"matrix is {self.mat.shape}, expected {(D, D)}")
-        # checked first: a NaN fails no comparison, and inf - inf warns
-        if not np.isfinite(self.mat).all():
-            raise InvalidState("matrix has a non-finite entry")
-        herm_dev = np.max(np.abs(self.mat - self.mat.conj().T))
-        if herm_dev > STATE_TOL:
-            raise InvalidState(f"Hermiticity deviation {herm_dev:.3e}")
-        tr_dev = abs(np.trace(self.mat) - 1.0)
-        if tr_dev > STATE_TOL:
-            raise InvalidState(f"trace deviation {tr_dev:.3e}")
-        lam = np.linalg.eigvalsh(self._hermitian_part())
-        if lam[0] < -STATE_TOL:
-            raise InvalidState(f"negative eigenvalue {lam[0]:.3e}")
         # a private copy: freezing the caller's own array would lock it too
         m = np.array(self.mat, order="C")
+        spectrum = validated_spectra(self.d, self.n, m)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "_spectrum", _read_only(np.maximum(lam[::-1], 0.0)))
+        object.__setattr__(self, "_spectrum", _read_only(spectrum))
 
     def _hermitian_part(self) -> np.ndarray:
         return (self.mat + self.mat.conj().T) / 2

@@ -121,35 +121,39 @@ def weyl_basis(d: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _transform_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(index, phases, F) of the per-qudit transform of an (d, n) system.
+def _transform_tables(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """(index, unindex, phases, F) of the per-qudit transform of an (d, n) system.
 
     w(p, q) = phi Z^p X^q has the entry phi xi^{p.(c+q)} = conj(phi) xi^{p.c}
     (as phi^2 = xi^{-p.q}) at (c + q, c) for every basis digit vector c, and
     no other.  index[c*D + q] is the flat position of (c + q, c) in a D x D
-    matrix, phases[x] = phi(x) over the phase points, and F[p, c] =
-    xi^{pc mod d} is the d x d DFT matrix.
+    matrix, a permutation of the D^2 positions whose inverse is unindex,
+    phases[x] = phi(x) over the phase points, and F[p, c] = xi^{pc mod d} is
+    the d x d DFT matrix.
     """
     D = d**n
     pts = phase_points(d, n)
     c, q = pts[:, :n], pts[:, n:]
     index = point_index(c + q, d) * D + point_index(c, d)
+    unindex = np.argsort(index)
     phases = _weyl_phase(d, np.einsum("ij,ij->i", c, q))
     r = np.arange(d)
     F = np.exp(2j * np.pi * (np.outer(r, r) % d) / d)
-    for table in (index, phases, F):
+    for table in (index, unindex, phases, F):
         table.flags.writeable = False
-    return index, phases, F
+    return index, unindex, phases, F
 
 
 def _per_digit(F: np.ndarray, T: np.ndarray, d: int, n: int) -> np.ndarray:
     """Apply the d x d matrix F along each of the n base-d digits of T's rows.
 
-    T has d^n rows; row digit k is the middle axis of a (d^k, d, rest) view.
+    The last axis of T holds d^n rows; row digit k is the middle axis of a
+    (..., d^k, d, rest) view, and leading axes are a stack of such tables.
     """
+    shape = T.shape
     for k in range(n):
-        T = F @ T.reshape(d**k, d, -1)
-    return T.reshape(-1)
+        T = F @ T.reshape(*shape[:-1], d**k, d, -1)
+    return T.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,7 @@ def char_table(M: np.ndarray, d: int, n: int) -> np.ndarray:
     D = d**n
     if np.shape(M) != (D, D):
         raise ValueError(f"M has shape {np.shape(M)}, expected {(D, D)}")
-    index, phases, F = _transform_tables(d, n)
+    index, _, phases, F = _transform_tables(d, n)
     return _per_digit(F.conj(), np.ravel(M)[index], d, n) * phases
 
 
@@ -189,17 +193,21 @@ def char_function(rho) -> CharFunction:
 
 
 def inverse_char(table: CharFunction) -> np.ndarray:
-    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function.
+    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function."""
+    return inverse_tables(table.d, table.n, table.values)
+
+
+def inverse_tables(d: int, n: int, values: np.ndarray) -> np.ndarray:
+    """inverse_char of every table along the last axis: (..., d^{2n}) -> (..., D, D).
 
     char_table's steps backwards: conjugate phases, one DFT per qudit, and
-    a scatter through the same index.
+    a gather through the inverse of its index.  Each table takes the same
+    matrix products as it would alone.
     """
-    d, n = table.d, table.n
-    index, phases, F = _transform_tables(d, n)
+    _, unindex, phases, F = _transform_tables(d, n)
     D = d**n
-    out = np.empty(D * D, dtype=complex)
-    out[index] = _per_digit(F, table.values * phases.conj(), d, n) / D
-    return out.reshape(D, D)
+    T = _per_digit(F, values * phases.conj(), d, n) / D
+    return T.take(unindex, axis=-1).reshape(values.shape[:-1] + (D, D))
 
 
 def pauli_rank(table: CharFunction) -> int:

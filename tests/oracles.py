@@ -4,10 +4,13 @@ Each oracle takes the slow, literal route on purpose: it shares no fast
 path with the code under test, so it is only usable at small D.
 """
 
+import math
+
 import numpy as np
 
 from dvconv.conv import ConvolutionSpec, convolve
-from dvconv.entropy import renyi_entropy
+from dvconv.entropy import FULL_RANK_TOL, renyi_entropy
+from dvconv.linalg import SUPPORT_TOL
 from dvconv.magic import make_zero_mean, mean_state
 from dvconv.states import DensityMatrix
 from dvconv.weyl import char_function, phase_points, weyl_op
@@ -57,3 +60,24 @@ def dense_clt(rho: DensityMatrix, spec: ConvolutionSpec, n_max: int,
         norms.append(schatten2_norm(cur.mat - M.mat))
         entropies.append({a: renyi_entropy(cur, a) for a in alphas})
     return norms, entropies
+
+
+def scalar_renyi(lam: np.ndarray, alpha: float) -> float:
+    """H_alpha in bits of one descending spectrum, one case at a time: the
+    alpha rules written per state, with the eigenvalues each rule cuts
+    removed rather than replaced."""
+    if alpha == 1:
+        pos = lam[lam > FULL_RANK_TOL]
+        return float(-np.sum(pos * np.log2(pos)))
+    if alpha == 0:
+        return float(np.log2(np.sum(lam > SUPPORT_TOL)))
+    if alpha == math.inf:
+        return float(-np.log2(lam[0]))
+    if alpha < 0:
+        if lam[-1] <= FULL_RANK_TOL:
+            return math.inf
+        if alpha == -math.inf:
+            return float(np.log2(lam[-1]))
+        return float(-np.log2(np.sum(lam**alpha)) / (1 - alpha))
+    pos = lam[lam > FULL_RANK_TOL] if alpha < 1 else lam
+    return float(np.log2(np.sum(pos**alpha)) / (1 - alpha))

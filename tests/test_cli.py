@@ -175,6 +175,37 @@ def test_exhaustive_suites_refuse_sample_flags(tmp_path, capsys, name, flag):
     assert out == "" and not out_file.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("clt", "--d", "7", "--seed", "1", "--steps", "-1"), "--steps must be >= 0, got -1"),
+    (("suite", "clt", "--trials", "2", "--steps", "-3"), "--steps must be >= 0, got -3"),
+    (("suite", "entropy", "--trials", "-1"), "--trials must be >= 1, got -1"),
+    (("suite", "entropy", "--trials", "0"), "--trials must be >= 1, got 0"),
+    (("suite", "duality", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    (("gap", "--d", "3", "--preset", "random-pure", "--seed", "-2"),
+     "--seed must be >= 0, got -2"),
+    (("suite", "duality", "--trials", "3", "--steps", "5"), "suite duality takes no --steps"),
+    (("suite", "stability", "--steps", "3"), "suite stability takes no --steps"),
+], ids=["clt-steps", "suite-steps", "trials-negative", "trials-zero", "suite-seed",
+        "gap-seed", "duality-steps", "stability-steps"])
+def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+
+    monkeypatch.setattr(states, "random_density", no_work)
+    monkeypatch.setattr(states, "enumerate_pure_stabilizers", no_work)
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, err, message)
+    assert out == ""
+
+
+def test_suite_clt_steps_default_to_30(capsys):
+    code, default, _ = run(capsys, "suite", "clt", "--trials", "3", "--format", "json")
+    assert code == 0 and json.loads(default)["params"]["steps"] == 30
+    code, explicit, _ = run(capsys, "suite", "clt", "--trials", "3", "--steps", "30",
+                            "--format", "json")
+    assert code == 0 and explicit == default
+
+
 def test_sampled_suites_default_to_50_trials(capsys):
     code, out, _ = run(capsys, "suite", "holevo", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from dvconv.entropy import (
     fisher_information,
     relative_entropy,
     renyi_entropy,
+    renyi_spectra,
     sandwiched_relative_entropy,
     total_fisher,
 )
 from dvconv.errors import RankDeficient
-from dvconv.experiments import ALPHAS_NONNEG
+from dvconv.experiments import ALPHAS_NEG, ALPHAS_NONNEG
 from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
@@ -23,6 +25,7 @@ from dvconv.states import (
     random_density,
 )
 from dvconv.weyl import char_function, xi
+from oracles import scalar_renyi
 
 INF = math.inf
 
@@ -70,6 +73,34 @@ def test_renyi_of_a_pure_state_is_zero(seed, shape):
 def test_renyi_negative_alpha_rank_deficient():
     pure = ket_state(3, 1, [0])
     assert renyi_entropy(pure, -1) == INF
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_renyi_spectra_match_renyi_entropy_bit_for_bit(d, n):
+    D = d**n
+    # full rank, rank deficient and pure, in one stack
+    states = [random_density(seed, d, n, rank) for seed, rank in
+              ((0, None), (1, None), (2, 2), (3, D - 1), (4, 1), (5, 1))]
+    states.append(maximally_mixed(d, n))
+    spectra = np.stack([rho.eigenvalues() for rho in states])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in ALPHAS_NONNEG + ALPHAS_NEG:
+            hs = renyi_spectra(spectra, alpha)
+            assert hs.shape == (len(states),)
+            grid = renyi_spectra(spectra.reshape(1, len(states), D), alpha)
+            assert np.array_equal(grid[0], hs)
+            for rho, h in zip(states, hs):
+                assert h == renyi_entropy(rho, alpha)
+                if alpha < 0 and rho.eigenvalues()[-1] <= FULL_RANK_TOL:
+                    assert h == INF
+                # removing the cut eigenvalues instead of replacing them
+                # reorders the sum only past 8 terms
+                oracle = scalar_renyi(rho.eigenvalues(), alpha)
+                if D <= 8:
+                    assert h == oracle, alpha
+                else:
+                    assert h == oracle or abs(h - oracle) <= 1e-14, alpha
 
 
 #: smallest eigenvalue: 0, or FULL_RANK_TOL times a factor at least 1% from 1

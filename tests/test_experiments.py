@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dvconv import experiments
+from dvconv import conv, experiments
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
 from dvconv.states import enumerate_msps, random_density
@@ -66,6 +67,54 @@ def test_clt_run_matches_dense_iteration(n, steps):
             assert abs(step["norm"] - norm) <= 1e-12
             for alpha in ALPHAS_SECOND_LAW:
                 assert abs(step["entropies"][alpha] - hs[alpha]) <= 1e-10
+
+
+def test_clt_run_refuses_a_negative_step_count():
+    with pytest.raises(ValueError, match="n_max"):
+        clt_run(random_density(0, 7, 1, rank=1), beam_splitter_spec(7, 1), -1)
+
+
+@pytest.mark.parametrize("budget", [49, 4 * 49, 7 * 49])
+def test_clt_run_does_not_depend_on_the_chunk_size(monkeypatch, budget):
+    spec = beam_splitter_spec(7, 1)
+    rho = random_density(4, 7, 1, rank=2)
+    whole = clt_run(rho, spec, 30)  # one chunk of 30 steps at D = 7
+    monkeypatch.setattr(conv, "GATHER_BUDGET", budget)  # chunks of 1, 4 and 7 steps
+    assert clt_run(rho, spec, 30).steps == whole.steps
+
+
+def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
+    spec = beam_splitter_spec(7, 1)
+    rho = random_density(5, 7, 1, rank=3)
+    calls = []
+    solver = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    clt_run(rho, spec, 0)
+    before = len(calls)
+    clt_run(rho, spec, 30)
+    # past the set-up solves of step 0, steps 1..30 make one chunk at D = 7
+    # and one stacked solve
+    assert calls[2 * before:] == [(30, 7, 7)]
+
+
+def test_clt_run_memory_at_d343():
+    spec = beam_splitter_spec(7, 3)
+    rho = random_density(1, 7, 3, rank=1)
+    clt_run(rho, spec, 1)  # fills the per-(d, n) tables
+    tracemalloc.start()
+    try:
+        series = clt_run(rho, spec, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.steps) == 31
+    # a chunk holds one table at D = 343; all 31 would be 58 MB
+    assert peak <= 32 * 2**20
 
 
 def test_suites_reproducible():

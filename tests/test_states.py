@@ -24,6 +24,7 @@ from dvconv.states import (
     state_from_json,
     state_to_json,
     t_state,
+    validated_spectra,
 )
 from dvconv.weyl import char_function
 
@@ -35,6 +36,59 @@ def test_density_matrix_validation():
         DensityMatrix(2, 1, np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex))
     with pytest.raises(InvalidState):
         DensityMatrix(2, 1, np.diag([1.5, -0.5]).astype(complex))
+
+
+def _state_stack(d, n, count):
+    """``count`` density matrices of every rank from 1 up, as one stack."""
+    D = d**n
+    return np.stack([random_density(seed, d, n, 1 + seed % D).mat for seed in range(count)])
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_validated_spectra_match_each_state_bit_for_bit(d, n):
+    D = d**n
+    mats = _state_stack(d, n, 6)
+    spectra = validated_spectra(d, n, mats)
+    assert spectra.shape == (6, D)
+    for mat, lam in zip(mats, spectra):
+        assert np.array_equal(lam, DensityMatrix(d, n, mat).eigenvalues())
+    # any leading shape is a stack
+    grid = validated_spectra(d, n, mats.reshape(2, 3, D, D))
+    assert np.array_equal(grid, spectra.reshape(2, 3, D))
+
+
+def _non_finite(m):
+    m[0, 1] = np.nan
+
+
+def _non_hermitian(m):
+    m[0, 1] += 1e-6
+
+
+def _trace_off(m):
+    m *= 1.01
+
+
+def _negative_eigenvalue(m):
+    m[...] = np.diag([1.5, -0.5] + [0.0] * (len(m) - 2))
+
+
+@pytest.mark.parametrize("spoil", [_non_finite, _non_hermitian, _trace_off,
+                                   _negative_eigenvalue])
+@pytest.mark.parametrize("member", [0, 3])
+def test_one_bad_member_fails_the_stack_as_it_fails_alone(spoil, member):
+    mats = _state_stack(3, 2, 5)
+    spoil(mats[member])
+    with pytest.raises(InvalidState) as alone:
+        DensityMatrix(3, 2, mats[member])
+    with pytest.raises(InvalidState) as stacked:
+        validated_spectra(3, 2, mats)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_validated_spectra_rejects_a_stack_of_another_size():
+    with pytest.raises(InvalidState, match="expected"):
+        validated_spectra(3, 1, np.zeros((2, 9, 9), dtype=complex))
 
 
 def test_density_matrix_leaves_the_callers_array_writeable():

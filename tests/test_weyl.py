@@ -11,6 +11,7 @@ from dvconv.weyl import (
     char_function,
     char_table,
     inverse_char,
+    inverse_tables,
     is_clifford,
     neg_perm,
     pauli_rank,
@@ -174,6 +175,19 @@ def test_transform_memory_stays_quadratic(d, n):
         tracemalloc.stop()
     # one D^3 complex temporary alone would be 16 D^3 bytes, over 600 MB here
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_stacked_inverse_matches_each_table(d, n):
+    D = d**n
+    tables = np.stack([char_function(random_density(seed, d, n, 1 + seed % D)).values
+                       for seed in range(6)])
+    stacked = inverse_tables(d, n, tables)
+    assert stacked.shape == (6, D, D)
+    for values, mat in zip(tables, stacked):
+        assert np.max(np.abs(mat - inverse_char(CharFunction(d, n, values)))) <= 1e-15
+    grid = inverse_tables(d, n, tables.reshape(2, 3, -1))
+    assert np.max(np.abs(grid - stacked.reshape(2, 3, D, D))) <= 1e-15
 
 
 def test_inverse_char_delta():
