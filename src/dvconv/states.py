@@ -85,10 +85,6 @@ class DensityMatrix:
     mat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_system(self.d, self.n)
-        D = self.d**self.n
-        if self.mat.shape != (D, D):
-            raise InvalidState(f"matrix is {self.mat.shape}, expected {(D, D)}")
         # a private copy: freezing the caller's own array would lock it too
         m = np.array(self.mat, order="C")
         spectrum = validated_spectra(self.d, self.n, m)

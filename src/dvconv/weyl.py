@@ -239,7 +239,19 @@ def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
     return True
 
 
-def symplectic_form(x: np.ndarray, y: np.ndarray, d: int) -> int:
-    """p_x . q_y - q_x . p_y mod d for length-2n labels x, y."""
+def symplectic_form(x: np.ndarray, y: np.ndarray, d: int):
+    """p_x . q_y - q_x . p_y mod d for a length-2n label x and a label y,
+    vectorised over y's rows."""
     n = len(x) // 2
-    return int((x[:n] @ y[n:] - x[n:] @ y[:n]) % d)
+    return (y[..., n:] @ x[:n] - y[..., :n] @ x[n:]) % d
+
+
+def displace(table: CharFunction, x) -> CharFunction:
+    """The table of w(x) rho w(x)^dag: Xi(y) xi^{<x, y>} at every phase point y.
+
+    Conjugation by w(x) multiplies w(-y) by xi^{<x, y>}, at d = 2 too, as
+    the Weyl phases cancel.
+    """
+    d, n = table.d, table.n
+    phases = np.exp(2j * np.pi * symplectic_form(np.asarray(x), phase_points(d, n), d) / d)
+    return CharFunction(d, n, table.values * phases)

@@ -46,11 +46,15 @@ def weyl_orbit_holevo(spec: ConvolutionSpec, sigma: DensityMatrix,
 def dense_clt(rho: DensityMatrix, spec: ConvolutionSpec, n_max: int,
               alphas) -> tuple[list[float], list[dict]]:
     """The CLT iteration on dense matrices: rho_N = rho_{N-1} boxtimes rho_0
-    by the matrix-side ``convolve``, from the zero-mean displacement rho_0
-    of rho.  Returns ||rho_N - M||_2 and {alpha: H_alpha(rho_N)} for
-    N = 0..n_max, with M the mean state of rho_0.
+    by the matrix-side ``convolve``, from rho_0 = w(x) rho w(x)^dag built
+    with ``weyl_op``, where x is the zero-mean displacement of rho.  Returns
+    ||rho_N - M||_2 and {alpha: H_alpha(rho_N)} for N = 0..n_max, with M the
+    mean state of rho_0.
     """
-    _, rho0 = make_zero_mean(rho)
+    d, n = rho.d, rho.n
+    x, _ = make_zero_mean(char_function(rho))
+    W = weyl_op(d, n, x[:n], x[n:])
+    rho0 = DensityMatrix(d, n, W @ rho.mat @ W.conj().T)
     M = mean_state(char_function(rho0))
     norms, entropies = [], []
     cur = rho0

@@ -253,6 +253,23 @@ def test_capacity_bounds_weyl_ensemble_at_d125(capsys):
     assert abs(vals["weyl-ensemble"] - expected) < 1e-12
 
 
+def test_capacity_bounds_weyl_ensemble_at_d343(capsys):
+    """(7,3): one matrix-side convolution; the covariance check runs on tables."""
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "capacity-bounds", "--d", "7", "--n", "3",
+                       "--sigma", "random-mixed", "--rho0", "random-pure",
+                       "--seed", "1")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert elapsed < 2.0
+    vals = {line.split()[0]: float(line.split()[1])
+            for line in out.strip().splitlines()}
+    sigma = random_density(1, 7, 3, 343)
+    rho0 = random_density(3, 7, 3, 1)
+    expected = 3 * np.log2(7) - renyi_entropy(convolve(rho0, sigma, default_spec(7, 3)), 1)
+    assert abs(vals["weyl-ensemble"] - expected) < 1e-12
+
+
 def test_unsupported_scale_is_numeric_error(capsys):
     code, _, _ = run(capsys, "enumerate", "msps", "--d", "7")
     assert code == 3

@@ -36,7 +36,7 @@ from dvconv.states import (
     msps_from_group,
     random_density,
 )
-from dvconv.weyl import char_function, is_clifford
+from dvconv.weyl import CharFunction, char_function, is_clifford
 from dvconv.zmod import gmatrix_new
 from oracles import weyl_orbit_holevo
 
@@ -282,3 +282,31 @@ def test_holevo_weyl_ensemble_rejects_a_non_covariant_channel(monkeypatch):
     spec = beam_splitter_spec(7, 1)
     with pytest.raises(CovarianceViolation, match="unit label"):
         holevo_weyl_ensemble(spec, random_density(0, 7, 1, 7), random_density(1, 7, 1, 1))
+
+
+def test_holevo_weyl_ensemble_rejects_a_non_covariant_character_side(monkeypatch):
+    true_convolve = conv.convolve_characteristic
+
+    def bumped(t_rho, t_sigma, spec):
+        values = true_convolve(t_rho, t_sigma, spec).values.copy()
+        values[1] += 1e-3
+        return CharFunction(spec.d, spec.n, values)
+
+    monkeypatch.setattr(conv, "convolve_characteristic", bumped)
+    spec = beam_splitter_spec(7, 1)
+    with pytest.raises(CovarianceViolation, match="unit label"):
+        holevo_weyl_ensemble(spec, random_density(0, 7, 1, 7), random_density(1, 7, 1, 1))
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (7, 1)])
+def test_holevo_weyl_ensemble_convolves_once(monkeypatch, d, n):
+    """The covariance check runs on tables: one matrix-side convolution."""
+    calls = []
+
+    def counted(rho, sigma, spec):
+        calls.append(1)
+        return convolve(rho, sigma, spec)
+
+    monkeypatch.setattr(conv, "convolve", counted)
+    holevo_weyl_ensemble(default_spec(d, n), random_density(0, d, n), random_density(1, d, n, 1))
+    assert len(calls) == 1

@@ -8,7 +8,7 @@ import pytest
 from dvconv import conv, experiments
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
-from dvconv.states import enumerate_msps, random_density
+from dvconv.states import DensityMatrix, enumerate_msps, ket_state, random_density
 from oracles import dense_clt
 
 
@@ -53,13 +53,30 @@ def test_clt_run_bound_and_second_law():
     assert slope <= math.log(1 - series.mg) + 1e-6
 
 
-@pytest.mark.parametrize("n, steps", [(1, 30), (2, 12)])
-def test_clt_run_matches_dense_iteration(n, steps):
-    """The table-side iteration against the matrix-side one, pure and mixed."""
+def _displaced_product(seed):
+    """|3><3| (x) tau at (7,2): the only input here with a nonzero displacement."""
+    tau = random_density(seed, 7, 1, rank=3)
+    return DensityMatrix(7, 2, np.kron(ket_state(7, 1, [3]).mat, tau.mat))
+
+
+@pytest.mark.parametrize("n, steps, inputs", [
+    pytest.param(1, 30, "random", id="1-30"),
+    pytest.param(2, 12, "random", id="2-12"),
+    pytest.param(2, 12, "displaced", id="2-12-displaced"),
+])
+def test_clt_run_matches_dense_iteration(n, steps, inputs):
+    """The table-side iteration against the matrix-side one, pure and mixed,
+    and from an input that must be displaced to zero mean first."""
     spec = beam_splitter_spec(7, n)
-    for seed, rank in ((0, 1), (1, 1), (2, 3), (3, None)):
-        rho = random_density(seed, 7, n, rank)
+    if inputs == "random":
+        cases = [random_density(seed, 7, n, rank)
+                 for seed, rank in ((0, 1), (1, 1), (2, 3), (3, None))]
+    else:
+        cases = [_displaced_product(seed) for seed in (0, 1)]
+    for rho in cases:
         series = clt_run(rho, spec, steps)
+        if inputs == "displaced":
+            assert series.displacement == (0, 0, 4, 0)
         norms, entropies = dense_clt(rho, spec, steps, ALPHAS_SECOND_LAW)
         assert [s["N"] for s in series.steps] == list(range(steps + 1))
         assert series.base_norm == series.steps[0]["norm"]

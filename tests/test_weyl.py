@@ -10,6 +10,7 @@ from dvconv.weyl import (
     CharFunction,
     char_function,
     char_table,
+    displace,
     inverse_char,
     inverse_tables,
     is_clifford,
@@ -240,3 +241,16 @@ def test_clifford_permutes_char_magnitudes():
 def test_symplectic_form():
     assert symplectic_form(np.array([1, 0]), np.array([0, 1]), 3) == 1
     assert symplectic_form(np.array([1, 0]), np.array([2, 0]), 3) == 0
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2), (5, 1), (7, 2)])
+def test_displace_matches_dense_conjugation(d, n):
+    """The table of w(x) M w(x)^dag, built densely with weyl_op."""
+    rng = np.random.default_rng(10 * d + n)
+    for seed in range(5):
+        M = random_density(seed, d, n).mat
+        x = rng.integers(0, d, size=2 * n)
+        W = weyl_op(d, n, x[:n], x[n:])
+        dense = char_table(W @ M @ W.conj().T, d, n)
+        got = displace(CharFunction(d, n, char_table(M, d, n)), x).values
+        assert np.max(np.abs(got - dense)) <= 1e-14
