@@ -39,6 +39,11 @@ RANDOM_PRESETS = ("random-pure", "random-mixed")
 #: the least value each count option takes, checked before any command runs
 COUNT_FLOORS = {"seed": 0, "steps": 0, "trials": 1}
 
+#: the most records one command may compute (CLT steps or suite records),
+#: checked before anything is drawn; at the budget, suite fisher, the
+#: largest stack per record, peaked at 263 MB RSS with 1 BLAS thread
+RECORD_BUDGET = 50_000
+
 
 @contextlib.contextmanager
 def _usage_errors():
@@ -47,6 +52,12 @@ def _usage_errors():
         yield
     except DvconvError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _check_records(count: int) -> None:
+    if count > RECORD_BUDGET:
+        raise ParseError(f"the arguments ask for {count} records; "
+                         f"the budget is {RECORD_BUDGET}")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -176,6 +187,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    _check_records(args.steps + 1)
     spec = _spec_from_args("beam-splitter", None, args.d, args.n)
     rho = _load_state(args.state, args.d, args.n, args.seed)
     series = experiments.clt_run(rho, spec, args.steps)
@@ -216,6 +228,9 @@ def cmd_suite(args) -> int:
         if args.name != "clt":
             raise ParseError(f"suite {args.name} takes no --steps")
         kwargs["steps"] = args.steps
+    if "trials" in kwargs:
+        counts = {k: v for k, v in kwargs.items() if k != "seed"}
+        _check_records(experiments.record_bound(args.name, **counts))
     report = fn(**kwargs)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     if args.out:

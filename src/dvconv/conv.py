@@ -114,24 +114,36 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
     sum_j rho[a(i, j), a(k, j)] sigma[b(i, j), b(k, j)], with (a, b) from
     _key_sources, summed in j order as the dense partial trace sums it.
 
-    The j terms are gathered in chunks of at most GATHER_BUDGET products;
-    the running sum joins each chunk's first term, so the order of the sum,
-    and the output bits, do not depend on the chunk size.
+    Stacks broadcast over their leading axes, member by member.  The terms
+    are gathered in chunks of at most GATHER_BUDGET products, counted over
+    every member of the chunk: a chunk holds several whole members, or
+    several j of one member.  The running sum joins each chunk's first
+    term, so the order of each member's sum, and the output bits, depend
+    neither on the chunk size nor on the other members.
     """
     _check_pair(rho, sigma, spec)
     a, b = _key_sources(spec)
     D = a.shape[0]
-    r, s = rho.mat.ravel(), sigma.mat.ravel()
+    r, s = rho.mat, sigma.mat
+    if r.shape != s.shape:
+        r, s = np.broadcast_arrays(r, s)
+    lead = r.shape[:-2]
+    r, s = r.reshape(-1, D * D), s.reshape(-1, D * D)
+    # whole members per chunk while one member's D^3 products fit, else j slices
+    members = max(1, GATHER_BUDGET // D**3)
     step = max(1, GATHER_BUDGET // (D * D))
-    out = np.zeros((D, D), dtype=complex)
-    for j in range(0, D, step):
-        # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)]
-        aj, bj = a.T[j:j + step], b.T[j:j + step]
-        terms = r.take(aj[:, :, None] * D + aj[:, None, :])
-        terms *= s.take(bj[:, :, None] * D + bj[:, None, :])
-        terms[0] += out
-        out = np.add.reduce(terms, axis=0)
-    return DensityMatrix(spec.d, spec.n, (out + out.conj().T) / 2)
+    out = np.zeros((len(r), D, D), dtype=complex)
+    for m in range(0, len(r), members):
+        rm, sm, acc = r[m:m + members], s[m:m + members], out[m:m + members]
+        for j in range(0, D, step):
+            # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)]
+            aj, bj = a.T[j:j + step], b.T[j:j + step]
+            terms = rm.take(aj[:, :, None] * D + aj[:, None, :], axis=-1)
+            terms *= sm.take(bj[:, :, None] * D + bj[:, None, :], axis=-1)
+            terms[:, 0] += acc
+            np.add.reduce(terms, axis=1, out=acc)
+    out = out.reshape(lead + (D, D))
+    return DensityMatrix(spec.d, spec.n, (out + out.conj().swapaxes(-1, -2)) / 2)
 
 
 @lru_cache(maxsize=None)
@@ -151,10 +163,11 @@ def _char_sources(spec: ConvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
 def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
                             spec: ConvolutionSpec) -> CharFunction:
     """Xi_out(p, q) = Xi_rho(h00 p, g00 q) Xi_sigma(h10 p, g01 q),
-    with G^-1 = [h00, h01; h10, h11]."""
+    with G^-1 = [h00, h01; h10, h11]; stacks of tables broadcast."""
     _check_pair(t_rho, t_sigma, spec)
     a, b = _char_sources(spec)
-    return CharFunction(spec.d, spec.n, t_rho.values[a] * t_sigma.values[b])
+    return CharFunction(spec.d, spec.n,
+                        t_rho.values.take(a, axis=-1) * t_sigma.values.take(b, axis=-1))
 
 
 def partner_stabilizer_group(s2: StabilizerGroup,

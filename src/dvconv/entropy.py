@@ -37,7 +37,7 @@ def renyi_spectra(lam: np.ndarray, alpha: float) -> np.ndarray:
     """H_alpha in bits of every spectrum along the last axis of ``lam``.
 
     Each spectrum is a state's: clipped at 0 and descending, as
-    ``DensityMatrix.eigenvalues()`` and ``validated_spectra`` give it.  The
+    ``DensityMatrix.eigenvalues()`` gives it, for one state or a stack.  The
     rules apply to each spectrum on its own, and the eigenvalues a rule
     cuts are replaced before any log or power, so no zero meets a log or a
     negative power.
@@ -117,7 +117,7 @@ def sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
 
 def _full_rank_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     vals = rho.eigenvalues()
-    if vals[-1] <= FULL_RANK_TOL:
+    if (vals[..., -1] <= FULL_RANK_TOL).any():
         raise RankDeficient("Fisher information needs a full-rank state")
     return vals, rho.eigenvectors
 
@@ -130,8 +130,9 @@ def fisher_information(rho: DensityMatrix, H: np.ndarray) -> float:
     return float(np.real(np.trace(rho.mat @ comm)))
 
 
-def total_fisher(rho: DensityMatrix) -> float:
-    """Sum of J(rho; H) over every wire and every X/Z eigenprojector H.
+def total_fisher(rho: DensityMatrix) -> float | np.ndarray:
+    """Sum of J(rho; H) over every wire and every X/Z eigenprojector H, of
+    rho or of each member of a stack (an array of the stack's shape).
 
     In rho's eigenbasis J(rho; H) = sum_ij |H_ij|^2 (lam_i - lam_j)
     (log2 lam_i - log2 lam_j), with H_ij the entries of V^dag H V.  One
@@ -139,21 +140,29 @@ def total_fisher(rho: DensityMatrix) -> float:
     projector |j><j| on wire k keeps the rows of V whose digit k is j, so
     V^dag H V = A_j^dag A_j for that digit slice A_j; the X projectors do
     the same after a DFT on the digit (their eigenvectors are its rows).
+    The d projectors of a wire and basis are summed one digit value at a
+    time, so no temporary holds more than one D x D matrix per member.
     """
     d, n = rho.d, rho.n
     D = d**n
     vals, vecs = _full_rank_eig(rho)
+    lead = vals.shape[:-1]
     r = np.arange(d)
     fourier = np.exp(2j * np.pi * (np.outer(r, r) % d) / d) / np.sqrt(d)
-    weights = np.zeros((D, D))
+    weights = np.zeros(lead + (D, D))
     for k in range(n):
-        z = vecs.reshape(d**k, d, -1)
+        z = vecs.reshape(lead + (d**k, d, d ** (n - k - 1) * D))
         for digits in (z, fourier @ z):
-            slices = np.moveaxis(digits, 1, 0).reshape(d, -1, D)
-            weights += np.sum(np.abs(slices.conj().swapaxes(1, 2) @ slices) ** 2, axis=0)
+            slices = np.moveaxis(digits, -2, -3).reshape(lead + (d, D // d, D))
+            basis = 0.0
+            for j in range(d):
+                A = slices[..., j, :, :]
+                basis = basis + np.abs(A.conj().swapaxes(-1, -2) @ A) ** 2
+            weights += basis
     logs = np.log2(vals)
-    return float(np.sum(weights * np.subtract.outer(vals, vals)
-                        * np.subtract.outer(logs, logs)))
+    total = (weights * (vals[..., :, None] - vals[..., None, :])
+             * (logs[..., :, None] - logs[..., None, :])).sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> float:

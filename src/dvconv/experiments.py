@@ -27,6 +27,17 @@ ALPHAS_NEG = (-1.0, -INF)
 ALPHAS_SECOND_LAW = (0.5, 1.0, 2.0, INF)
 ALPHAS_EXTREMALITY = (1.0, 2.0, INF)
 
+#: (d, n) configs of the suites that draw random pairs
+DUALITY_CONFIGS = ((3, 1), (3, 2), (7, 1))
+ENTROPY_CONFIGS = ((3, 1), (7, 1))
+FISHER_CONFIGS = ((3, 1), (7, 1))
+#: finite-difference oracle cases suite fisher checks by default
+FISHER_ORACLE_CASES = 20
+#: the qudit dimension of the MSPS enumerations in holevo and extremality
+MSPS_D = 3
+#: the trajectory length suite clt runs by default
+CLT_STEPS = 30
+
 
 @dataclass
 class ExperimentReport:
@@ -165,7 +176,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
                 table = conv.convolve_characteristic(table, table0, spec)
                 tables.append(table.values)
             tables = np.array(tables)
-            yield tables, states.validated_spectra(d, n, weyl.inverse_tables(d, n, tables))
+            chunk = weyl.inverse_char(weyl.CharFunction(d, n, tables))
+            yield tables, states.DensityMatrix(d, n, chunk).eigenvalues()
 
     base = float(norms(table0.values))
     steps = []
@@ -204,28 +216,34 @@ SECOND_LAW_TOL = 1e-8
 @_timed
 def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
     """Matrix-side vs characteristic-side convolution agreement."""
-    configs = [(3, 1), (3, 2), (7, 1)]
+    configs = DUALITY_CONFIGS
     report = ExperimentReport("duality", seed, {"configs": configs, "trials": trials})
     seeds = _child_seeds(seed, 2 * trials)
-    for i in range(trials):
-        d, n = configs[i % len(configs)]
+    devs = {}
+    for c, (d, n) in enumerate(configs):
         spec = _spec_for(d, n)
-        rng = np.random.default_rng(seeds[2 * i])
-        ranks = rng.integers(1, d**n + 1, size=2)
-        a = states.random_density(seeds[2 * i], d, n, int(ranks[0]))
-        b = states.random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
+        # trial i runs config i % 3: this config's trials as one stack
+        ids = range(c, trials, len(configs))
+        ranks = np.array([np.random.default_rng(seeds[2 * i]).integers(1, d**n + 1, size=2)
+                          for i in ids]).reshape(-1, 2)
+        a = states.random_density(None, d, n, ranks[:, 0],
+                                  seeds=[seeds[2 * i] for i in ids])
+        b = states.random_density(None, d, n, ranks[:, 1],
+                                  seeds=[seeds[2 * i + 1] for i in ids])
         lhs = weyl.char_function(conv.convolve(a, b, spec)).values
         rhs = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec).values
-        report.add(i, f"duality_dev_d{d}n{n}",
-                   float(np.max(np.abs(lhs - rhs))), DUALITY_TOL)
+        devs.update(zip(ids, np.abs(lhs - rhs).max(axis=-1).tolist()))
+    for i in range(trials):
+        d, n = configs[i % len(configs)]
+        report.add(i, f"duality_dev_d{d}n{n}", devs[i], DUALITY_TOL)
     return report
 
 
 @_timed
 def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """H_alpha(rho box sigma) >= max of the inputs, all alpha grids."""
-    configs = [(3, 1), (7, 1)]
+    configs = ENTROPY_CONFIGS
     report = ExperimentReport("entropy", seed, {
         "configs": configs, "trials": trials,
         "alphas": list(ALPHAS_NONNEG), "alphas_full_rank": list(ALPHAS_NEG),
@@ -233,17 +251,16 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
     for d, n in configs:
         spec = _spec_for(d, n)
         seeds = _child_seeds(seed + d, 2 * trials)
-        trial_spectra = []
-        for i in range(trials):
-            rng = np.random.default_rng(seeds[2 * i])
-            full_rank = i % 2 == 0
-            D = d**n
-            ranks = (D, D) if full_rank else tuple(rng.integers(1, D + 1, size=2))
-            a = states.random_density(seeds[2 * i], d, n, int(ranks[0]))
-            b = states.random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
-            out = conv.convolve(a, b, spec)
-            trial_spectra.append((a.eigenvalues(), b.eigenvalues(), out.eigenvalues()))
-        spectra = np.array(trial_spectra)  # (trials, 3, D): a, b and out
+        D = d**n
+        # even trials are full rank; odd ones draw both ranks from their first seed
+        ranks = np.array([(D, D) if i % 2 == 0 else
+                          np.random.default_rng(seeds[2 * i]).integers(1, D + 1, size=2)
+                          for i in range(trials)])
+        a = states.random_density(None, d, n, ranks[:, 0], seeds=seeds[0::2])
+        b = states.random_density(None, d, n, ranks[:, 1], seeds=seeds[1::2])
+        out = conv.convolve(a, b, spec)
+        # (trials, 3, D): a, b and out
+        spectra = np.stack([a.eigenvalues(), b.eigenvalues(), out.eigenvalues()], axis=1)
         hs = {alpha: entropy.renyi_spectra(spectra, alpha).tolist()
               for alpha in ALPHAS_NONNEG + ALPHAS_NEG}
         for i in range(trials):
@@ -257,20 +274,21 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
 
 
 @_timed
-def suite_fisher(seed: int = 0, trials: int = 100, oracle_cases: int = 20) -> ExperimentReport:
+def suite_fisher(seed: int = 0, trials: int = 100,
+                 oracle_cases: int = FISHER_ORACLE_CASES) -> ExperimentReport:
     """J(rho box sigma) <= min of inputs; J matches the finite-difference oracle."""
-    configs = [(3, 1), (7, 1)]
+    configs = FISHER_CONFIGS
     report = ExperimentReport("fisher", seed, {
         "configs": configs, "trials": trials, "oracle_cases": oracle_cases})
     for d, n in configs:
         spec = _spec_for(d, n)
         seeds = _child_seeds(seed + d, 2 * trials)
-        for i in range(trials):
-            a = states.random_density(seeds[2 * i], d, n)
-            b = states.random_density(seeds[2 * i + 1], d, n)
-            out = conv.convolve(a, b, spec)
-            gap = entropy.total_fisher(out) - min(entropy.total_fisher(a),
-                                                  entropy.total_fisher(b))
+        a = states.random_density(None, d, n, seeds=seeds[0::2])
+        b = states.random_density(None, d, n, seeds=seeds[1::2])
+        out = conv.convolve(a, b, spec)
+        gaps = entropy.total_fisher(out) - np.minimum(entropy.total_fisher(a),
+                                                      entropy.total_fisher(b))
+        for i, gap in enumerate(gaps.tolist()):
             report.add(i, f"fisher_gap_d{d}n{n}", gap, FISHER_TOL)
     oracle_seeds = _child_seeds(seed + 1000, oracle_cases)
     for i in range(oracle_cases):
@@ -293,20 +311,33 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     spec = conv.default_spec(d, n)
     report = ExperimentReport("monotonicity", seed, {"d": d, "n": n, "trials": trials})
     seeds = _child_seeds(seed, 3 * trials)
+    rho = states.random_density(None, d, n, seeds=seeds[0::3])
+    sigma = states.random_density(None, d, n, seeds=seeds[1::3])  # full rank
+    tau_ranks = [np.random.default_rng(s).integers(1, d**n + 1) for s in seeds[2::3]]
+    tau = states.random_density(None, d, n, tau_ranks, seeds=seeds[2::3])
+    rc = conv.convolve(rho, tau, spec)
+    sc = conv.convolve(sigma, tau, spec)
+    tn_gaps = (linalg.trace_norm(rc.mat - sc.mat)
+               - linalg.trace_norm(rho.mat - sigma.mat)).tolist()
+    # one batched eigh for each stack whose members are second arguments below
+    sigma.eigenvectors
+    sc.eigenvectors
     for i in range(trials):
-        rho = states.random_density(seeds[3 * i], d, n)
-        sigma = states.random_density(seeds[3 * i + 1], d, n)  # full rank
-        rng = np.random.default_rng(seeds[3 * i + 2])
-        tau = states.random_density(seeds[3 * i + 2], d, n,
-                                    int(rng.integers(1, d**n + 1)))
-        rc = conv.convolve(rho, tau, spec)
-        sc = conv.convolve(sigma, tau, spec)
-        tn_gap = linalg.trace_norm(rc.mat - sc.mat) \
-            - linalg.trace_norm(rho.mat - sigma.mat)
-        report.add(i, "trace_norm_gap", tn_gap, TRACE_MONO_TOL)
-        re_gap = entropy.relative_entropy(rc, sc) - entropy.relative_entropy(rho, sigma)
+        report.add(i, "trace_norm_gap", tn_gaps[i], TRACE_MONO_TOL)
+        re_gap = (entropy.relative_entropy(rc[i], sc[i])
+                  - entropy.relative_entropy(rho[i], sigma[i]))
         report.add(i, "rel_entropy_gap", re_gap, RELENT_MONO_TOL)
     return report
+
+
+def _stabilizer_pairs(spec: conv.ConvolutionSpec):
+    """The single-qudit pure stabilizer states, and a boxtimes b for every
+    ordered pair (a, b) as one (count, count) stack, a along the first axis."""
+    stabs = states.enumerate_pure_stabilizers(spec.d)
+    mats = np.stack([s.mat for s in stabs])
+    outs = conv.convolve(states.DensityMatrix(spec.d, 1, mats[:, None]),
+                         states.DensityMatrix(spec.d, 1, mats[None]), spec)
+    return stabs, outs
 
 
 @_timed
@@ -314,14 +345,12 @@ def suite_stability() -> ExperimentReport:
     """All 144 ordered pure-stabilizer pairs at d=3 convolve to MSPS."""
     d = 3
     spec = conv.default_spec(d, 1)
-    stabs = states.enumerate_pure_stabilizers(d)
+    stabs, outs = _stabilizer_pairs(spec)
     report = ExperimentReport("stability", None, {"d": d, "pairs": len(stabs) ** 2})
-    idx = 0
-    for a in stabs:
-        for b in stabs:
-            ok, _ = states.is_msps(weyl.char_function(conv.convolve(a, b, spec)))
-            report.add(idx, "is_msps", 0.0 if ok else 1.0, 0.0)
-            idx += 1
+    tables = weyl.char_function(outs).values.reshape(-1, d**2)
+    for idx, values in enumerate(tables):
+        ok, _ = states.is_msps(weyl.CharFunction(d, 1, values))
+        report.add(idx, "is_msps", 0.0 if ok else 1.0, 0.0)
     return report
 
 
@@ -338,16 +367,17 @@ def suite_min_output() -> ExperimentReport:
                             states.msps_from_group(s2), spec)
         report.add(i, "partner_output_entropy",
                    entropy.renyi_entropy(out, 1), PURE_OUT_TOL)
-    stabs = states.enumerate_pure_stabilizers(d)
+    stabs, outs = _stabilizer_pairs(spec)
+    h_outs = entropy.renyi_spectra(outs.eigenvalues(), 1).tolist()
     groups = [states.is_msps(weyl.char_function(s))[1] for s in stabs]
     # is_msps returns RREF generators; bring each partner's to the same form
     partner_gens = [tuple(map(tuple, rref_mod(np.array(
         conv.partner_stabilizer_group(g, spec).generators), d)[0].tolist()))
         for g in groups]
     idx = 0
-    for ia, a in enumerate(stabs):
-        for ib, b in enumerate(stabs):
-            h_out = entropy.renyi_entropy(conv.convolve(a, b, spec), 1)
+    for ia in range(len(stabs)):
+        for ib in range(len(stabs)):
+            h_out = h_outs[ia][ib]
             is_partner = groups[ia].generators == partner_gens[ib]
             consistent = (h_out < PURE_OUT_TOL) == is_partner
             report.add(idx, "zero_entropy_iff_partner",
@@ -375,7 +405,7 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
         val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         report.add(i, f"ensemble_below_upper_d{d}", val - upper, HOLEVO_TOL)
     # equality branch: sigma an MSPS at d=3; some enumerated rho0 meets the bound
-    d = 3
+    d = MSPS_D
     spec = conv.default_spec(d, 1)
     candidates = states.enumerate_msps(d)
     for j, sigma in enumerate(candidates):
@@ -419,7 +449,7 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
 @_timed
 def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Exhaustive MSPS minimization of D_alpha is attained uniquely at M(rho)."""
-    d = 3
+    d = MSPS_D
     msps_set = states.enumerate_msps(d)
     report = ExperimentReport("extremality", seed, {
         "d": d, "trials": trials, "alphas": [1, 2, "inf"]})
@@ -452,7 +482,7 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
 
 
 @_timed
-def suite_clt(seed: int = 0, trials: int = 50, steps: int = 30) -> ExperimentReport:
+def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> ExperimentReport:
     """Norm decay bound, fitted slope, and second law along CLT trajectories."""
     d, n = 7, 1
     spec = conv.beam_splitter_spec(d, n)
@@ -492,3 +522,32 @@ SUITES = {
     "extremality": suite_extremality,
     "clt": suite_clt,
 }
+
+#: the most records each sampled suite reports at ``trials`` trials, from
+#: the constants the suite reads
+RECORD_COUNTS = {
+    "duality": lambda trials: trials,
+    # full rank adds the negative alphas on even trials
+    "entropy": lambda trials: len(ENTROPY_CONFIGS) * (
+        len(ALPHAS_NONNEG) * trials + len(ALPHAS_NEG) * ((trials + 1) // 2)),
+    "fisher": lambda trials: len(FISHER_CONFIGS) * trials + FISHER_ORACLE_CASES,
+    "monotonicity": lambda trials: 2 * trials,
+    "holevo": lambda trials: 2 * trials + len(states.enumerate_msps(MSPS_D))
+    + len(states.enumerate_pure_stabilizers(MSPS_D)),
+    "synthesis": lambda trials: trials,
+    # per alpha the identity and a margin against each other MSPS, which
+    # is computed always and reported when the divergence is finite
+    "extremality": lambda trials: len(ALPHAS_EXTREMALITY)
+    * len(states.enumerate_msps(MSPS_D)) * trials,
+    # the norm gap, at most one slope gap and a drop per alpha
+    "clt": lambda trials: (2 + len(ALPHAS_SECOND_LAW)) * trials,
+}
+
+
+def record_bound(name: str, trials: int, steps: int = CLT_STEPS) -> int:
+    """The most records sampled suite ``name`` computes at these counts: its
+    report's, and for clt the steps + 1 records each trial's series holds."""
+    count = RECORD_COUNTS[name](trials)
+    if name == "clt":
+        count += trials * (steps + 1)
+    return count

@@ -16,7 +16,8 @@ SUPPORT_TOL = 1e-10
 
 
 def check_hermitian(A: np.ndarray) -> None:
-    dev = np.max(np.abs(A - A.conj().T))
+    """A, or every matrix of a (..., N, N) stack, within HERM_TOL of A^dag."""
+    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)))
     if dev > HERM_TOL:
         raise NotHermitian(f"max |A - A^dag| = {dev:.3e} > {HERM_TOL:.0e}")
 
@@ -37,7 +38,9 @@ def partial_trace_B(M: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
     return np.trace(M.reshape(dimA, dimB, dimA, dimB), axis1=1, axis2=3)
 
 
-def trace_norm(A: np.ndarray) -> float:
-    """Sum of |eigenvalues| for Hermitian A (the only case used here)."""
+def trace_norm(A: np.ndarray) -> float | np.ndarray:
+    """Sum of |eigenvalues| for Hermitian A (the only case used here), or
+    for each matrix of a (..., N, N) stack."""
     check_hermitian(A)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(A))))
+    total = np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total

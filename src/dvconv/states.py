@@ -39,19 +39,22 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
     return np.where(unit, values / np.where(unit, mags, 1.0), 0.0)
 
 
-def validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
+def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
     """Spectra of a (..., D, D) stack of density matrices: the one state check.
 
     Every matrix must be finite, Hermitian, of unit trace and positive
     semidefinite, each within STATE_TOL, checked in that order over the
     whole stack.  The eigenvalues are those of the Hermitian part, clipped
-    at 0, in descending order along the last axis.  Numbers in an error
-    message are the stack's worst, which is the one bad member's own.
+    at 0, in descending order along the last axis; an empty stack has
+    empty spectra.  Numbers in an error message are the stack's worst,
+    which is the one bad member's own.
     """
     check_system(d, n)
     D = d**n
     if mats.shape[-2:] != (D, D):
         raise InvalidState(f"matrix is {mats.shape}, expected {(D, D)}")
+    if not mats.size:
+        return np.zeros(mats.shape[:-1])
     # checked first: a NaN fails no comparison, and inf - inf warns
     if not np.isfinite(mats).all():
         raise InvalidState("matrix has a non-finite entry")
@@ -73,11 +76,15 @@ def validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense d^n x d^n state with validated invariants.
+    """Dense d^n x d^n state with validated invariants, or a stack of them.
 
-    Validation computes the spectrum and the state keeps it; the
-    eigenvectors are solved on first use and kept too.  Every entropy reads
-    these, so a state runs one eigvalsh and at most one eigh.
+    ``mat`` may be one (D, D) matrix or a (..., D, D) stack, checked as a
+    whole by one validation.  Validation computes the spectrum and the
+    state keeps it; the eigenvectors are solved on first use, as one
+    batched eigh for a stack, and kept too.  ``rho[i]`` is member i of a
+    stack: it shares the stack's checked arrays, and its eigenvectors once
+    the stack has solved them, and is not validated again.  Every entropy
+    reads these, so a state runs one eigvalsh and at most one eigh.
     """
 
     d: int
@@ -87,23 +94,37 @@ class DensityMatrix:
     def __post_init__(self):
         # a private copy: freezing the caller's own array would lock it too
         m = np.array(self.mat, order="C")
-        spectrum = validated_spectra(self.d, self.n, m)
+        spectrum = _validated_spectra(self.d, self.n, m)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "_spectrum", _read_only(spectrum))
 
+    def __getitem__(self, index) -> DensityMatrix:
+        """Member ``index`` of a stack, indexed over the leading axes."""
+        key = index if isinstance(index, tuple) else (index,)
+        if len(key) > self.mat.ndim - 2:
+            raise IndexError(f"{len(key)} indices for a stack of shape {self.mat.shape[:-2]}")
+        key += (Ellipsis,)
+        member = object.__new__(DensityMatrix)
+        for name, value in (("d", self.d), ("n", self.n), ("mat", self.mat[key]),
+                            ("_spectrum", self._spectrum[key])):
+            object.__setattr__(member, name, value)
+        if "eigenvectors" in self.__dict__:
+            object.__setattr__(member, "eigenvectors", self.eigenvectors[key])
+        return member
+
     def _hermitian_part(self) -> np.ndarray:
-        return (self.mat + self.mat.conj().T) / 2
+        return (self.mat + self.mat.conj().swapaxes(-1, -2)) / 2
 
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum, clipped at 0, in descending order (read-only)."""
+        """The spectrum, clipped at 0, in descending order (read-only), (..., D)."""
         return self._spectrum
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Unitary eigenvector columns aligned with ``eigenvalues()`` (read-only)."""
         _, vecs = np.linalg.eigh(self._hermitian_part())
-        return _read_only(vecs[:, ::-1])
+        return _read_only(vecs[..., ::-1])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -131,17 +152,32 @@ def t_state() -> DensityMatrix:
     return DensityMatrix(2, 1, (np.eye(2) + (X + Y) / np.sqrt(2)) / 2)
 
 
-def random_density(seed: int, d: int, n: int, rank: int | None = None) -> DensityMatrix:
-    """Ginibre state: A A^dag / Tr with a d^n x rank complex-Gaussian factor."""
+def random_density(seed, d: int, n: int, rank=None, *, seeds=None) -> DensityMatrix:
+    """Ginibre state: A A^dag / Tr with a d^n x rank complex-Gaussian factor.
+
+    With ``seeds`` (and ``seed`` None) the result is a stack, one member per
+    seed, with ``rank`` None, one rank for all or a matching sequence of
+    ranks: member i is drawn from seeds[i] alone, as the single call draws
+    it, and the stack is validated once.
+    """
     D = d**n
-    if rank is None:
-        rank = D
-    if not 1 <= rank <= D:
-        raise ValueError(f"rank must be in [1, {D}]")
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
-    M = A @ A.conj().T
-    return DensityMatrix(d, n, M / np.trace(M).real)
+    stacked = seeds is not None
+    if stacked and seed is not None:
+        raise ValueError("give one seed or a sequence of seeds, not both")
+    seeds = list(seeds) if stacked else [seed]
+    ranks = list(rank) if stacked and np.ndim(rank) else [rank] * len(seeds)
+    if len(ranks) != len(seeds):
+        raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
+    mats = np.empty((len(seeds), D, D), dtype=complex)
+    for k, (s, r) in enumerate(zip(seeds, ranks)):
+        r = D if r is None else int(r)
+        if not 1 <= r <= D:
+            raise ValueError(f"rank must be in [1, {D}]")
+        rng = np.random.default_rng(s)
+        A = rng.standard_normal((D, r)) + 1j * rng.standard_normal((D, r))
+        M = A @ A.conj().T
+        mats[k] = M / np.trace(M).real
+    return DensityMatrix(d, n, mats if stacked else mats[0])
 
 
 @dataclass(frozen=True)
@@ -305,6 +341,11 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
         d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
         if kind in ("dense", "char"):
             mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+            # a file holds one state: a stack would pass the stack-aware checks
+            ndim = 2 if kind == "dense" else 1
+            if mat.ndim != ndim:
+                raise ParseError(f"{kind} state has {mat.ndim}-D re/im lists, "
+                                 f"expected {ndim}-D")
             if kind == "dense":
                 return DensityMatrix(d, n, mat), None
             table = CharFunction(d, n, mat)

@@ -152,13 +152,16 @@ def _per_digit(F: np.ndarray, T: np.ndarray, d: int, n: int) -> np.ndarray:
     """
     shape = T.shape
     for k in range(n):
-        T = F @ T.reshape(*shape[:-1], d**k, d, -1)
+        T = F @ T.reshape(*shape[:-1], d**k, d, shape[-1] // d ** (k + 1))
     return T.reshape(shape)
 
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Dense characteristic table over the phase space of an (d, n) system."""
+    """Dense characteristic table over the phase space of an (d, n) system.
+
+    ``values`` is one table of d^{2n} values or a (..., d^{2n}) stack of them.
+    """
 
     d: int
     n: int
@@ -166,7 +169,7 @@ class CharFunction:
 
     def __post_init__(self):
         check_system(self.d, self.n)
-        if self.values.shape != (self.d ** (2 * self.n),):
+        if self.values.shape[-1:] != (self.d ** (2 * self.n),):
             raise ValueError("characteristic table has wrong length")
 
     def at(self, label) -> complex:
@@ -174,36 +177,37 @@ class CharFunction:
 
 
 def char_table(M: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Xi_M(x) = Tr[M w(-x)] for every phase point x.
+    """Xi_M(x) = Tr[M w(-x)] for every phase point x, of M or of each
+    matrix of a (..., D, D) stack along the last axis of the result.
 
     Tr[M w(-p, -q)] = phi(p, q) sum_c xi^{-p.c} M[c + q, c]: one gather of
     the D^2 entries, one conjugate DFT per qudit and one phase multiply,
-    O(n d D^2) time and O(D^2) memory.
+    O(n d D^2) time and O(D^2) memory per matrix.
     """
     D = d**n
-    if np.shape(M) != (D, D):
-        raise ValueError(f"M has shape {np.shape(M)}, expected {(D, D)}")
+    M = np.asarray(M)
+    if M.shape[-2:] != (D, D):
+        raise ValueError(f"M has shape {M.shape}, expected {(D, D)}")
     index, _, phases, F = _transform_tables(d, n)
-    return _per_digit(F.conj(), np.ravel(M)[index], d, n) * phases
+    flat = M.reshape(M.shape[:-2] + (D * D,))
+    return _per_digit(F.conj(), flat.take(index, axis=-1), d, n) * phases
 
 
 def char_function(rho) -> CharFunction:
-    """Characteristic function of a density matrix (or any (d, n, mat) holder)."""
+    """Characteristic function of a density matrix (or any (d, n, mat) holder),
+    a stack of tables for a stack of states."""
     return CharFunction(rho.d, rho.n, char_table(rho.mat, rho.d, rho.n))
 
 
 def inverse_char(table: CharFunction) -> np.ndarray:
-    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function."""
-    return inverse_tables(table.d, table.n, table.values)
-
-
-def inverse_tables(d: int, n: int, values: np.ndarray) -> np.ndarray:
-    """inverse_char of every table along the last axis: (..., d^{2n}) -> (..., D, D).
+    """(1/d^n) sum_x Xi(x) w(x); left inverse of char_function, (..., D, D)
+    for a (..., d^{2n}) stack of tables.
 
     char_table's steps backwards: conjugate phases, one DFT per qudit, and
     a gather through the inverse of its index.  Each table takes the same
     matrix products as it would alone.
     """
+    d, n, values = table.d, table.n, table.values
     _, unindex, phases, F = _transform_tables(d, n)
     D = d**n
     T = _per_digit(F, values * phases.conj(), d, n) / D

@@ -8,11 +8,14 @@ import math
 
 import numpy as np
 
-from dvconv.conv import ConvolutionSpec, convolve
-from dvconv.entropy import FULL_RANK_TOL, renyi_entropy
-from dvconv.linalg import SUPPORT_TOL
+from dvconv import experiments
+from dvconv.conv import (ConvolutionSpec, beam_splitter_spec, convolve,
+                         convolve_characteristic, default_spec)
+from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
+                            relative_entropy, renyi_entropy, total_fisher)
+from dvconv.linalg import SUPPORT_TOL, trace_norm
 from dvconv.magic import make_zero_mean, mean_state
-from dvconv.states import DensityMatrix
+from dvconv.states import DensityMatrix, random_density
 from dvconv.weyl import char_function, phase_points, weyl_op
 
 
@@ -85,3 +88,100 @@ def scalar_renyi(lam: np.ndarray, alpha: float) -> float:
         return float(-np.log2(np.sum(lam**alpha)) / (1 - alpha))
     pos = lam[lam > FULL_RANK_TOL] if alpha < 1 else lam
     return float(np.log2(np.sum(pos**alpha)) / (1 - alpha))
+
+
+def per_trial_records(name: str, seed: int, trials: int) -> list[tuple]:
+    """(index, metric, value) of every record of the sampled suite ``name``
+    (duality, entropy, fisher or monotonicity), in report order, rebuilt one
+    trial at a time from single-state calls: the suites' draws and checks
+    written as a loop over trials, with no stack."""
+    return _PER_TRIAL[name](seed, trials)
+
+
+def _seeds(seed, count):
+    return np.random.SeedSequence(seed).spawn(count)
+
+
+def _spec(d, n):
+    return beam_splitter_spec(d, n) if d >= 7 else default_spec(d, n)
+
+
+def _duality(seed, trials):
+    configs = [(3, 1), (3, 2), (7, 1)]
+    seeds = _seeds(seed, 2 * trials)
+    out = []
+    for i in range(trials):
+        d, n = configs[i % len(configs)]
+        spec = _spec(d, n)
+        ranks = np.random.default_rng(seeds[2 * i]).integers(1, d**n + 1, size=2)
+        a = random_density(seeds[2 * i], d, n, int(ranks[0]))
+        b = random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
+        lhs = char_function(convolve(a, b, spec)).values
+        rhs = convolve_characteristic(char_function(a), char_function(b), spec).values
+        out.append((i, f"duality_dev_d{d}n{n}", float(np.max(np.abs(lhs - rhs)))))
+    return out
+
+
+def _entropy(seed, trials):
+    out = []
+    for d, n in [(3, 1), (7, 1)]:
+        spec = _spec(d, n)
+        seeds = _seeds(seed + d, 2 * trials)
+        D = d**n
+        for i in range(trials):
+            full_rank = i % 2 == 0
+            ranks = ((D, D) if full_rank else
+                     np.random.default_rng(seeds[2 * i]).integers(1, D + 1, size=2))
+            a = random_density(seeds[2 * i], d, n, int(ranks[0]))
+            b = random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
+            c = convolve(a, b, spec)
+            alphas = experiments.ALPHAS_NONNEG + (experiments.ALPHAS_NEG if full_rank else ())
+            for alpha in alphas:
+                gap = max(renyi_entropy(a, alpha), renyi_entropy(b, alpha)) \
+                    - renyi_entropy(c, alpha)
+                out.append((i, f"entropy_gap_d{d}n{n}_a{alpha}", gap))
+    return out
+
+
+def _fisher(seed, trials, oracle_cases=20):
+    out = []
+    for d, n in [(3, 1), (7, 1)]:
+        spec = _spec(d, n)
+        seeds = _seeds(seed + d, 2 * trials)
+        for i in range(trials):
+            a = random_density(seeds[2 * i], d, n)
+            b = random_density(seeds[2 * i + 1], d, n)
+            gap = total_fisher(convolve(a, b, spec)) - min(total_fisher(a), total_fisher(b))
+            out.append((i, f"fisher_gap_d{d}n{n}", gap))
+    oracle_seeds = _seeds(seed + 1000, oracle_cases)
+    for i in range(oracle_cases):
+        d = 3 if i % 2 == 0 else 7
+        rho = random_density(oracle_seeds[i], d, 1)
+        H = np.zeros((d, d), dtype=complex)
+        j = int(np.random.default_rng(oracle_seeds[i]).integers(d))
+        H[j, j] = 1.0
+        dev = abs(fisher_information(rho, H) - fisher_fd_oracle(rho, H))
+        out.append((i, f"fisher_fd_dev_d{d}", dev))
+    return out
+
+
+def _monotonicity(seed, trials):
+    d, n = 3, 1
+    spec = _spec(d, n)
+    seeds = _seeds(seed, 3 * trials)
+    out = []
+    for i in range(trials):
+        rho = random_density(seeds[3 * i], d, n)
+        sigma = random_density(seeds[3 * i + 1], d, n)
+        rank = int(np.random.default_rng(seeds[3 * i + 2]).integers(1, d**n + 1))
+        tau = random_density(seeds[3 * i + 2], d, n, rank)
+        rc, sc = convolve(rho, tau, spec), convolve(sigma, tau, spec)
+        out.append((i, "trace_norm_gap",
+                    trace_norm(rc.mat - sc.mat) - trace_norm(rho.mat - sigma.mat)))
+        out.append((i, "rel_entropy_gap",
+                    relative_entropy(rc, sc) - relative_entropy(rho, sigma)))
+    return out
+
+
+_PER_TRIAL = {"duality": _duality, "entropy": _entropy, "fisher": _fisher,
+              "monotonicity": _monotonicity}

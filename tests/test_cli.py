@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from dvconv import magic, states, weyl
-from dvconv.cli import main
+from dvconv.cli import RECORD_BUDGET, main
 from dvconv.conv import convolve, default_spec
 from dvconv.entropy import renyi_entropy
 from dvconv.errors import InvalidState
-from dvconv.experiments import DUALITY_TOL
+from dvconv.experiments import DUALITY_TOL, RECORD_COUNTS, record_bound
 from dvconv.states import (DensityMatrix, char_to_json, random_density,
                            state_from_json, state_to_json)
 
@@ -185,8 +185,13 @@ def test_exhaustive_suites_refuse_sample_flags(tmp_path, capsys, name, flag):
      "--seed must be >= 0, got -2"),
     (("suite", "duality", "--trials", "3", "--steps", "5"), "suite duality takes no --steps"),
     (("suite", "stability", "--steps", "3"), "suite stability takes no --steps"),
+    (("clt", "--d", "7", "--seed", "1", "--steps", "1000000000"),
+     f"the arguments ask for 1000000001 records; the budget is {RECORD_BUDGET}"),
+    (("suite", "entropy", "--trials", "1000000000"),
+     f"the arguments ask for 14000000000 records; the budget is {RECORD_BUDGET}"),
 ], ids=["clt-steps", "suite-steps", "trials-negative", "trials-zero", "suite-seed",
-        "gap-seed", "duality-steps", "stability-steps"])
+        "gap-seed", "duality-steps", "stability-steps", "clt-steps-budget",
+        "entropy-trials-budget"])
 def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the refusal")
@@ -196,6 +201,16 @@ def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
     code, out, err = run(capsys, *argv)
     _assert_usage_error(code, err, message)
     assert out == ""
+
+
+def test_record_budget_admits_the_documented_runs():
+    # the README's suite loop, the gate's trial counts and clt --steps 30
+    for name in RECORD_COUNTS:
+        assert record_bound(name, 50) <= RECORD_BUDGET
+    gate = {"duality": 200, "entropy": 100, "fisher": 100, "extremality": 50,
+            "holevo": 50, "clt": 50, "monotonicity": 100, "synthesis": 100}
+    for name, trials in gate.items():
+        assert record_bound(name, trials) <= RECORD_BUDGET
 
 
 def test_suite_clt_steps_default_to_30(capsys):
@@ -351,6 +366,31 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, name):
     code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
     assert out == ""
     _assert_usage_error(code, err, "state.json")
+
+
+# each member alone is a valid state: only the file's shape is wrong
+STACKED_STATE_FILES = {
+    "char-two-tables": (char_to_json(weyl.char_function(states.maximally_mixed(3, 1))),
+                        "char state has 2-D re/im lists, expected 1-D"),
+    "dense-two-matrices": (state_to_json(states.maximally_mixed(3, 1)),
+                           "dense state has 3-D re/im lists, expected 2-D"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_STATE_FILES))
+@pytest.mark.parametrize("command", ["gap", "convolve"])
+def test_state_file_holding_a_stack_is_usage_error(tmp_path, capsys, name, command):
+    one, message = STACKED_STATE_FILES[name]
+    path = _write(tmp_path / "state.json",
+                  dict(one, re=[one["re"]] * 2, im=[one["im"]] * 2))
+    out_file = tmp_path / "out.json"
+    argv = {"gap": ("gap", "--d", "3", "--input", path),
+            "convolve": ("convolve", "--d", "3", "--a", path, "--b", "zero-ket",
+                         "--out", str(out_file))}[command]
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    _assert_usage_error(code, err, message)
+    assert not out_file.exists()
 
 
 def test_directory_as_state_file_is_usage_error(tmp_path, capsys):

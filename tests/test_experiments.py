@@ -9,7 +9,7 @@ from dvconv import conv, experiments
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
 from dvconv.states import DensityMatrix, enumerate_msps, ket_state, random_density
-from oracles import dense_clt
+from oracles import dense_clt, per_trial_records
 
 
 def test_report_accumulation():
@@ -167,3 +167,46 @@ def test_extremality_covers_msps_inputs():
     report = experiments.suite_extremality(seed=0, trials=10)
     metrics = {r["metric"].split("_s")[0] for r in report.records}
     assert any(m.startswith("uniqueness_margin") for m in metrics)
+
+
+@pytest.mark.parametrize("name, trials", [
+    ("duality", 6), ("entropy", 6), ("fisher", 6), ("monotonicity", 6),
+    ("duality", 2),  # fewer trials than configs: one config's stack is empty
+])
+def test_stacked_suites_match_the_per_trial_oracle(name, trials):
+    report = experiments.SUITES[name](seed=0, trials=trials)
+    records = [(r["index"], r["metric"], r["value"]) for r in report.records]
+    assert records == per_trial_records(name, 0, trials)
+
+
+@pytest.mark.parametrize("name, trials, most", [
+    ("entropy", 100, 6),  # 2 configs x (a, b, out)
+    ("duality", 200, 9),  # 3 configs x (a, b, out)
+    ("monotonicity", 100, 5),  # rho, sigma, tau and the two outputs
+])
+def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most):
+    checks = []
+    post_init = DensityMatrix.__post_init__
+
+    def counted(self):
+        checks.append(self.mat.shape)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    assert experiments.SUITES[name](seed=0, trials=trials).passed
+    assert len(checks) <= most, checks
+
+
+@pytest.mark.parametrize("trials", [4, 7])
+def test_record_bound_counts_each_sampled_suite(trials):
+    for name in experiments.RECORD_COUNTS:
+        counts = {"trials": trials, "steps": 3} if name == "clt" else {"trials": trials}
+        report = experiments.SUITES[name](seed=0, **counts)
+        bound = experiments.record_bound(name, **counts)
+        if name == "clt":
+            bound -= trials * 4  # the series' steps + 1 records per trial
+        if name == "extremality":
+            # a margin against an MSPS at infinite divergence is not reported
+            assert len(report.records) <= bound
+        else:
+            assert len(report.records) == bound, name

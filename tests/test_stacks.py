@@ -1,0 +1,176 @@
+"""Stacked calls against single-state calls: member i of every stacked call
+equals the single call on member i, bit for bit."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from dvconv import conv, entropy, linalg, states, weyl
+from dvconv.errors import InvalidState
+from dvconv.states import DensityMatrix, random_density
+
+SHAPES = [(3, 1), (7, 1), (3, 2)]
+#: members per stack
+T = 5
+
+
+def _spec(d, n):
+    return conv.beam_splitter_spec(d, n) if d >= 7 else conv.default_spec(d, n)
+
+
+def _stack(d, n, first=0, full_rank=False):
+    """T states from seeds first.., of every rank from 1 up unless full rank."""
+    seeds = list(range(first, first + T))
+    ranks = [d**n if full_rank else 1 + s % d**n for s in seeds]
+    return seeds, ranks, random_density(None, d, n, ranks, seeds=seeds)
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_random_density_draws_each_member_from_its_own_seed(d, n):
+    seeds, ranks, rho = _stack(d, n)
+    assert rho.mat.shape == (T, d**n, d**n)
+    for i, (seed, rank) in enumerate(zip(seeds, ranks)):
+        alone = random_density(seed, d, n, rank)
+        assert np.array_equal(rho.mat[i], alone.mat)
+        assert np.array_equal(rho.eigenvalues()[i], alone.eigenvalues())
+    full = random_density(None, d, n, seeds=seeds)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(full.mat[i], random_density(seed, d, n).mat)
+
+
+def test_random_density_makes_a_stack_only_through_seeds():
+    # numpy reads a list of ints as one seed, and so does random_density
+    one = random_density([0, 1, 2], 3, 1)
+    assert one.mat.shape == (3, 3)
+    assert random_density(None, 3, 1, seeds=[[0, 1, 2]]).mat.shape == (1, 3, 3)
+    assert np.array_equal(random_density(None, 3, 1, seeds=[[0, 1, 2]]).mat[0], one.mat)
+    with pytest.raises(ValueError, match="not both"):
+        random_density(0, 3, 1, seeds=[0, 1])
+
+
+def test_random_density_checks_each_rank():
+    with pytest.raises(ValueError, match="2 ranks for 3 seeds"):
+        random_density(None, 3, 1, [1, 2], seeds=[0, 1, 2])
+    with pytest.raises(ValueError, match="rank must be in"):
+        random_density(None, 3, 1, [1, 4], seeds=[0, 1])
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_members_share_the_checked_arrays(monkeypatch, d, n):
+    _, _, rho = _stack(d, n)
+    alone = [DensityMatrix(d, n, m) for m in rho.mat]
+    early = rho[0]  # taken before the stack solved its eigenvectors
+    checks = []
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: checks.append(self))
+    vecs = rho.eigenvectors
+    for i in range(T):
+        member = rho[i]
+        assert member.mat.shape == (d**n, d**n)
+        assert np.shares_memory(member.mat, rho.mat)
+        assert np.shares_memory(member.eigenvalues(), rho.eigenvalues())
+        assert np.shares_memory(member.eigenvectors, vecs)
+        assert np.array_equal(member.eigenvalues(), alone[i].eigenvalues())
+        assert np.array_equal(member.eigenvectors, alone[i].eigenvectors)
+    assert np.array_equal(early.eigenvectors, alone[0].eigenvectors)
+    assert not checks  # no member was validated again
+
+
+def test_members_index_the_leading_axes_only():
+    _, _, rho = _stack(3, 1)
+    grid = DensityMatrix(3, 1, rho.mat.reshape(T, 1, 3, 3))
+    assert np.array_equal(grid[2, 0].mat, rho.mat[2])
+    assert grid[2].mat.shape == (1, 3, 3)
+    with pytest.raises(IndexError):
+        rho[0, 0]
+    with pytest.raises(IndexError):
+        rho[0][0]
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_one_bad_member_reports_its_own_numbers(d, n):
+    _, _, rho = _stack(d, n)
+    mats = rho.mat.copy()
+    mats[3] *= 1.5  # trace 1.5
+    with pytest.raises(InvalidState) as alone:
+        DensityMatrix(d, n, mats[3])
+    with pytest.raises(InvalidState, match="trace deviation 5.000e-01") as stacked:
+        DensityMatrix(d, n, mats)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_convolve_stack_and_pair_grid_match_each_pair(d, n):
+    spec, D = _spec(d, n), d**n
+    _, _, a = _stack(d, n)
+    _, _, b = _stack(d, n, first=T)
+    out = conv.convolve(a, b, spec)
+    grid = conv.convolve(DensityMatrix(d, n, a.mat[:, None]),
+                         DensityMatrix(d, n, b.mat[None]), spec)
+    assert out.mat.shape == (T, D, D) and grid.mat.shape == (T, T, D, D)
+    for i in range(T):
+        alone = conv.convolve(a[i], b[i], spec)
+        assert np.array_equal(out.mat[i], alone.mat)
+        assert np.array_equal(out.eigenvalues()[i], alone.eigenvalues())
+        for j in range(T):
+            assert np.array_equal(grid.mat[i, j], conv.convolve(a[i], b[j], spec).mat)
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_char_function_and_its_inverse_per_member(d, n):
+    spec = _spec(d, n)
+    _, _, a = _stack(d, n)
+    _, _, b = _stack(d, n, first=T)
+    ta, tb = weyl.char_function(a), weyl.char_function(b)
+    both = conv.convolve_characteristic(ta, tb, spec)
+    back = weyl.inverse_char(ta)
+    label = np.arange(2 * n) + 1
+    moved = weyl.displace(ta, label)
+    for i in range(T):
+        alone = weyl.char_function(a[i])
+        assert np.array_equal(ta.values[i], alone.values)
+        assert np.array_equal(moved.values[i], weyl.displace(alone, label).values)
+        assert np.array_equal(both.values[i], conv.convolve_characteristic(
+            alone, weyl.char_function(b[i]), spec).values)
+        assert np.array_equal(back[i], weyl.inverse_char(alone))
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_total_fisher_and_trace_norm_per_member(d, n):
+    _, _, rho = _stack(d, n, full_rank=True)
+    _, _, sigma = _stack(d, n, first=T)
+    fisher = entropy.total_fisher(rho)
+    norms = linalg.trace_norm(rho.mat - sigma.mat)
+    assert fisher.shape == norms.shape == (T,)
+    for i in range(T):
+        assert fisher[i] == entropy.total_fisher(rho[i])
+        assert norms[i] == linalg.trace_norm(rho.mat[i] - sigma.mat[i])
+
+
+class _GatherSpy(np.ndarray):
+    """An array that records the size of every gather taken from it."""
+
+    sizes: list = []
+
+    def take(self, indices, axis=None, **kwargs):
+        out = np.asarray(self).take(indices, axis=axis, **kwargs)
+        _GatherSpy.sizes.append(out.size)
+        return out
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+@pytest.mark.parametrize("budget", ["D^2", "3 D^2", "T D^3"])
+def test_gather_budget_moves_no_bit(monkeypatch, d, n, budget):
+    spec, D = _spec(d, n), d**n
+    _, _, a = _stack(d, n)
+    _, _, b = _stack(d, n, first=T)
+    alone = [conv.convolve(a[i], b[i], spec).mat for i in range(T)]
+    limit = {"D^2": D**2, "3 D^2": 3 * D**2, "T D^3": T * D**3}[budget]
+    monkeypatch.setattr(conv, "GATHER_BUDGET", limit)
+    monkeypatch.setattr(_GatherSpy, "sizes", [])
+    # convolve reads only d, n and mat, so the spy stands in for the stacks
+    spied = [SimpleNamespace(d=d, n=n, mat=x.mat.view(_GatherSpy)) for x in (a, b)]
+    out = conv.convolve(*spied, spec)
+    for i in range(T):
+        assert np.array_equal(out.mat[i], alone[i])
+    assert _GatherSpy.sizes and max(_GatherSpy.sizes) <= limit

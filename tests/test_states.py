@@ -24,7 +24,6 @@ from dvconv.states import (
     state_from_json,
     state_to_json,
     t_state,
-    validated_spectra,
 )
 from dvconv.weyl import char_function
 
@@ -48,12 +47,12 @@ def _state_stack(d, n, count):
 def test_validated_spectra_match_each_state_bit_for_bit(d, n):
     D = d**n
     mats = _state_stack(d, n, 6)
-    spectra = validated_spectra(d, n, mats)
+    spectra = DensityMatrix(d, n, mats).eigenvalues()
     assert spectra.shape == (6, D)
     for mat, lam in zip(mats, spectra):
         assert np.array_equal(lam, DensityMatrix(d, n, mat).eigenvalues())
     # any leading shape is a stack
-    grid = validated_spectra(d, n, mats.reshape(2, 3, D, D))
+    grid = DensityMatrix(d, n, mats.reshape(2, 3, D, D)).eigenvalues()
     assert np.array_equal(grid, spectra.reshape(2, 3, D))
 
 
@@ -82,13 +81,13 @@ def test_one_bad_member_fails_the_stack_as_it_fails_alone(spoil, member):
     with pytest.raises(InvalidState) as alone:
         DensityMatrix(3, 2, mats[member])
     with pytest.raises(InvalidState) as stacked:
-        validated_spectra(3, 2, mats)
+        DensityMatrix(3, 2, mats)
     assert str(stacked.value) == str(alone.value)
 
 
 def test_validated_spectra_rejects_a_stack_of_another_size():
     with pytest.raises(InvalidState, match="expected"):
-        validated_spectra(3, 1, np.zeros((2, 9, 9), dtype=complex))
+        DensityMatrix(3, 1, np.zeros((2, 9, 9), dtype=complex))
 
 
 def test_density_matrix_leaves_the_callers_array_writeable():

@@ -12,7 +12,6 @@ from dvconv.weyl import (
     char_table,
     displace,
     inverse_char,
-    inverse_tables,
     is_clifford,
     neg_perm,
     pauli_rank,
@@ -183,11 +182,11 @@ def test_stacked_inverse_matches_each_table(d, n):
     D = d**n
     tables = np.stack([char_function(random_density(seed, d, n, 1 + seed % D)).values
                        for seed in range(6)])
-    stacked = inverse_tables(d, n, tables)
+    stacked = inverse_char(CharFunction(d, n, tables))
     assert stacked.shape == (6, D, D)
     for values, mat in zip(tables, stacked):
         assert np.max(np.abs(mat - inverse_char(CharFunction(d, n, values)))) <= 1e-15
-    grid = inverse_tables(d, n, tables.reshape(2, 3, -1))
+    grid = inverse_char(CharFunction(d, n, tables.reshape(2, 3, -1)))
     assert np.max(np.abs(grid - stacked.reshape(2, 3, D, D))) <= 1e-15
 
 
