@@ -75,14 +75,10 @@ def _atomic_write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
-def _load_state(descriptor: str, d: int, n: int, seed: int | None) -> states.DensityMatrix:
-    """Resolve a preset name, seeded random preset, or JSON file of this (d, n)."""
-    return _load(descriptor, d, n, seed)[0]
-
-
 def _load(descriptor: str, d: int, n: int,
           seed: int | None) -> tuple[states.DensityMatrix, weyl.CharFunction | None]:
-    """_load_state's state, and the table a ``kind: char`` file holds."""
+    """The state of a preset name, seeded random preset, or JSON file of this
+    (d, n), and the table a ``char`` or ``msps`` file holds or defines."""
     if descriptor in states.PRESETS:
         return states.preset_state(descriptor, d, n), None
     if descriptor in RANDOM_PRESETS:
@@ -173,9 +169,8 @@ def cmd_gap(args) -> int:
 
 def cmd_convolve(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    a = _load_state(args.a, args.d, args.n, args.seed)
-    b = _load_state(args.b, args.d, args.n,
-                    None if args.seed is None else args.seed + 1)
+    a = _load(args.a, args.d, args.n, args.seed)[0]
+    b = _load(args.b, args.d, args.n, None if args.seed is None else args.seed + 1)[0]
     out = conv.convolve(a, b, spec)
     if args.check_duality:
         dual = conv.convolve_characteristic(
@@ -189,7 +184,7 @@ def cmd_convolve(args) -> int:
 def cmd_clt(args) -> int:
     _check_records(args.steps + 1)
     spec = _spec_from_args("beam-splitter", None, args.d, args.n)
-    rho = _load_state(args.state, args.d, args.n, args.seed)
+    rho = _load(args.state, args.d, args.n, args.seed)[0]
     series = experiments.clt_run(rho, spec, args.steps)
     if args.format == "json":
         payload = {
@@ -243,11 +238,10 @@ def cmd_suite(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.kind == "msps":
-        items = states.enumerate_msps(args.d, args.n)
-    else:
-        items = states.enumerate_pure_stabilizers(args.d, args.n)
-    payload = [states.state_to_json(s) for s in items]
+    mixed = args.kind == "msps"
+    with _usage_errors():
+        states.enumeration_count(args.d, args.n, mixed)
+    payload = [states.state_to_json(s) for s in states.enumerate_msps(args.d, args.n, mixed)]
     text = json.dumps(payload, sort_keys=True)
     if args.out:
         _atomic_write(args.out, text)
@@ -258,13 +252,13 @@ def cmd_enumerate(args) -> int:
 
 def cmd_capacity_bounds(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    sigma = _load_state(args.sigma, args.d, args.n, args.seed)
+    sigma = _load(args.sigma, args.d, args.n, args.seed)[0]
     lower, upper = conv.holevo_bounds(spec, sigma)
     print(f"lower {fmt(lower)}")
     print(f"upper {fmt(upper)}")
     if args.rho0:
-        rho0 = _load_state(args.rho0, args.d, args.n,
-                           None if args.seed is None else args.seed + 2)
+        rho0 = _load(args.rho0, args.d, args.n,
+                     None if args.seed is None else args.seed + 2)[0]
         val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         print(f"weyl-ensemble {fmt(val)}")
     return EXIT_PASS

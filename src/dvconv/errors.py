@@ -35,7 +35,7 @@ class DimensionMismatch(DvconvError):
 
 class UnsupportedScale(DvconvError):
     """Request beyond desk scale: a system with d^n > zmod.MAX_DIM, or an
-    enumeration outside the (d, n) it supports."""
+    enumeration at n != 1 or above states.ENUMERATION_BUDGET values."""
 
 
 class UnsupportedDimension(DvconvError):

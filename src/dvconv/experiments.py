@@ -331,13 +331,13 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
 
 
 def _stabilizer_pairs(spec: conv.ConvolutionSpec):
-    """The single-qudit pure stabilizer states, and a boxtimes b for every
-    ordered pair (a, b) as one (count, count) stack, a along the first axis."""
-    stabs = states.enumerate_pure_stabilizers(spec.d)
-    mats = np.stack([s.mat for s in stabs])
+    """The single-qudit pure stabilizer groups, and a boxtimes b for every ordered
+    pair (a, b) of their states as one (count, count) stack, a along axis 0."""
+    groups = states.enumerate_groups(spec.d, mixed=False)
+    mats = states.msps_states(groups).mat
     outs = conv.convolve(states.DensityMatrix(spec.d, 1, mats[:, None]),
                          states.DensityMatrix(spec.d, 1, mats[None]), spec)
-    return stabs, outs
+    return groups, outs
 
 
 @_timed
@@ -345,8 +345,8 @@ def suite_stability() -> ExperimentReport:
     """All 144 ordered pure-stabilizer pairs at d=3 convolve to MSPS."""
     d = 3
     spec = conv.default_spec(d, 1)
-    stabs, outs = _stabilizer_pairs(spec)
-    report = ExperimentReport("stability", None, {"d": d, "pairs": len(stabs) ** 2})
+    groups, outs = _stabilizer_pairs(spec)
+    report = ExperimentReport("stability", None, {"d": d, "pairs": len(groups) ** 2})
     tables = weyl.char_function(outs).values.reshape(-1, d**2)
     for idx, values in enumerate(tables):
         ok, _ = states.is_msps(weyl.CharFunction(d, 1, values))
@@ -360,23 +360,20 @@ def suite_min_output() -> ExperimentReport:
     d = 3
     spec = conv.default_spec(d, 1)
     report = ExperimentReport("min_output", None, {"d": d})
-    for i, line in enumerate(states.line_generators(d)):
-        s2 = states.StabilizerGroup(d, 1, (line,), (0,))
-        s1 = conv.partner_stabilizer_group(s2, spec)
-        out = conv.convolve(states.msps_from_group(s1),
-                            states.msps_from_group(s2), spec)
-        report.add(i, "partner_output_entropy",
-                   entropy.renyi_entropy(out, 1), PURE_OUT_TOL)
-    stabs, outs = _stabilizer_pairs(spec)
+    groups, outs = _stabilizer_pairs(spec)
+    partners = [conv.partner_stabilizer_group(g, spec) for g in groups]
+    # groups[::d] holds phase 0 on each line
+    out = conv.convolve(states.msps_states(partners[::d]),
+                        states.msps_states(groups[::d]), spec)
+    for i, h in enumerate(entropy.renyi_spectra(out.eigenvalues(), 1).tolist()):
+        report.add(i, "partner_output_entropy", h, PURE_OUT_TOL)
     h_outs = entropy.renyi_spectra(outs.eigenvalues(), 1).tolist()
-    groups = [states.is_msps(weyl.char_function(s))[1] for s in stabs]
-    # is_msps returns RREF generators; bring each partner's to the same form
-    partner_gens = [tuple(map(tuple, rref_mod(np.array(
-        conv.partner_stabilizer_group(g, spec).generators), d)[0].tolist()))
-        for g in groups]
+    # the enumerated generators are in RREF; bring each partner's to that form
+    partner_gens = [tuple(map(tuple, rref_mod(np.array(s.generators), d)[0].tolist()))
+                    for s in partners]
     idx = 0
-    for ia in range(len(stabs)):
-        for ib in range(len(stabs)):
+    for ia in range(len(groups)):
+        for ib in range(len(groups)):
             h_out = h_outs[ia][ib]
             is_partner = groups[ia].generators == partner_gens[ib]
             consistent = (h_out < PURE_OUT_TOL) == is_partner
@@ -532,13 +529,13 @@ RECORD_COUNTS = {
         len(ALPHAS_NONNEG) * trials + len(ALPHAS_NEG) * ((trials + 1) // 2)),
     "fisher": lambda trials: len(FISHER_CONFIGS) * trials + FISHER_ORACLE_CASES,
     "monotonicity": lambda trials: 2 * trials,
-    "holevo": lambda trials: 2 * trials + len(states.enumerate_msps(MSPS_D))
-    + len(states.enumerate_pure_stabilizers(MSPS_D)),
+    "holevo": lambda trials: 2 * trials + states.enumeration_count(MSPS_D)
+    + states.enumeration_count(MSPS_D, mixed=False),
     "synthesis": lambda trials: trials,
     # per alpha the identity and a margin against each other MSPS, which
     # is computed always and reported when the divergence is finite
     "extremality": lambda trials: len(ALPHAS_EXTREMALITY)
-    * len(states.enumerate_msps(MSPS_D)) * trials,
+    * states.enumeration_count(MSPS_D) * trials,
     # the norm gap, at most one slope gap and a drop per alpha
     "clt": lambda trials: (2 + len(ALPHAS_SECOND_LAW)) * trials,
 }

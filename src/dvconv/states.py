@@ -1,9 +1,9 @@
 """Density matrices, stabilizer groups, MSPS construction and detection.
 
-MSPS detection reads only a characteristic table (``is_msps`` takes a
-``CharFunction``): the table of an MSPS is a character supported on a
-symplectically-isotropic subgroup of the phase space, with unit modulus on
-the support and zero elsewhere.
+An MSPS is a stabilizer group with a phase per generator; ``msps_table``,
+its characteristic table, is its one working form.  The enumerations invert
+those tables as one stack, and ``is_msps`` recovers a group from a table's
+unit support and compares the table with the group's own.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .weyl import (
     inverse_char,
     phase_points,
     point_index,
+    product_phase,
     symplectic_form,
-    weyl_op,
-    xi,
 )
+from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import check_system, rank_mod, rref_mod
 
 STATE_TOL = 1e-10
@@ -214,94 +214,98 @@ class StabilizerGroup:
         return len(self.generators)
 
 
-def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
-    """rho = (1/d^{n-r}) prod_i E_k [xi^{x_i} w(p_i, q_i)]^k."""
+def msps_table(group: StabilizerGroup) -> CharFunction:
+    """The MSPS of ``group`` as its characteristic table: the one definition.
+
+    d^n rho = prod_i sum_k (xi^{x_i} w(g_i))^k, so the table, 1 at 0, folds in
+    each generator's d - 1 steps at once: y -> y + g_i, value times
+    xi^{x_i} beta(y, g_i).
+    """
     d, n = group.d, group.n
-    D = d**n
-    P = np.eye(D, dtype=complex)
-    w = xi(d)
-    for label, x in zip(group.generators, group.phases):
-        g = np.asarray(label, dtype=np.int64)
-        W = weyl_op(d, n, g[:n], g[n:])
-        avg = np.zeros((D, D), dtype=complex)
-        term = np.eye(D, dtype=complex)
-        for k in range(d):
-            avg += (w**x) ** k * term
-            term = term @ W
-        P = P @ (avg / d)
-    scale = d ** (n - group.r)
-    tr = np.trace(P).real
-    if abs(tr - scale) > 1e-8 * scale:
-        raise InvalidGroup(f"projector trace {tr:.6f}, expected {scale}")
-    return DensityMatrix(d, n, (P + P.conj().T) / (2 * scale))
+    labels, vals = np.zeros((1, 2 * n), dtype=np.int64), np.ones(1, dtype=complex)
+    for g, x in zip(group.generators, group.phases):
+        steps = (labels + np.arange(d)[:, None, None] * np.array(g)) % d  # y + k g
+        factors = np.exp(2j * np.pi * (x % d) / d) * product_phase(d, steps[:-1], g)
+        vals = np.concatenate([vals[None], vals * np.cumprod(factors, axis=0)]).ravel()
+        labels = steps.reshape(-1, 2 * n)
+    values = np.zeros(d ** (2 * n), dtype=complex)
+    values[point_index(labels, d)] = vals
+    return CharFunction(d, n, values)
 
 
-def _recover_group(table: CharFunction, support_idx: np.ndarray) -> StabilizerGroup:
-    """Canonical (row-echelon) generators and phases from a unit support."""
-    d, n = table.d, table.n
-    pts = phase_points(d, n)
-    labels = pts[support_idx]
-    R, pivots = rref_mod(labels, d) if len(labels) else (np.zeros((0, 2 * n)), [])
-    gens = [tuple(int(v) for v in R[i]) for i in range(len(pivots))]
-    phases = []
-    for g in gens:
-        val = table.values[point_index(g, d)]
-        k = int(round(d * (np.angle(val) / (2 * np.pi)))) % d
-        phases.append(k)
-    return StabilizerGroup(d, n, tuple(gens), tuple(phases))
+def msps_states(groups) -> DensityMatrix:
+    """The MSPS of each group of one (d, n), inverted as one stack and validated once."""
+    d, n = groups[0].d, groups[0].n
+    values = np.stack([msps_table(g).values for g in groups])
+    return DensityMatrix(d, n, inverse_char(CharFunction(d, n, values)))
 
 
 def is_msps(table: CharFunction) -> tuple[bool, StabilizerGroup | None]:
     """MSPS test on a table; returns the recovered group on success.
 
-    Conditions: every |Xi| in {0, 1}; unit support closed under addition;
-    the phases Xi/|Xi| on the support form a character; support labels
-    commute symplectically.
+    Every |Xi| must be 0 or 1.  The unit support must hold d^r points,
+    r the rank of its labels, whose row-echelon generators commute; with
+    the phases read off the generators, the table must be their
+    msps_table within UNIT_TOL.  Never raises.
     """
     d, n = table.d, table.n
     phases = unit_phases(table.values)
     unit = phases != 0
     if not np.all(unit | (np.abs(table.values) <= UNIT_TOL)):
         return False, None
-    support_idx = np.flatnonzero(unit)
-    labels = phase_points(d, n)[support_idx]
-    vals = phases[support_idx]
-    sums = point_index(labels[:, None, :] + labels[None, :, :], d)
-    if not np.all(unit[sums]):
+    R, pivots = rref_mod(phase_points(d, n)[unit], d)
+    if np.count_nonzero(unit) != d ** len(pivots):
         return False, None
-    if np.any(np.abs(phases[sums] - np.outer(vals, vals)) > UNIT_TOL):
+    gens = tuple(tuple(row) for row in R[:len(pivots)].tolist())
+    ks = tuple(int(round(d * np.angle(phases[point_index(g, d)]) / (2 * np.pi))) % d
+               for g in gens)
+    try:
+        group = StabilizerGroup(d, n, gens, ks)
+    except InvalidGroup:  # the generators do not commute
         return False, None
-    p, q = labels[:, :n], labels[:, n:]
-    if np.any((p @ q.T - q @ p.T) % d):
-        return False, None
-    group = _recover_group(table, support_idx)
-    if d**group.r != len(support_idx):
+    if np.max(np.abs(msps_table(group).values - phases)) > UNIT_TOL:
         return False, None
     return True, group
 
 
-def enumerate_msps(d: int, n: int = 1) -> list[DensityMatrix]:
-    """All d^2 + d + 1 MSPS of a single qudit, d in {2, 3}."""
-    if n != 1 or d not in (2, 3):
-        raise UnsupportedScale("enumeration supported only at n=1, d in {2, 3}")
-    return enumerate_pure_stabilizers(d, n) + [maximally_mixed(d, n)]
+#: the most complex values one enumeration may hold, states x D^2
+ENUMERATION_BUDGET = 100_000
+
+
+def enumeration_count(d: int, n: int = 1, mixed: bool = True) -> int:
+    """The d(d+1) pure stabilizer states of one qudit, plus the maximally
+    mixed state when ``mixed``.  The one enumeration rule: UnsupportedScale,
+    before anything is built, at n != 1 or above ENUMERATION_BUDGET values.
+    """
+    check_system(d, n)
+    count = d * (d + 1) + mixed
+    if n != 1:
+        raise UnsupportedScale(f"enumeration supported only at n=1, got n={n}")
+    if count * d**2 > ENUMERATION_BUDGET:
+        raise UnsupportedScale(f"{count} states of {d}x{d} hold {count * d**2} values; "
+                               f"the enumeration budget is {ENUMERATION_BUDGET}")
+    return count
+
+
+def enumerate_groups(d: int, n: int = 1, mixed: bool = True) -> list[StabilizerGroup]:
+    """Lines (1, 0..d-1) then (0, 1), phases 0..d-1 on each, then the empty
+    group when ``mixed``: the order of every enumeration."""
+    enumeration_count(d, n, mixed)
+    lines = [(1, b) for b in range(d)] + [(0, 1)]
+    groups = [StabilizerGroup(d, 1, (label,), (x,)) for label in lines for x in range(d)]
+    return groups + [StabilizerGroup(d, 1, (), ())] * mixed
+
+
+def enumerate_msps(d: int, n: int = 1, mixed: bool = True) -> list[DensityMatrix]:
+    """All d^2 + d + 1 MSPS of a single qudit (the d(d+1) pure ones unless
+    ``mixed``), members of one stack."""
+    stack = msps_states(enumerate_groups(d, n, mixed))
+    return [stack[i] for i in range(len(stack.mat))]
 
 
 def enumerate_pure_stabilizers(d: int, n: int = 1) -> list[DensityMatrix]:
-    """The d(d+1) single-qudit pure stabilizer states, d in {2, 3, 7}."""
-    if n != 1 or d not in (2, 3, 7):
-        raise UnsupportedScale("enumeration supported only at n=1, d in {2, 3, 7}")
-    out = []
-    for label in line_generators(d):
-        for x in range(d):
-            group = StabilizerGroup(d, 1, (label,), (x,))
-            out.append(msps_from_group(group))
-    return out
-
-
-def line_generators(d: int) -> list[tuple[int, int]]:
-    """Canonical generator of each of the d+1 lines through the origin."""
-    return [(1, b) for b in range(d)] + [(0, 1)]
+    """The d(d+1) single-qudit pure stabilizer states."""
+    return enumerate_msps(d, n, mixed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +336,8 @@ def char_to_json(table: CharFunction) -> dict:
 
 
 def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
-    """The state a JSON object describes, and the table a ``char`` object holds.
+    """The state a JSON object describes, and the table a ``char`` or
+    ``msps`` object holds or defines.
 
     The table is returned only once the state it inverts to has validated.
     A malformed object is a ParseError.
@@ -349,19 +354,16 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
             if kind == "dense":
                 return DensityMatrix(d, n, mat), None
             table = CharFunction(d, n, mat)
-            return DensityMatrix(d, n, inverse_char(table)), table
-        if kind == "msps":
-            group = StabilizerGroup(
-                d, n,
-                tuple(tuple(int(v) for v in g) for g in obj["generators"]),
-                tuple(int(x) for x in obj["phases"]),
-            )
-            return msps_from_group(group), None
-        if kind == "preset":
+        elif kind == "msps":
+            gens = tuple(tuple(int(v) for v in g) for g in obj["generators"])
+            table = msps_table(StabilizerGroup(d, n, gens, tuple(int(x) for x in obj["phases"])))
+        elif kind == "preset":
             return preset_state(obj["name"], d, n), None
+        else:
+            raise ParseError(f"unknown state kind {kind!r}")
+        return DensityMatrix(d, n, inverse_char(table)), table
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed state object: {exc!r}") from exc
-    raise ParseError(f"unknown state kind {kind!r}")
 
 
 def state_from_json(obj: dict) -> DensityMatrix:

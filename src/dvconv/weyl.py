@@ -1,5 +1,5 @@
-"""Weyl operators, characteristic-function transform, Pauli rank,
-and Clifford detection.
+"""Weyl operators and their phase convention, characteristic-function
+transform, Pauli rank, and Clifford detection.
 
 Phase-space points of an n-qudit system are length-2n integer vectors
 (p_1..p_n, q_1..q_n) with canonical residues in [0, d-1].  Characteristic
@@ -51,6 +51,15 @@ def _weyl_phase(d: int, pq) -> np.ndarray:
     if d == 2:
         return np.array([1, -1j, -1, 1j])[pq % 4]
     return np.exp(2j * np.pi * ((-mod_inverse(2, d) * (pq % d)) % d) / d)
+
+
+def product_phase(d: int, x, y) -> np.ndarray:
+    """beta(x, y) = phi(x) phi(y) xi^{-q_x.p_y} / phi(x + y), over the rows of x
+    and y, with w(x) w(y) = beta(x, y) w(x + y) as X^q Z^p = xi^{-q.p} Z^p X^q.
+    phi is a character of p.q and xi^{-c} is phi at 2c: beta is one phi."""
+    x, y = np.asarray(x, dtype=np.int64) % d, np.asarray(y, dtype=np.int64) % d
+    (px, qx), (py, qy), (ps, qs) = (np.split(v, 2, axis=-1) for v in (x, y, (x + y) % d))
+    return _weyl_phase(d, np.sum(px * qx + py * qy - ps * qs + 2 * py * qx, axis=-1))
 
 
 @lru_cache(maxsize=None)

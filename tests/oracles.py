@@ -13,14 +13,38 @@ from dvconv.conv import (ConvolutionSpec, beam_splitter_spec, convolve,
                          convolve_characteristic, default_spec)
 from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
                             relative_entropy, renyi_entropy, total_fisher)
+from dvconv.errors import InvalidGroup
 from dvconv.linalg import SUPPORT_TOL, trace_norm
 from dvconv.magic import make_zero_mean, mean_state
-from dvconv.states import DensityMatrix, random_density
-from dvconv.weyl import char_function, phase_points, weyl_op
+from dvconv.states import DensityMatrix, StabilizerGroup, random_density
+from dvconv.weyl import char_function, phase_points, weyl_op, xi
 
 
 def schatten2_norm(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(A) ** 2)))
+
+
+def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
+    """rho = (1/d^{n-r}) prod_i E_k [xi^{x_i} w(p_i, q_i)]^k, from d r dense
+    Weyl products."""
+    d, n = group.d, group.n
+    D = d**n
+    P = np.eye(D, dtype=complex)
+    w = xi(d)
+    for label, x in zip(group.generators, group.phases):
+        g = np.asarray(label, dtype=np.int64)
+        W = weyl_op(d, n, g[:n], g[n:])
+        avg = np.zeros((D, D), dtype=complex)
+        term = np.eye(D, dtype=complex)
+        for k in range(d):
+            avg += (w**x) ** k * term
+            term = term @ W
+        P = P @ (avg / d)
+    scale = d ** (n - group.r)
+    tr = np.trace(P).real
+    if abs(tr - scale) > 1e-8 * scale:
+        raise InvalidGroup(f"projector trace {tr:.6f}, expected {scale}")
+    return DensityMatrix(d, n, (P + P.conj().T) / (2 * scale))
 
 
 def weyl_orbit_holevo(spec: ConvolutionSpec, sigma: DensityMatrix,

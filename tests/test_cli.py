@@ -104,6 +104,20 @@ def test_emit_char_roundtrip(tmp_path, capsys):
     assert np.max(np.abs(back.mat - rho.mat)) < 1e-10
 
 
+@pytest.mark.parametrize("n, generators, rank", [
+    (2, [[0, 0, 1, 1], [1, 1, 0, 0]], 4),  # Bell: XX, ZZ
+    (3, [[0, 0, 0, 1, 1, 1], [1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0]], 8),  # GHZ
+], ids=["bell", "ghz"])
+def test_gap_on_qubit_msps_files(tmp_path, capsys, n, generators, rank):
+    path = _write(tmp_path / "msps.json", {"d": 2, "n": n, "kind": "msps",
+                                           "generators": generators, "phases": [0] * n})
+    code, out, err = run(capsys, "gap", "--d", "2", "--n", str(n), "--input", path)
+    assert code == 0, err
+    assert "IsMSPS    true" in out
+    assert "MG        0\n" in out
+    assert f"PauliRank {rank}\n" in out
+
+
 @pytest.mark.parametrize("d, n", [(3, 5), (337, 1)])
 def test_gap_at_the_largest_systems(capsys, d, n):
     code, out, err = run(capsys, "gap", "--d", str(d), "--n", str(n),
@@ -189,15 +203,18 @@ def test_exhaustive_suites_refuse_sample_flags(tmp_path, capsys, name, flag):
      f"the arguments ask for 1000000001 records; the budget is {RECORD_BUDGET}"),
     (("suite", "entropy", "--trials", "1000000000"),
      f"the arguments ask for 14000000000 records; the budget is {RECORD_BUDGET}"),
+    (("enumerate", "msps", "--d", "337"),
+     f"the enumeration budget is {states.ENUMERATION_BUDGET}"),
 ], ids=["clt-steps", "suite-steps", "trials-negative", "trials-zero", "suite-seed",
         "gap-seed", "duality-steps", "stability-steps", "clt-steps-budget",
-        "entropy-trials-budget"])
+        "entropy-trials-budget", "enumerate-budget"])
 def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the refusal")
 
     monkeypatch.setattr(states, "random_density", no_work)
     monkeypatch.setattr(states, "enumerate_pure_stabilizers", no_work)
+    monkeypatch.setattr(states, "msps_table", no_work)
     code, out, err = run(capsys, *argv)
     _assert_usage_error(code, err, message)
     assert out == ""
@@ -238,6 +255,9 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "stabilizers", "--d", "2")
     assert code == 0
     assert len(json.loads(out)) == 6
+    code, out, _ = run(capsys, "enumerate", "stabilizers", "--d", "11")
+    assert code == 0
+    assert len(json.loads(out)) == 132
 
 
 def test_capacity_bounds(capsys):
@@ -285,9 +305,12 @@ def test_capacity_bounds_weyl_ensemble_at_d343(capsys):
     assert abs(vals["weyl-ensemble"] - expected) < 1e-12
 
 
-def test_unsupported_scale_is_numeric_error(capsys):
-    code, _, _ = run(capsys, "enumerate", "msps", "--d", "7")
-    assert code == 3
+def test_unsupported_enumeration_is_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "msps", "--d", "3", "--n", "2")
+    _assert_usage_error(code, err, "enumeration supported only at n=1, got n=2")
+    assert out == ""
+    code, out, _ = run(capsys, "enumerate", "msps", "--d", "7")
+    assert code == 0 and len(json.loads(out)) == 57
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -516,6 +539,14 @@ def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
                             "--json")
     assert code == 0 and char_out == out
     assert (len(forward), len(inverse)) == (1, 1)
+    # an msps file's table is built from its group: inverted once, never transformed
+    msps_path = _write(tmp_path / "msps.json", {"d": 7, "n": 2, "kind": "msps",
+                                                "generators": [[1, 0, 0, 0], [0, 0, 0, 1]],
+                                                "phases": [3, 5]})
+    code, msps_out, _ = run(capsys, "gap", "--d", "7", "--n", "2", "--input", msps_path,
+                            "--json")
+    assert code == 0 and json.loads(msps_out)["is_msps"] is True
+    assert (len(forward), len(inverse)) == (1, 2)
 
 
 def test_convolve_at_d343(tmp_path, capsys):

@@ -33,12 +33,11 @@ from dvconv.states import (
     is_msps,
     ket_state,
     maximally_mixed,
-    msps_from_group,
     random_density,
 )
 from dvconv.weyl import CharFunction, char_function, is_clifford
 from dvconv.zmod import gmatrix_new
-from oracles import weyl_orbit_holevo
+from oracles import msps_from_group, weyl_orbit_holevo
 
 #: every named spec has a symmetric G; these do not, so a key map that used
 #: G where it needs G^T would show

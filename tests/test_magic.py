@@ -22,12 +22,12 @@ from dvconv.states import (
     is_msps,
     ket_state,
     maximally_mixed,
-    msps_from_group,
     random_density,
     t_state,
 )
 from dvconv.weyl import (CharFunction, char_function, inverse_char, is_clifford,
                          phase_points, point_index, weyl_op)
+from oracles import msps_from_group
 
 
 def test_mean_state_fixed_points():

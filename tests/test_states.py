@@ -12,20 +12,25 @@ from dvconv.errors import (
 )
 from dvconv.magic import mean_state
 from dvconv.states import (
+    ENUMERATION_BUDGET,
     DensityMatrix,
     StabilizerGroup,
     enumerate_msps,
     enumerate_pure_stabilizers,
+    enumeration_count,
     is_msps,
     ket_state,
     maximally_mixed,
-    msps_from_group,
+    msps_table,
     random_density,
     state_from_json,
     state_to_json,
     t_state,
 )
-from dvconv.weyl import char_function
+from dvconv.weyl import (CharFunction, char_function, inverse_char, point_index,
+                         symplectic_form)
+from dvconv.zmod import rank_mod, rref_mod
+from oracles import msps_from_group
 
 
 def test_density_matrix_validation():
@@ -155,10 +160,98 @@ def test_enumerate_counts():
     assert len(enumerate_msps(2)) == 7
     assert len(enumerate_msps(3)) == 13
     assert len(enumerate_pure_stabilizers(3)) == 12
+    for d in (2, 3, 5, 7, 11):
+        assert len(enumerate_msps(d)) == enumeration_count(d) == d * (d + 1) + 1
+        assert len(enumerate_pure_stabilizers(d)) == enumeration_count(d, mixed=False)
+        assert enumeration_count(d, mixed=False) == d * (d + 1)
+    # every named-spec prime fits the budget
+    assert enumeration_count(13) * 13**2 <= ENUMERATION_BUDGET
     with pytest.raises(UnsupportedScale):
         enumerate_msps(3, n=2)
     with pytest.raises(UnsupportedScale):
-        enumerate_pure_stabilizers(5)
+        enumerate_pure_stabilizers(337)
+    with pytest.raises(UnsupportedScale):
+        enumeration_count(337)
+
+
+def _random_group(rng, d, n, r):
+    """r independent commuting labels, each drawn at random until it fits,
+    with random phases."""
+    gens = []
+    while len(gens) < r:
+        g = tuple(int(v) for v in rng.integers(0, d, 2 * n))
+        rows = np.array(gens + [g])
+        if (all(symplectic_form(np.array(h), np.array(g), d) == 0 for h in gens)
+                and rank_mod(rows, d) == len(rows)):
+            gens.append(g)
+    return StabilizerGroup(d, n, tuple(gens), tuple(int(x) for x in rng.integers(0, d, r)))
+
+
+def _span(generators, d):
+    """The row-echelon basis of the labels' span mod d."""
+    R, pivots = rref_mod(np.array(generators, dtype=np.int64), d)
+    return R[:len(pivots)].tolist()
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2)])
+def test_msps_table_matches_the_dense_oracle(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    for r in range(n + 1):  # partial groups, then a maximal one
+        for _ in range(3):
+            group = _random_group(rng, d, n, r)
+            table = msps_table(group)
+            dense = msps_from_group(group)
+            assert np.max(np.abs(inverse_char(table) - dense.mat)) < 1e-14
+            # the dense side's forward transform adds its own round-off at D = 49
+            assert np.max(np.abs(table.values - char_function(dense).values)) < 1e-13
+
+
+def _ket(d, n, amplitudes):
+    psi = np.zeros(d**n, dtype=complex)
+    for digits, a in amplitudes.items():
+        psi[int(digits, d)] = a
+    return DensityMatrix(d, n, np.outer(psi, psi.conj()))
+
+
+def _assert_recovers(table, group):
+    ok, found = is_msps(table)
+    assert ok
+    assert _span(found.generators, group.d) == _span(group.generators, group.d)
+    for g, k in zip(found.generators, found.phases):
+        assert abs(table.at(g) - np.exp(2j * np.pi * k / group.d)) < 1e-12
+    assert np.max(np.abs(msps_table(found).values - msps_table(group).values)) < 1e-12
+
+
+def test_is_msps_accepts_bell_ghz_and_random_qubit_groups():
+    # Bell: XX and ZZ with eigenvalue +1; YY then has -1
+    bell = _ket(2, 2, {"00": 2**-0.5, "11": 2**-0.5})
+    xx_zz = StabilizerGroup(2, 2, ((0, 0, 1, 1), (1, 1, 0, 0)), (0, 0))
+    assert np.max(np.abs(msps_from_group(xx_zz).mat - bell.mat)) < 1e-12
+    _assert_recovers(char_function(bell), xx_zz)
+    ghz = _ket(2, 3, {"000": 2**-0.5, "111": 2**-0.5})
+    ghz_group = StabilizerGroup(2, 3, ((0, 0, 0, 1, 1, 1), (1, 1, 0, 0, 0, 0),
+                                       (0, 1, 1, 0, 0, 0)), (0, 0, 0))
+    assert np.max(np.abs(msps_from_group(ghz_group).mat - ghz.mat)) < 1e-12
+    _assert_recovers(char_function(ghz), ghz_group)
+    rng = np.random.default_rng(2)
+    for n in (2, 3):
+        for _ in range(10):
+            group = _random_group(rng, 2, n, n)
+            _assert_recovers(char_function(msps_from_group(group)), group)
+
+
+def test_is_msps_refuses_without_raising():
+    d, n = 2, 2
+    bell = char_function(_ket(d, n, {"00": 2**-0.5, "11": 2**-0.5}))
+    flipped = bell.values.copy()
+    flipped[point_index((1, 1, 1, 1), d)] *= -1  # YY: +1 is not the product phase
+    # every label unit (rank 2n > n); Z_1 and X_1 (rank n, not commuting); nothing
+    noncommuting = np.zeros(d ** (2 * n), dtype=complex)
+    for label in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0)):
+        noncommuting[point_index(label, d)] = 1.0
+    for values in (flipped, np.ones(d ** (2 * n), dtype=complex), noncommuting,
+                   np.zeros(d ** (2 * n), dtype=complex)):
+        assert is_msps(CharFunction(d, n, values)) == (False, None)
 
 
 def test_enumerated_msps_all_detected():

@@ -17,6 +17,7 @@ from dvconv.weyl import (
     pauli_rank,
     phase_points,
     point_index,
+    product_phase,
     symplectic_form,
     weyl_basis,
     weyl_op,
@@ -60,6 +61,20 @@ def test_weyl_adjoint_is_negation():
             lhs = weyl_op(d, 1, [p], [q]).conj().T
             rhs = weyl_op(d, 1, [-p], [-q])
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
+def test_product_phase_is_the_weyl_product(d, n):
+    # w(x) w(y) = beta(x, y) w(x + y), for every x against a few y at once
+    pts = phase_points(d, n)
+    rng = np.random.default_rng(d + n)
+    for y in pts[rng.choice(len(pts), size=4)]:
+        beta = product_phase(d, pts, y)
+        assert beta.shape == (len(pts),)
+        for x, b in zip(pts, beta):
+            lhs = weyl_op(d, n, x[:n], x[n:]) @ weyl_op(d, n, y[:n], y[n:])
+            s = x + y
+            assert np.max(np.abs(lhs - b * weyl_op(d, n, s[:n], s[n:]))) < 1e-12
 
 
 def test_weyl_orthogonality_exhaustive():
