@@ -6,7 +6,8 @@ built, a state file that cannot be read or parsed or holds another (d, n),
 or an output path that cannot be written); 3 numeric precondition failure
 on valid arguments; 4 internal error (any exception that is not a
 DvconvError, printed with its traceback before one ``internal error:``
-line).  Codes 2 and 3 print one ``error:`` line.
+line); 141 (128 + SIGPIPE) when the reader of stdout has closed it, with
+nothing printed.  Codes 2 and 3 print one ``error:`` line.
 All floats print with 17 significant digits so outputs are byte-identical
 across runs and platforms.
 """
@@ -33,6 +34,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 RANDOM_PRESETS = ("random-pure", "random-mixed")
 
@@ -186,21 +188,22 @@ def cmd_clt(args) -> int:
     spec = _spec_from_args("beam-splitter", None, args.d, args.n)
     rho = _load(args.state, args.d, args.n, args.seed)[0]
     series = experiments.clt_run(rho, spec, args.steps)
+    norms, bounds = series.norms.tolist(), series.bounds.tolist()
+    hs = {a: h.tolist() for a, h in series.entropies.items()}
     if args.format == "json":
         payload = {
             "d": series.d, "n": series.n,
             "displacement": list(series.displacement),
             "magic_gap": series.mg, "base_norm": series.base_norm,
-            "steps": series.steps,
+            "steps": [{"N": N, "norm": norm, "bound": bound,
+                       "entropies": {a: h[N] for a, h in hs.items()}}
+                      for N, (norm, bound) in enumerate(zip(norms, bounds))],
         }
         text = json.dumps(payload, sort_keys=True, default=float, indent=2) + "\n"
     else:
-        lines = ["N,norm,bound," + ",".join(
-            f"H_{a}" for a in experiments.ALPHAS_SECOND_LAW)]
-        for s in series.steps:
-            row = [str(s["N"]), fmt(s["norm"]), fmt(s["bound"])]
-            row += [fmt(s["entropies"][a]) for a in experiments.ALPHAS_SECOND_LAW]
-            lines.append(",".join(row))
+        lines = ["N,norm,bound," + ",".join(f"H_{a}" for a in hs)]
+        for N, row in enumerate(zip(norms, bounds, *hs.values())):
+            lines.append(",".join([str(N)] + [fmt(v) for v in row]))
         text = "\n".join(lines) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -352,6 +355,11 @@ def main(argv=None) -> int:
     except DvconvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:  # the reader left (``| head``); the flush at exit must not raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except Exception as exc:  # a defect, not a bad input: keep the traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

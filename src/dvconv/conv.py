@@ -21,7 +21,7 @@ from .errors import (
     InvalidGroup,
     UnsupportedDimension,
 )
-from .entropy import renyi_entropy
+from .entropy import renyi_spectra
 from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup
 from .weyl import CharFunction, char_function, displace, phase_points, point_index
@@ -190,18 +190,19 @@ def partner_stabilizer_group(s2: StabilizerGroup,
     return StabilizerGroup(d, n, tuple(gens), (0,) * n)
 
 
-def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix) -> tuple[float, float]:
+def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix
+                  ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(n log2 d - H(M(sigma)), n log2 d - H(sigma)) sandwiching the capacity
-    of the channel rho -> rho boxtimes sigma."""
+    of the channel rho -> rho boxtimes sigma, each of sigma's stack shape."""
     _check_pair(sigma, sigma, spec)
     cap = spec.n * np.log2(spec.d)
-    lower = cap - renyi_entropy(mean_state(char_function(sigma)), 1)
-    upper = cap - renyi_entropy(sigma, 1)
-    return float(lower), float(upper)
+    lower = cap - renyi_spectra(mean_state(char_function(sigma)).eigenvalues(), 1)
+    upper = cap - renyi_spectra(sigma.eigenvalues(), 1)
+    return lower, upper
 
 
 def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
-                         rho0: DensityMatrix) -> float:
+                         rho0: DensityMatrix) -> float | np.ndarray:
     """Holevo quantity of the uniform Weyl orbit of rho0 through
     rho -> rho boxtimes sigma: a certified lower bound on the capacity.
 
@@ -212,7 +213,8 @@ def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
     check: G is positive (``gmatrix_new``), so g00 and h00 are nonzero and
     x -> (g00 x_p, h00 x_q) is a bijection of phase space.  Every orbit
     output is then unitarily equivalent to out and the orbit average is the
-    full Weyl twirl, I/d^n for every state.  Returns n log2 d - H(out).
+    full Weyl twirl, I/d^n for every state.  Returns n log2 d - H(out), of
+    the shape that stacks broadcast to as in ``convolve``, checked as a whole.
     """
     _check_pair(rho0, sigma, spec)
     d, n, g = spec.d, spec.n, spec.G
@@ -222,9 +224,9 @@ def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
     for k, label in enumerate(np.eye(2 * n, dtype=np.int64)):
         lhs = convolve_characteristic(displace(t_rho0, label), t_sigma, spec)
         rhs = displace(t_out, np.concatenate([g.g00 * label[:n], h00 * label[n:]]))
-        dev = np.max(np.abs(lhs.values - rhs.values))
+        dev = np.max(np.abs(lhs.values - rhs.values), initial=0.0)
         if dev > COVARIANCE_TOL:
             raise CovarianceViolation(
                 f"unit label {k}: displaced output table deviates from "
                 f"that of w(g00 p, h00 q) out w^dag by {dev:.3e}")
-    return float(n * np.log2(d) - renyi_entropy(out, 1))
+    return n * np.log2(d) - renyi_spectra(out.eigenvalues(), 1)

@@ -160,9 +160,8 @@ def total_fisher(rho: DensityMatrix) -> float | np.ndarray:
                 basis = basis + np.abs(A.conj().swapaxes(-1, -2) @ A) ** 2
             weights += basis
     logs = np.log2(vals)
-    total = (weights * (vals[..., :, None] - vals[..., None, :])
-             * (logs[..., :, None] - logs[..., None, :])).sum(axis=(-2, -1))
-    return float(total) if total.ndim == 0 else total
+    return (weights * (vals[..., :, None] - vals[..., None, :])
+            * (logs[..., :, None] - logs[..., None, :])).sum(axis=(-2, -1))
 
 
 def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> float:

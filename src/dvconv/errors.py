@@ -25,10 +25,6 @@ class NotHermitian(DvconvError):
     """Operator deviates from Hermiticity beyond tolerance."""
 
 
-class NotUnitary(DvconvError):
-    """Operator deviates from unitarity beyond tolerance."""
-
-
 class DimensionMismatch(DvconvError):
     """Operator dimensions are inconsistent."""
 

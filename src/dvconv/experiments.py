@@ -52,14 +52,14 @@ class ExperimentReport:
     wall_time: float = 0.0
 
     def add(self, index, metric: str, value: float, bound: float) -> None:
+        value, bound = float(value), float(bound)
         ok = value <= bound
         self.records.append(
-            {"index": index, "metric": metric, "value": float(value),
-             "bound": float(bound), "pass": ok}
+            {"index": index, "metric": metric, "value": value, "bound": bound, "pass": ok}
         )
         if not ok:
             self.passed = False
-        self.max_violation = max(self.max_violation, float(value - bound))
+        self.max_violation = max(self.max_violation, value - bound)
 
     def to_json(self) -> str:
         """The report without its wall time, so it is byte-identical per seed."""
@@ -123,23 +123,24 @@ def _timed(fn):
 
 @dataclass
 class CltSeries:
-    """Norm/bound/entropy records along an iterated-convolution trajectory."""
+    """Norms, bounds and entropies along an iterated-convolution trajectory:
+    arrays over N = 0..n_max, and {alpha: array} for the entropies."""
 
     d: int
     n: int
     displacement: tuple[int, ...]
     mg: float
     base_norm: float
-    steps: list[dict]
+    norms: np.ndarray
+    bounds: np.ndarray
+    entropies: dict[float, np.ndarray]
 
     def log_slope(self) -> float | None:
         """Least-squares slope of ln(norm) vs N over steps with norm > 1e-12."""
-        pts = [(s["N"], s["norm"]) for s in self.steps if s["norm"] > 1e-12]
-        if len(pts) < 2:
+        steps = np.flatnonzero(self.norms > 1e-12)
+        if len(steps) < 2:
             return None
-        xs = np.array([p[0] for p in pts], dtype=float)
-        ys = np.log([p[1] for p in pts])
-        return float(np.polyfit(xs, ys, 1)[0])
+        return float(np.polyfit(steps, np.log(self.norms[steps]), 1)[0])
 
 
 def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
@@ -151,8 +152,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     on characteristic tables, in chunks of at most GATHER_BUDGET // D^2
     steps (at least one), so no more than a chunk of tables is held.  Per
     chunk, the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
-    tables are inverted and validated as one stack whose spectra give the
-    entropies.
+    tables are inverted and validated as one stack; the spectra of all steps
+    give the entropies, one call per alpha.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -167,7 +168,7 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
 
     def chunks():
         # displacing is unitary, so rho_0 has rho's spectrum
-        yield table0.values[None], rho.eigenvalues()[None]
+        yield norms(table0.values[None]), rho.eigenvalues()[None]
         size = max(1, conv.GATHER_BUDGET // D**2)
         table = table0
         for start in range(1, n_max + 1, size):
@@ -177,21 +178,15 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
                 tables.append(table.values)
             tables = np.array(tables)
             chunk = weyl.inverse_char(weyl.CharFunction(d, n, tables))
-            yield tables, states.DensityMatrix(d, n, chunk).eigenvalues()
+            yield norms(tables), states.DensityMatrix(d, n, chunk).eigenvalues()
 
-    base = float(norms(table0.values))
-    steps = []
-    for tables, spectra in chunks():
-        hs = {a: entropy.renyi_spectra(spectra, a).tolist() for a in ALPHAS_SECOND_LAW}
-        for k, norm in enumerate(norms(tables).tolist()):
-            N = len(steps)
-            steps.append({
-                "N": N,
-                "norm": norm,
-                "bound": (1 - mg) ** N * base,
-                "entropies": {a: h[k] for a, h in hs.items()},
-            })
-    return CltSeries(d, n, displacement, mg, base, steps)
+    norm_parts, spectra_parts = zip(*chunks())
+    all_norms, spectra = np.concatenate(norm_parts), np.concatenate(spectra_parts)
+    base = float(all_norms[0])
+    # Python powers: numpy's array power can differ in the last bit
+    bounds = np.array([(1 - mg) ** N * base for N in range(n_max + 1)])
+    return CltSeries(d, n, displacement, mg, base, all_norms, bounds,
+                     {a: entropy.renyi_spectra(spectra, a) for a in ALPHAS_SECOND_LAW})
 
 
 # ---------------------------------------------------------------------------
@@ -391,32 +386,37 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Capacity sandwich, ensemble lower bound, and the MSPS equality branch."""
     report = ExperimentReport("holevo", seed, {"trials": trials, "d": [3, 7]})
     seeds = _child_seeds(seed, 2 * trials)
-    for i in range(trials):
-        d = 3 if i % 2 == 0 else 7
+    for parity, d in enumerate((3, 7)):
         spec = _spec_for(d, 1)
-        rng = np.random.default_rng(seeds[2 * i])
-        sigma = states.random_density(seeds[2 * i], d, 1, int(rng.integers(1, d + 1)))
+        # trial i runs d = 3 when i is even, 7 when odd: this d's trials as one stack
+        ids = range(parity, trials, 2)
+        ranks = [np.random.default_rng(seeds[2 * i]).integers(1, d + 1) for i in ids]
+        sigma = states.random_density(None, d, 1, ranks, seeds=[seeds[2 * i] for i in ids])
+        rho0 = states.random_density(None, d, 1, 1, seeds=[seeds[2 * i + 1] for i in ids])
         lower, upper = conv.holevo_bounds(spec, sigma)
-        report.add(i, f"sandwich_order_d{d}", lower - upper, HOLEVO_TOL)
-        rho0 = states.random_density(seeds[2 * i + 1], d, 1, 1)
-        val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
-        report.add(i, f"ensemble_below_upper_d{d}", val - upper, HOLEVO_TOL)
+        ensemble = conv.holevo_weyl_ensemble(spec, sigma, rho0)
+        for i, order, below in zip(ids, (lower - upper).tolist(), (ensemble - upper).tolist()):
+            report.add(i, f"sandwich_order_d{d}", order, HOLEVO_TOL)
+            report.add(i, f"ensemble_below_upper_d{d}", below, HOLEVO_TOL)
+    # a stable sort by trial: each trial's two records stay in their order
+    report.records.sort(key=lambda rec: rec["index"])
     # equality branch: sigma an MSPS at d=3; some enumerated rho0 meets the bound
     d = MSPS_D
     spec = conv.default_spec(d, 1)
-    candidates = states.enumerate_msps(d)
-    for j, sigma in enumerate(candidates):
-        _, upper = conv.holevo_bounds(spec, sigma)
-        best = -INF
-        for rho0 in candidates:
-            best = max(best, conv.holevo_weyl_ensemble(spec, sigma, rho0))
-        report.add(j, "msps_equality_gap", upper - best, HOLEVO_TOL)
-    # pure stabilizer sigma: bounds collapse to n log2 d
+    candidates = states.msps_states(states.enumerate_groups(d))
+    _, upper = conv.holevo_bounds(spec, candidates)
+    # sigma along axis 0, rho0 along axis 1
+    best = conv.holevo_weyl_ensemble(
+        spec, states.DensityMatrix(d, 1, candidates.mat[:, None]),
+        states.DensityMatrix(d, 1, candidates.mat[None])).max(axis=1)
+    for j, gap in enumerate((upper - best).tolist()):
+        report.add(j, "msps_equality_gap", gap, HOLEVO_TOL)
+    # pure stabilizer sigma (all but the last, mixed, member): bounds collapse to log2 d
     cap = float(np.log2(d))
-    for j, sigma in enumerate(states.enumerate_pure_stabilizers(d)):
-        lower, upper = conv.holevo_bounds(spec, sigma)
-        report.add(j, "stab_bounds_collapse",
-                   max(abs(lower - cap), abs(upper - cap)), HOLEVO_TOL)
+    lower, upper = conv.holevo_bounds(spec, candidates[:-1])
+    collapse = np.maximum(np.abs(lower - cap), np.abs(upper - cap))
+    for j, dev in enumerate(collapse.tolist()):
+        report.add(j, "stab_bounds_collapse", dev, HOLEVO_TOL)
     return report
 
 
@@ -493,16 +493,14 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
         rank = 1 if i % 2 == 0 else int(rng.integers(1, d + 1))
         rho = states.random_density(seeds[i], d, n, rank)
         series = clt_run(rho, spec, steps)
-        worst = max(s["norm"] - s["bound"] for s in series.steps)
-        report.add(i, "norm_bound_gap", worst, CLT_TOL)
+        report.add(i, "norm_bound_gap", np.max(series.norms - series.bounds), CLT_TOL)
         slope = series.log_slope()
         if slope is not None and series.mg < 1:
             report.add(i, "log_slope_gap",
                        slope - math.log(1 - series.mg), SLOPE_TOL)
-        for alpha in ALPHAS_SECOND_LAW:
-            hs = [s["entropies"][alpha] for s in series.steps]
-            worst_drop = max(
-                (hs[k] - hs[k + 1] for k in range(len(hs) - 1)), default=0.0)
+        for alpha, hs in series.entropies.items():
+            # a single state has no drop; with steps, the largest may be negative
+            worst_drop = np.max(hs[:-1] - hs[1:]) if steps else 0.0
             report.add(i, f"second_law_drop_a{alpha}", worst_drop, SECOND_LAW_TOL)
     return report
 

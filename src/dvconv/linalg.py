@@ -42,5 +42,4 @@ def trace_norm(A: np.ndarray) -> float | np.ndarray:
     """Sum of |eigenvalues| for Hermitian A (the only case used here), or
     for each matrix of a (..., N, N) stack."""
     check_hermitian(A)
-    total = np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)

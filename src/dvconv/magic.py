@@ -33,9 +33,10 @@ def _mean_table(table: CharFunction) -> CharFunction:
 
 
 def mean_state(table: CharFunction) -> DensityMatrix:
-    """M(rho) from rho's table: _mean_table, inverted and symmetrized."""
+    """M(rho) from rho's table: _mean_table, inverted and symmetrized; a
+    stack of states for a stack of tables."""
     M = inverse_char(_mean_table(table))
-    return DensityMatrix(table.d, table.n, (M + M.conj().T) / 2)
+    return DensityMatrix(table.d, table.n, (M + M.conj().swapaxes(-1, -2)) / 2)
 
 
 def _gap_candidates(table: CharFunction) -> np.ndarray:

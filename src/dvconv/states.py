@@ -303,11 +303,6 @@ def enumerate_msps(d: int, n: int = 1, mixed: bool = True) -> list[DensityMatrix
     return [stack[i] for i in range(len(stack.mat))]
 
 
-def enumerate_pure_stabilizers(d: int, n: int = 1) -> list[DensityMatrix]:
-    """The d(d+1) single-qudit pure stabilizer states."""
-    return enumerate_msps(d, n, mixed=False)
-
-
 # ---------------------------------------------------------------------------
 # JSON state schema (shared with the CLI)
 # ---------------------------------------------------------------------------

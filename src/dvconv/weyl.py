@@ -1,5 +1,5 @@
-"""Weyl operators and their phase convention, characteristic-function
-transform, Pauli rank, and Clifford detection.
+"""Weyl operators and their phase convention, the characteristic-function
+transform and its inverse, Pauli rank, and displacement of tables.
 
 Phase-space points of an n-qudit system are length-2n integer vectors
 (p_1..p_n, q_1..q_n) with canonical residues in [0, d-1].  Characteristic
@@ -18,12 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotUnitary
 from .linalg import SUPPORT_TOL
 from .zmod import check_system, mod_inverse
-
-UNITARY_TOL = 1e-10
-CLIFFORD_TOL = 1e-9
 
 
 def xi(d: int) -> complex:
@@ -226,30 +222,6 @@ def inverse_char(table: CharFunction) -> np.ndarray:
 def pauli_rank(table: CharFunction) -> int:
     """Size of the characteristic-function support."""
     return int(np.sum(np.abs(table.values) > SUPPORT_TOL))
-
-
-def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
-    """True iff U maps every Weyl generator to a phase times a Weyl operator.
-
-    Checking the 2n generators suffices by the group structure.
-    """
-    D = d**n
-    if U.shape != (D, D):
-        raise ValueError(f"U has shape {U.shape}, expected {(D, D)}")
-    if np.max(np.abs(U @ U.conj().T - np.eye(D))) > UNITARY_TOL:
-        raise NotUnitary("U is not unitary within 1e-10")
-    for k in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[k] = 1
-        zero = np.zeros(n, dtype=np.int64)
-        for p, q in ((e, zero), (zero, e)):
-            B = U @ weyl_op(d, n, p, q) @ U.conj().T
-            coeffs = np.abs(char_table(B, d, n)) / D
-            top = np.max(coeffs)
-            rest = np.partition(coeffs, -2)[-2]
-            if abs(top - 1.0) > CLIFFORD_TOL or rest > CLIFFORD_TOL:
-                return False
-    return True
 
 
 def symplectic_form(x: np.ndarray, y: np.ndarray, d: int):

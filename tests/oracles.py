@@ -10,18 +10,47 @@ import numpy as np
 
 from dvconv import experiments
 from dvconv.conv import (ConvolutionSpec, beam_splitter_spec, convolve,
-                         convolve_characteristic, default_spec)
+                         convolve_characteristic, default_spec, holevo_bounds,
+                         holevo_weyl_ensemble)
 from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
                             relative_entropy, renyi_entropy, total_fisher)
 from dvconv.errors import InvalidGroup
 from dvconv.linalg import SUPPORT_TOL, trace_norm
 from dvconv.magic import make_zero_mean, mean_state
-from dvconv.states import DensityMatrix, StabilizerGroup, random_density
-from dvconv.weyl import char_function, phase_points, weyl_op, xi
+from dvconv.states import DensityMatrix, StabilizerGroup, enumerate_msps, random_density
+from dvconv.weyl import char_function, char_table, phase_points, weyl_op, xi
+
+UNITARY_TOL = 1e-10
+CLIFFORD_TOL = 1e-9
 
 
 def schatten2_norm(A: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(A) ** 2)))
+
+
+def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
+    """True iff U maps every Weyl generator to a phase times a Weyl operator.
+
+    Checking the 2n generators suffices by the group structure.  A matrix
+    of the wrong shape, or one that is not unitary, is a ValueError.
+    """
+    D = d**n
+    if U.shape != (D, D):
+        raise ValueError(f"U has shape {U.shape}, expected {(D, D)}")
+    if np.max(np.abs(U @ U.conj().T - np.eye(D))) > UNITARY_TOL:
+        raise ValueError(f"U is not unitary within {UNITARY_TOL:.0e}")
+    for k in range(n):
+        e = np.zeros(n, dtype=np.int64)
+        e[k] = 1
+        zero = np.zeros(n, dtype=np.int64)
+        for p, q in ((e, zero), (zero, e)):
+            B = U @ weyl_op(d, n, p, q) @ U.conj().T
+            coeffs = np.abs(char_table(B, d, n)) / D
+            top = np.max(coeffs)
+            rest = np.partition(coeffs, -2)[-2]
+            if abs(top - 1.0) > CLIFFORD_TOL or rest > CLIFFORD_TOL:
+                return False
+    return True
 
 
 def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
@@ -116,7 +145,7 @@ def scalar_renyi(lam: np.ndarray, alpha: float) -> float:
 
 def per_trial_records(name: str, seed: int, trials: int) -> list[tuple]:
     """(index, metric, value) of every record of the sampled suite ``name``
-    (duality, entropy, fisher or monotonicity), in report order, rebuilt one
+    (duality, entropy, fisher, monotonicity or holevo), in report order, rebuilt one
     trial at a time from single-state calls: the suites' draws and checks
     written as a loop over trials, with no stack."""
     return _PER_TRIAL[name](seed, trials)
@@ -207,5 +236,31 @@ def _monotonicity(seed, trials):
     return out
 
 
+def _holevo(seed, trials):
+    seeds = _seeds(seed, 2 * trials)
+    out = []
+    for i in range(trials):
+        d = 3 if i % 2 == 0 else 7
+        spec = _spec(d, 1)
+        rank = int(np.random.default_rng(seeds[2 * i]).integers(1, d + 1))
+        sigma = random_density(seeds[2 * i], d, 1, rank)
+        lower, upper = holevo_bounds(spec, sigma)
+        out.append((i, f"sandwich_order_d{d}", lower - upper))
+        rho0 = random_density(seeds[2 * i + 1], d, 1, 1)
+        out.append((i, f"ensemble_below_upper_d{d}",
+                    holevo_weyl_ensemble(spec, sigma, rho0) - upper))
+    spec = default_spec(3, 1)
+    candidates = enumerate_msps(3)
+    for j, sigma in enumerate(candidates):
+        _, upper = holevo_bounds(spec, sigma)
+        best = max(holevo_weyl_ensemble(spec, sigma, rho0) for rho0 in candidates)
+        out.append((j, "msps_equality_gap", upper - best))
+    cap = np.log2(3)
+    for j, sigma in enumerate(enumerate_msps(3, mixed=False)):
+        lower, upper = holevo_bounds(spec, sigma)
+        out.append((j, "stab_bounds_collapse", max(abs(lower - cap), abs(upper - cap))))
+    return out
+
+
 _PER_TRIAL = {"duality": _duality, "entropy": _entropy, "fisher": _fisher,
-              "monotonicity": _monotonicity}
+              "monotonicity": _monotonicity, "holevo": _holevo}

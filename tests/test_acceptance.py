@@ -13,7 +13,8 @@ from dvconv.cli import main as cli_main
 from dvconv.conv import beam_splitter_spec, default_spec, key_unitary
 from dvconv.magic import magic_gap, random_clifford
 from dvconv.states import DensityMatrix, random_density
-from dvconv.weyl import char_function, inverse_char, is_clifford
+from dvconv.weyl import char_function, inverse_char
+from oracles import is_clifford
 
 
 def _report(num, name, ok, detail=""):

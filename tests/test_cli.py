@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dvconv
 from dvconv import magic, states, weyl
-from dvconv.cli import RECORD_BUDGET, main
+from dvconv.cli import EXIT_CLOSED_PIPE, RECORD_BUDGET, main
 from dvconv.conv import convolve, default_spec
 from dvconv.entropy import renyi_entropy
 from dvconv.errors import InvalidState
@@ -213,7 +217,7 @@ def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
         raise AssertionError("work ran before the refusal")
 
     monkeypatch.setattr(states, "random_density", no_work)
-    monkeypatch.setattr(states, "enumerate_pure_stabilizers", no_work)
+    monkeypatch.setattr(states, "enumerate_msps", no_work)
     monkeypatch.setattr(states, "msps_table", no_work)
     code, out, err = run(capsys, *argv)
     _assert_usage_error(code, err, message)
@@ -573,3 +577,22 @@ def test_clt_at_d343(tmp_path, capsys):
     for line in lines[1:]:
         cols = line.split(",")
         assert float(cols[1]) <= float(cols[2]) + 1e-9
+
+
+def test_a_closed_stdout_ends_quietly():
+    """``dvconv enumerate msps --d 17 | head -c 100``: the reader leaves early."""
+    src = str(Path(dvconv.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dvconv", "enumerate", "msps", "--d", "17"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100  # the output is megabytes long
+        proc.stdout.close()
+        code = proc.wait(timeout=60)  # a traceback would fit in the pipe's buffer
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (EXIT_CLOSED_PIPE, b"")

@@ -29,15 +29,14 @@ from dvconv.states import (
     DensityMatrix,
     StabilizerGroup,
     enumerate_msps,
-    enumerate_pure_stabilizers,
     is_msps,
     ket_state,
     maximally_mixed,
     random_density,
 )
-from dvconv.weyl import CharFunction, char_function, is_clifford
+from dvconv.weyl import CharFunction, char_function
 from dvconv.zmod import gmatrix_new
-from oracles import msps_from_group, weyl_orbit_holevo
+from oracles import is_clifford, msps_from_group, weyl_orbit_holevo
 
 #: every named spec has a symmetric G; these do not, so a key map that used
 #: G where it needs G^T would show
@@ -182,7 +181,7 @@ def test_beam_splitter_char_form():
 
 def test_stability_exhaustive():
     spec = default_spec(3, 1)
-    stabs = enumerate_pure_stabilizers(3)
+    stabs = enumerate_msps(3, mixed=False)
     for a in stabs:
         for b in stabs:
             ok, _ = is_msps(char_function(convolve(a, b, spec)))
@@ -226,7 +225,7 @@ def test_holevo_bounds_cases():
     spec = default_spec(3, 1)
     lo, hi = holevo_bounds(spec, maximally_mixed(3, 1))
     assert abs(lo) < 1e-9 and abs(hi) < 1e-9
-    for sigma in enumerate_pure_stabilizers(3):
+    for sigma in enumerate_msps(3, mixed=False):
         lo, hi = holevo_bounds(spec, sigma)
         assert abs(lo - np.log2(3)) < 1e-9
         assert abs(hi - np.log2(3)) < 1e-9

@@ -30,24 +30,36 @@ def test_report_csv_format():
     assert lines[1] == "demo,3,0,m,0.33333333333333331,1,1"
 
 
+def test_report_add_takes_numpy_scalars():
+    report = ExperimentReport("demo", 0, {})
+    report.add(0, "m", np.float64(1.0), 2.0)
+    report.add(1, "m", np.float32(0.5), np.float64(0.25))
+    for rec in report.records:
+        assert type(rec["pass"]) is bool
+        assert type(rec["value"]) is float and type(rec["bound"]) is float
+    assert type(report.max_violation) is float
+    obj = json.loads(report.to_json())
+    assert [(r["value"], r["bound"], r["pass"]) for r in obj["records"]] == [
+        (1.0, 2.0, True), (0.5, 0.25, False)]
+    assert obj["max_violation"] == 0.25 and not obj["passed"]
+
+
 def test_clt_run_msps_fixed_point():
     spec = beam_splitter_spec(7, 1)
     from dvconv.states import maximally_mixed
 
     series = clt_run(maximally_mixed(7, 1), spec, 3)
-    assert all(s["norm"] < 1e-12 for s in series.steps)
+    assert series.norms.shape == (4,) and (series.norms < 1e-12).all()
 
 
 def test_clt_run_bound_and_second_law():
     spec = beam_splitter_spec(7, 1)
     rho = random_density(0, 7, 1, rank=1)
     series = clt_run(rho, spec, 8)
-    for s in series.steps:
-        assert s["norm"] <= s["bound"] + 1e-9
-    for alpha in experiments.ALPHAS_SECOND_LAW:
-        hs = [s["entropies"][alpha] for s in series.steps]
-        for a, b in zip(hs, hs[1:]):
-            assert b >= a - 1e-8
+    assert (series.norms <= series.bounds + 1e-9).all()
+    assert list(series.entropies) == list(experiments.ALPHAS_SECOND_LAW)
+    for hs in series.entropies.values():
+        assert (hs[1:] >= hs[:-1] - 1e-8).all()
     slope = series.log_slope()
     assert slope is not None
     assert slope <= math.log(1 - series.mg) + 1e-6
@@ -78,12 +90,18 @@ def test_clt_run_matches_dense_iteration(n, steps, inputs):
         if inputs == "displaced":
             assert series.displacement == (0, 0, 4, 0)
         norms, entropies = dense_clt(rho, spec, steps, ALPHAS_SECOND_LAW)
-        assert [s["N"] for s in series.steps] == list(range(steps + 1))
-        assert series.base_norm == series.steps[0]["norm"]
-        for step, norm, hs in zip(series.steps, norms, entropies):
-            assert abs(step["norm"] - norm) <= 1e-12
-            for alpha in ALPHAS_SECOND_LAW:
-                assert abs(step["entropies"][alpha] - hs[alpha]) <= 1e-10
+        assert series.norms.shape == series.bounds.shape == (steps + 1,)
+        assert series.base_norm == series.norms[0]
+        assert np.max(np.abs(series.norms - norms)) <= 1e-12
+        for alpha in ALPHAS_SECOND_LAW:
+            dense = [hs[alpha] for hs in entropies]
+            assert np.max(np.abs(series.entropies[alpha] - dense)) <= 1e-10
+
+
+def test_clt_bounds_are_python_powers():
+    series = clt_run(random_density(7, 7, 1, rank=1), beam_splitter_spec(7, 1), 30)
+    assert series.bounds.tolist() == [(1 - series.mg) ** N * series.base_norm
+                                      for N in range(31)]
 
 
 def test_clt_run_refuses_a_negative_step_count():
@@ -97,7 +115,11 @@ def test_clt_run_does_not_depend_on_the_chunk_size(monkeypatch, budget):
     rho = random_density(4, 7, 1, rank=2)
     whole = clt_run(rho, spec, 30)  # one chunk of 30 steps at D = 7
     monkeypatch.setattr(conv, "GATHER_BUDGET", budget)  # chunks of 1, 4 and 7 steps
-    assert clt_run(rho, spec, 30).steps == whole.steps
+    chunked = clt_run(rho, spec, 30)
+    assert chunked.norms.tobytes() == whole.norms.tobytes()
+    assert chunked.bounds.tobytes() == whole.bounds.tobytes()
+    for alpha, hs in whole.entropies.items():
+        assert chunked.entropies[alpha].tobytes() == hs.tobytes()
 
 
 def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
@@ -129,7 +151,7 @@ def test_clt_run_memory_at_d343():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(series.steps) == 31
+    assert len(series.norms) == 31
     # a chunk holds one table at D = 343; all 31 would be 58 MB
     assert peak <= 32 * 2**20
 
@@ -177,6 +199,28 @@ def test_stacked_suites_match_the_per_trial_oracle(name, trials):
     report = experiments.SUITES[name](seed=0, trials=trials)
     records = [(r["index"], r["metric"], r["value"]) for r in report.records]
     assert records == per_trial_records(name, 0, trials)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("trials", [1, 2, 5])  # 1: the d = 7 stack is empty
+def test_stacked_holevo_matches_the_per_trial_oracle(seed, trials):
+    report = experiments.suite_holevo(seed=seed, trials=trials)
+    records = [(r["index"], r["metric"], r["value"]) for r in report.records]
+    assert records == per_trial_records("holevo", seed, trials)
+
+
+@pytest.mark.parametrize("trials", [1, 4, 9])
+def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
+    calls = {"holevo_bounds": 0, "holevo_weyl_ensemble": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(conv, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(conv, name, counted)
+    assert experiments.suite_holevo(seed=0, trials=trials).passed
+    # one per d for both, the MSPS grid for both, and the pure members' bounds
+    assert calls == {"holevo_bounds": 4, "holevo_weyl_ensemble": 3}
 
 
 @pytest.mark.parametrize("name, trials, most", [

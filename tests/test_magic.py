@@ -25,9 +25,9 @@ from dvconv.states import (
     random_density,
     t_state,
 )
-from dvconv.weyl import (CharFunction, char_function, inverse_char, is_clifford,
-                         phase_points, point_index, weyl_op)
-from oracles import msps_from_group
+from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
+                         point_index, weyl_op)
+from oracles import is_clifford, msps_from_group
 
 
 def test_mean_state_fixed_points():

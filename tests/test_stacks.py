@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dvconv import conv, entropy, linalg, states, weyl
+from dvconv import conv, entropy, linalg, magic, states, weyl
 from dvconv.errors import InvalidState
 from dvconv.states import DensityMatrix, random_density
 
@@ -145,6 +145,46 @@ def test_total_fisher_and_trace_norm_per_member(d, n):
     for i in range(T):
         assert fisher[i] == entropy.total_fisher(rho[i])
         assert norms[i] == linalg.trace_norm(rho.mat[i] - sigma.mat[i])
+
+
+@pytest.mark.parametrize("members", [2, 3])  # 3: a stack as tall as the matrices
+def test_mean_state_per_member(members):
+    _, _, rho = _stack(3, 1)
+    M = magic.mean_state(weyl.char_function(rho[:members]))
+    assert M.mat.shape == (members, 3, 3)
+    for i in range(members):
+        alone = magic.mean_state(weyl.char_function(rho[i]))
+        assert np.array_equal(M.mat[i], alone.mat)
+        assert np.array_equal(M.eigenvalues()[i], alone.eigenvalues())
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_holevo_bounds_and_ensemble_per_member(d, n):
+    spec = _spec(d, n)
+    _, _, sigma = _stack(d, n)
+    _, _, rho0 = _stack(d, n, first=T)
+    lower, upper = conv.holevo_bounds(spec, sigma)
+    ensemble = conv.holevo_weyl_ensemble(spec, sigma, rho0)
+    assert lower.shape == upper.shape == ensemble.shape == (T,)
+    for i in range(T):
+        alone = conv.holevo_bounds(spec, sigma[i])
+        assert all(type(v) is np.float64 for v in alone)
+        assert (lower[i], upper[i]) == alone
+        assert ensemble[i] == conv.holevo_weyl_ensemble(spec, sigma[i], rho0[i])
+
+
+def test_holevo_msps_grid_matches_each_pair():
+    spec = conv.default_spec(3, 1)
+    msps = states.enumerate_msps(3)
+    stack = states.msps_states(states.enumerate_groups(3))
+    lower, upper = conv.holevo_bounds(spec, stack)
+    grid = conv.holevo_weyl_ensemble(spec, DensityMatrix(3, 1, stack.mat[:, None]),
+                                     DensityMatrix(3, 1, stack.mat[None]))
+    assert grid.shape == (13, 13)
+    for j, sigma in enumerate(msps):
+        assert (lower[j], upper[j]) == conv.holevo_bounds(spec, sigma)
+        for k, rho0 in enumerate(msps):
+            assert grid[j, k] == conv.holevo_weyl_ensemble(spec, sigma, rho0)
 
 
 class _GatherSpy(np.ndarray):

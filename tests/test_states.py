@@ -16,7 +16,6 @@ from dvconv.states import (
     DensityMatrix,
     StabilizerGroup,
     enumerate_msps,
-    enumerate_pure_stabilizers,
     enumeration_count,
     is_msps,
     ket_state,
@@ -159,17 +158,17 @@ def test_is_msps_basics():
 def test_enumerate_counts():
     assert len(enumerate_msps(2)) == 7
     assert len(enumerate_msps(3)) == 13
-    assert len(enumerate_pure_stabilizers(3)) == 12
+    assert len(enumerate_msps(3, mixed=False)) == 12
     for d in (2, 3, 5, 7, 11):
         assert len(enumerate_msps(d)) == enumeration_count(d) == d * (d + 1) + 1
-        assert len(enumerate_pure_stabilizers(d)) == enumeration_count(d, mixed=False)
+        assert len(enumerate_msps(d, mixed=False)) == enumeration_count(d, mixed=False)
         assert enumeration_count(d, mixed=False) == d * (d + 1)
     # every named-spec prime fits the budget
     assert enumeration_count(13) * 13**2 <= ENUMERATION_BUDGET
     with pytest.raises(UnsupportedScale):
         enumerate_msps(3, n=2)
     with pytest.raises(UnsupportedScale):
-        enumerate_pure_stabilizers(337)
+        enumerate_msps(337, mixed=False)
     with pytest.raises(UnsupportedScale):
         enumeration_count(337)
 
@@ -263,7 +262,7 @@ def test_enumerated_msps_all_detected():
 
 def test_pure_stabilizer_char_structure():
     for d in (2, 3):
-        for rho in enumerate_pure_stabilizers(d):
+        for rho in enumerate_msps(d, mixed=False):
             assert abs(np.vdot(rho.mat, rho.mat).real - 1) < 1e-10
             mags = np.abs(char_function(rho).values)
             unit = np.abs(mags - 1) < 1e-9
@@ -280,7 +279,7 @@ def test_d2_stabilizers_are_pauli_eigenstates():
     for P in paulis:
         for sign in (1, -1):
             expected.append((np.eye(2) + sign * P) / 2)
-    found = enumerate_pure_stabilizers(2)
+    found = enumerate_msps(2, mixed=False)
     for rho in found:
         assert any(np.max(np.abs(rho.mat - E)) < 1e-9 for E in expected)
     assert len(found) == 6
