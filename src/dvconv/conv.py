@@ -2,10 +2,10 @@
 beam-splitter/amplifier specializations, minimal-output-entropy partners,
 and Holevo capacity bounds.
 
-The matrix path gathers entries through the key permutation, O(D^3) time in
-chunks of at most GATHER_BUDGET products, so O(GATHER_BUDGET + D^2) memory
-and no D^2 x D^2 operand; the characteristic-side product is an independent
-cross-check.  ``key_unitary`` is the dense permutation, kept as an oracle.
+The matrix path gathers entries through the key permutation, one j at a
+time: O(D^3) time, O(D^2) memory per state and no D^2 x D^2 operand; the
+characteristic-side product is an independent cross-check.  ``key_unitary``
+is the dense permutation, kept as an oracle.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .zmod import GMatrix, check_system, find_amplifier_params, \
     find_beam_splitter_params, gmatrix_new, mod_inverse
 
 COVARIANCE_TOL = 1e-9
-#: products per chunk of the convolution's gather (at least one j per chunk):
-#: one chunk up to D = 16; larger chunks ran slower at D = 25 and 27
-GATHER_BUDGET = 2**12
 
 
 def _require_odd_prime(d: int, n: int) -> None:
@@ -114,35 +111,15 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
     sum_j rho[a(i, j), a(k, j)] sigma[b(i, j), b(k, j)], with (a, b) from
     _key_sources, summed in j order as the dense partial trace sums it.
 
-    Stacks broadcast over their leading axes, member by member.  The terms
-    are gathered in chunks of at most GATHER_BUDGET products, counted over
-    every member of the chunk: a chunk holds several whole members, or
-    several j of one member.  The running sum joins each chunk's first
-    term, so the order of each member's sum, and the output bits, depend
-    neither on the chunk size nor on the other members.
+    Stacks broadcast over their leading axes, member by member: each j
+    takes one row and one column gather of each operand.
     """
     _check_pair(rho, sigma, spec)
     a, b = _key_sources(spec)
-    D = a.shape[0]
     r, s = rho.mat, sigma.mat
-    if r.shape != s.shape:
-        r, s = np.broadcast_arrays(r, s)
-    lead = r.shape[:-2]
-    r, s = r.reshape(-1, D * D), s.reshape(-1, D * D)
-    # whole members per chunk while one member's D^3 products fit, else j slices
-    members = max(1, GATHER_BUDGET // D**3)
-    step = max(1, GATHER_BUDGET // (D * D))
-    out = np.zeros((len(r), D, D), dtype=complex)
-    for m in range(0, len(r), members):
-        rm, sm, acc = r[m:m + members], s[m:m + members], out[m:m + members]
-        for j in range(0, D, step):
-            # flat indices of rho[a(i, j), a(k, j)] and sigma[b(i, j), b(k, j)]
-            aj, bj = a.T[j:j + step], b.T[j:j + step]
-            terms = rm.take(aj[:, :, None] * D + aj[:, None, :], axis=-1)
-            terms *= sm.take(bj[:, :, None] * D + bj[:, None, :], axis=-1)
-            terms[:, 0] += acc
-            np.add.reduce(terms, axis=1, out=acc)
-    out = out.reshape(lead + (D, D))
+    out = np.zeros(np.broadcast_shapes(r.shape, s.shape), dtype=complex)
+    for aj, bj in zip(a.T, b.T):
+        out += r.take(aj, -2).take(aj, -1) * s.take(bj, -2).take(bj, -1)
     return DensityMatrix(spec.d, spec.n, (out + out.conj().swapaxes(-1, -2)) / 2)
 
 

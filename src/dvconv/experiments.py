@@ -37,6 +37,11 @@ FISHER_ORACLE_CASES = 20
 MSPS_D = 3
 #: the trajectory length suite clt runs by default
 CLT_STEPS = 30
+#: table values per chunk of the CLT iteration, at least one step per chunk:
+#: 83 steps at D = 7, one step at D = 49
+CLT_CHUNK_VALUES = 2**12
+#: norms at or below this are rounding noise, left out of the fitted slope
+SLOPE_NORM_FLOOR = 1e-12
 
 
 @dataclass
@@ -136,8 +141,9 @@ class CltSeries:
     entropies: dict[float, np.ndarray]
 
     def log_slope(self) -> float | None:
-        """Least-squares slope of ln(norm) vs N over steps with norm > 1e-12."""
-        steps = np.flatnonzero(self.norms > 1e-12)
+        """Least-squares slope of ln(norm) vs N over the steps whose norm
+        exceeds SLOPE_NORM_FLOOR."""
+        steps = np.flatnonzero(self.norms > SLOPE_NORM_FLOOR)
         if len(steps) < 2:
             return None
         return float(np.polyfit(steps, np.log(self.norms[steps]), 1)[0])
@@ -149,7 +155,7 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
 
     Non-zero-mean inputs are displaced to zero mean first, on the table;
     the applied displacement is recorded in the series.  The iteration runs
-    on characteristic tables, in chunks of at most GATHER_BUDGET // D^2
+    on characteristic tables, in chunks of at most CLT_CHUNK_VALUES // D^2
     steps (at least one), so no more than a chunk of tables is held.  Per
     chunk, the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
     tables are inverted and validated as one stack; the spectra of all steps
@@ -169,7 +175,7 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     def chunks():
         # displacing is unitary, so rho_0 has rho's spectrum
         yield norms(table0.values[None]), rho.eigenvalues()[None]
-        size = max(1, conv.GATHER_BUDGET // D**2)
+        size = max(1, CLT_CHUNK_VALUES // D**2)
         table = table0
         for start in range(1, n_max + 1, size):
             tables = []
@@ -200,6 +206,8 @@ FISHER_FD_TOL = 1e-4
 TRACE_MONO_TOL = 1e-9
 RELENT_MONO_TOL = 1e-8
 EXTREMALITY_TOL = 1e-8
+#: an MSPS this close to M(rho), entrywise, is M(rho) and gets no margin
+MEAN_MATCH_TOL = 1e-9
 PURE_OUT_TOL = 1e-9
 HOLEVO_TOL = 1e-9
 SYNTH_TOL = 1e-9
@@ -467,7 +475,7 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
                           - entropy.renyi_entropy(rho, alpha)))
             report.add(i, f"identity_dev_a{alpha}", identity_dev, EXTREMALITY_TOL)
             for j, sigma in enumerate(msps_set):
-                if np.max(np.abs(sigma.mat - M.mat)) < 1e-9:
+                if np.max(np.abs(sigma.mat - M.mat)) < MEAN_MATCH_TOL:
                     continue
                 d_other = entropy.sandwiched_relative_entropy(rho, sigma, alpha)
                 if d_other == INF:

@@ -177,9 +177,6 @@ class CharFunction:
         if self.values.shape[-1:] != (self.d ** (2 * self.n),):
             raise ValueError("characteristic table has wrong length")
 
-    def at(self, label) -> complex:
-        return complex(self.values[point_index(label, self.d)])
-
 
 def char_table(M: np.ndarray, d: int, n: int) -> np.ndarray:
     """Xi_M(x) = Tr[M w(-x)] for every phase point x, of M or of each

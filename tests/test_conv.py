@@ -34,7 +34,7 @@ from dvconv.states import (
     maximally_mixed,
     random_density,
 )
-from dvconv.weyl import CharFunction, char_function
+from dvconv.weyl import CharFunction, char_function, point_index
 from dvconv.zmod import gmatrix_new
 from oracles import is_clifford, msps_from_group, weyl_orbit_holevo
 
@@ -120,8 +120,9 @@ def test_duality(seed):
 
 def test_convolve_equals_dense_oracle():
     # the gather adds the partial-trace terms in the dense path's order, so
-    # the two agree bit for bit, not only to rounding
-    for k, spec in enumerate(NAMED_SPECS + SKEW_SPECS):
+    # the two agree bit for bit, not only to rounding; D = 25 and 27 too
+    for k, spec in enumerate(NAMED_SPECS + SKEW_SPECS
+                             + [default_spec(5, 2), default_spec(3, 3)]):
         d, n, D = spec.d, spec.n, spec.d**spec.n
         a = random_density(k, d, n, rank=1)
         b = random_density(k + 100, d, n)
@@ -130,27 +131,8 @@ def test_convolve_equals_dense_oracle():
         assert np.array_equal(convolve(a, b, spec).mat, (out + out.conj().T) / 2)
 
 
-@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 2), (7, 2)])
-def test_gather_chunking_keeps_the_output_bits(monkeypatch, d, n):
-    """Chunks of 1 j, 2 j or all D j values give the same bits, and match the
-    dense partial trace within 1e-15 where the dense key unitary fits."""
-    D = d**n
-    spec = default_spec(d, n)
-    a = random_density(d + n, d, n, rank=1)
-    b = random_density(d + n + 1, d, n)
-    outs = []
-    for per_chunk in (1, 2, D):
-        monkeypatch.setattr(conv, "GATHER_BUDGET", per_chunk * D * D)
-        outs.append(convolve(a, b, spec).mat)
-    assert all(np.array_equal(outs[0], out) for out in outs[1:])
-    if D <= 9:
-        U = key_unitary(spec)
-        dense = partial_trace_B(U @ np.kron(a.mat, b.mat) @ U.conj().T, D, D)
-        assert np.max(np.abs(outs[0] - (dense + dense.conj().T) / 2)) <= 1e-15
-
-
 def test_convolve_memory_at_d343():
-    """The gather holds one chunk at a time: no D^3 index arrays."""
+    """The gather holds one j at a time: no D^3 index arrays."""
     spec = default_spec(7, 3)
     a = random_density(0, 7, 3, rank=1)
     b = random_density(1, 7, 3)
@@ -161,6 +143,21 @@ def test_convolve_memory_at_d343():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_stacked_convolve_memory():
+    """20 members at D = 49 hold a few stacks of one j's gathers, 0.73 MB each."""
+    spec = default_spec(7, 2)
+    a = random_density(None, 7, 2, 1, seeds=range(20))
+    b = random_density(None, 7, 2, seeds=range(20, 40))
+    tracemalloc.start()
+    try:
+        out = convolve(a, b, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.mat.shape == (20, 49, 49)
+    assert peak <= 8 * 2**20
 
 
 def test_beam_splitter_char_form():
@@ -175,8 +172,9 @@ def test_beam_splitter_char_form():
     from dvconv.weyl import phase_points
 
     for x in phase_points(d, n):
-        expected = ta.at((s * x) % d) * tb.at((t * x) % d)
-        assert abs(out.at(x) - expected) < 1e-12
+        expected = (ta.values[point_index(s * x, d)]
+                    * tb.values[point_index(t * x, d)])
+        assert abs(out.values[point_index(x, d)] - expected) < 1e-12
 
 
 def test_stability_exhaustive():

@@ -114,7 +114,7 @@ def test_clt_run_does_not_depend_on_the_chunk_size(monkeypatch, budget):
     spec = beam_splitter_spec(7, 1)
     rho = random_density(4, 7, 1, rank=2)
     whole = clt_run(rho, spec, 30)  # one chunk of 30 steps at D = 7
-    monkeypatch.setattr(conv, "GATHER_BUDGET", budget)  # chunks of 1, 4 and 7 steps
+    monkeypatch.setattr(experiments, "CLT_CHUNK_VALUES", budget)  # chunks of 1, 4 and 7 steps
     chunked = clt_run(rho, spec, 30)
     assert chunked.norms.tobytes() == whole.norms.tobytes()
     assert chunked.bounds.tobytes() == whole.bounds.tobytes()
@@ -189,6 +189,28 @@ def test_extremality_covers_msps_inputs():
     report = experiments.suite_extremality(seed=0, trials=10)
     metrics = {r["metric"].split("_s")[0] for r in report.records}
     assert any(m.startswith("uniqueness_margin") for m in metrics)
+
+
+def test_extremality_msps_input_has_no_margin_against_itself():
+    """Trial 4 is the pure MSPS msps_set[4]: its mean state is itself, within
+    MEAN_MATCH_TOL, and of the others only I/3 gives a finite divergence."""
+    msps_set = enumerate_msps(experiments.MSPS_D)
+    mixed = [j for j, s in enumerate(msps_set) if np.linalg.matrix_rank(s.mat) > 1]
+    assert mixed == [12]
+    report = experiments.suite_extremality(seed=0, trials=5)
+    margins = [r["metric"] for r in report.records
+               if r["index"] == 4 and r["metric"].startswith("uniqueness_margin")]
+    assert margins == [f"uniqueness_margin_a{alpha}_s12"
+                       for alpha in experiments.ALPHAS_EXTREMALITY]
+
+
+def test_log_slope_keeps_only_norms_above_the_floor():
+    """Of two norms a hair either side of SLOPE_NORM_FLOOR, the fit keeps the
+    upper one: the slope is that of steps 0 and 1 alone."""
+    floor = experiments.SLOPE_NORM_FLOOR
+    norms = np.array([1.0, floor * (1 + 1e-3), floor * (1 - 1e-3)])
+    series = experiments.CltSeries(7, 1, (0, 0), 0.5, 1.0, norms, norms, {})
+    assert series.log_slope() == pytest.approx(math.log(norms[1]), rel=1e-12)
 
 
 @pytest.mark.parametrize("name, trials", [

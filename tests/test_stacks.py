@@ -1,8 +1,6 @@
 """Stacked calls against single-state calls: member i of every stacked call
 equals the single call on member i, bit for bit."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -185,32 +183,3 @@ def test_holevo_msps_grid_matches_each_pair():
         assert (lower[j], upper[j]) == conv.holevo_bounds(spec, sigma)
         for k, rho0 in enumerate(msps):
             assert grid[j, k] == conv.holevo_weyl_ensemble(spec, sigma, rho0)
-
-
-class _GatherSpy(np.ndarray):
-    """An array that records the size of every gather taken from it."""
-
-    sizes: list = []
-
-    def take(self, indices, axis=None, **kwargs):
-        out = np.asarray(self).take(indices, axis=axis, **kwargs)
-        _GatherSpy.sizes.append(out.size)
-        return out
-
-
-@pytest.mark.parametrize("d, n", SHAPES)
-@pytest.mark.parametrize("budget", ["D^2", "3 D^2", "T D^3"])
-def test_gather_budget_moves_no_bit(monkeypatch, d, n, budget):
-    spec, D = _spec(d, n), d**n
-    _, _, a = _stack(d, n)
-    _, _, b = _stack(d, n, first=T)
-    alone = [conv.convolve(a[i], b[i], spec).mat for i in range(T)]
-    limit = {"D^2": D**2, "3 D^2": 3 * D**2, "T D^3": T * D**3}[budget]
-    monkeypatch.setattr(conv, "GATHER_BUDGET", limit)
-    monkeypatch.setattr(_GatherSpy, "sizes", [])
-    # convolve reads only d, n and mat, so the spy stands in for the stacks
-    spied = [SimpleNamespace(d=d, n=n, mat=x.mat.view(_GatherSpy)) for x in (a, b)]
-    out = conv.convolve(*spied, spec)
-    for i in range(T):
-        assert np.array_equal(out.mat[i], alone[i])
-    assert _GatherSpy.sizes and max(_GatherSpy.sizes) <= limit

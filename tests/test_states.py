@@ -217,7 +217,8 @@ def _assert_recovers(table, group):
     assert ok
     assert _span(found.generators, group.d) == _span(group.generators, group.d)
     for g, k in zip(found.generators, found.phases):
-        assert abs(table.at(g) - np.exp(2j * np.pi * k / group.d)) < 1e-12
+        value = table.values[point_index(g, group.d)]
+        assert abs(value - np.exp(2j * np.pi * k / group.d)) < 1e-12
     assert np.max(np.abs(msps_table(found).values - msps_table(group).values)) < 1e-12
 
 

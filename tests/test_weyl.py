@@ -107,7 +107,7 @@ def test_char_function_rejects_n0():
 
 def test_char_maximally_mixed():
     table = char_function(maximally_mixed(3, 1))
-    assert abs(table.at((0, 0)) - 1) < 1e-12
+    assert abs(table.values[point_index((0, 0), 3)] - 1) < 1e-12
     assert np.sum(np.abs(table.values) > 1e-10) == 1
 
 
@@ -116,7 +116,7 @@ def test_char_zero_ket_d3():
     for p in range(3):
         for q in range(3):
             expected = 1.0 if q == 0 else 0.0
-            assert abs(abs(table.at((p, q))) - expected) < 1e-12
+            assert abs(abs(table.values[point_index((p, q), 3)]) - expected) < 1e-12
 
 
 def test_char_t_state():
@@ -130,12 +130,13 @@ def test_char_invariants_and_roundtrip(cfg, seed):
     d, n = cfg
     rho = random_density(seed, d, n)
     table = char_function(rho)
-    assert abs(table.at([0] * (2 * n)) - 1) < 1e-10
+    assert abs(table.values[0] - 1) < 1e-10
     assert np.max(np.abs(table.values)) <= 1 + 1e-10
     # Hermiticity: Xi(-x) = conj(Xi(x))
     pts = phase_points(d, n)
     for label in pts[:: max(1, len(pts) // 16)]:
-        assert abs(table.at((-label) % d) - np.conj(table.at(label))) < 1e-10
+        assert abs(table.values[point_index(-label, d)]
+                   - np.conj(table.values[point_index(label, d)])) < 1e-10
     back = inverse_char(table)
     assert np.max(np.abs(back - rho.mat)) < 1e-10
 
