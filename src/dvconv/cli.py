@@ -193,7 +193,7 @@ def cmd_clt(args) -> int:
     if args.format == "json":
         payload = {
             "d": series.d, "n": series.n,
-            "displacement": list(series.displacement),
+            "displacement": series.displacement.tolist(),
             "magic_gap": series.mg, "base_norm": series.base_norm,
             "steps": [{"N": N, "norm": norm, "bound": bound,
                        "entropies": {a: h[N] for a, h in hs.items()}}

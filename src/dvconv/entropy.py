@@ -62,52 +62,64 @@ def renyi_spectra(lam: np.ndarray, alpha: float) -> np.ndarray:
     return np.log2((pos**alpha).sum(axis=-1)) / (1 - alpha)
 
 
-def _support_projector(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _on_support(sigma: DensityMatrix, f) -> np.ndarray:
+    """f(sigma) on sigma's support and 0 on its kernel, of each member: the
+    kernel's eigenvalues are masked before f, so no log or power meets a 0."""
     vals, vecs = sigma.eigenvalues(), sigma.eigenvectors
     keep = vals > SUPPORT_TOL
-    return vals[keep], vecs[:, keep], vecs[:, ~keep]
+    fvals = np.where(keep, f(np.where(keep, vals, 1.0)), 0.0)
+    return (vecs * fvals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _outside_support_weight(rho: DensityMatrix, kernel_vecs: np.ndarray) -> float:
-    if kernel_vecs.shape[1] == 0:
-        return 0.0
-    return float(np.real(np.trace(kernel_vecs.conj().T @ rho.mat @ kernel_vecs)))
+def _off_support(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """The one support rule, per broadcast pair: True where rho's weight on
+    sigma's kernel, the sum over kernel eigenvectors v of v^dag rho v,
+    exceeds SUPPORT_TOL."""
+    vecs = sigma.eigenvectors
+    kernel = sigma.eigenvalues() <= SUPPORT_TOL
+    diag = (vecs.conj() * (rho.mat @ vecs)).sum(axis=-2).real
+    return np.where(kernel, diag, 0.0).sum(axis=-1) > SUPPORT_TOL
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Umegaki D(rho||sigma) in bits; +inf off the support of sigma."""
-    svals, svecs, skern = _support_projector(sigma)
-    if _outside_support_weight(rho, skern) > SUPPORT_TOL:
-        return INF
-    rvals = rho.eigenvalues()
-    rpos = rvals[rvals > FULL_RANK_TOL]
-    s1 = float(np.sum(rpos * np.log2(rpos)))
-    log_sigma = (svecs * np.log2(svals)) @ svecs.conj().T
-    s2 = float(np.real(np.trace(rho.mat @ log_sigma)))
-    return s1 - s2
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """Umegaki D(rho||sigma) in bits; +inf off the support of sigma.
+
+    rho and sigma are states or stacks, broadcast over their leading axes
+    as ``convolve`` broadcasts them; the result has the broadcast shape
+    (an np.float64 for one pair).
+    """
+    lam = rho.eigenvalues()
+    pos = np.where(lam > FULL_RANK_TOL, lam, 1.0)
+    s1 = (pos * np.log2(pos)).sum(axis=-1)
+    s2 = np.trace(rho.mat @ _on_support(sigma, np.log2), axis1=-2, axis2=-1).real
+    return np.where(_off_support(rho, sigma), INF, s1 - s2)[()]
 
 
 def sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                                alpha: float) -> float:
-    """Sandwiched Renyi divergence D_alpha, alpha in [1/2, inf]."""
+                                alpha: float) -> np.ndarray:
+    """Sandwiched Renyi divergence D_alpha, alpha in [1/2, inf], of each
+    broadcast pair, as ``relative_entropy`` takes them.
+
+    Above alpha 1 it is +inf off the support of sigma; at any alpha it is
+    +inf where the middle operator sigma^e rho sigma^e is 0.
+    """
     if alpha == 1:
         return relative_entropy(rho, sigma)
     if not (0.5 <= alpha):
         raise ValueError("alpha must be in [1/2, inf]")
-    svals, svecs, skern = _support_projector(sigma)
-    if alpha > 1 and _outside_support_weight(rho, skern) > SUPPORT_TOL:
-        return INF
-    if alpha == INF:
-        inv_sqrt = (svecs * svals**-0.5) @ svecs.conj().T
-        mid = inv_sqrt @ rho.mat @ inv_sqrt
-        vals, _ = herm_eig((mid + mid.conj().T) / 2)
-        return float(np.log2(vals[0]))
-    e = (1 - alpha) / (2 * alpha)
-    sig_e = (svecs * svals**e) @ svecs.conj().T
+    # e -> -1/2 as alpha -> inf
+    e = -0.5 if alpha == INF else (1 - alpha) / (2 * alpha)
+    sig_e = _on_support(sigma, lambda v: v**e)
     mid = sig_e @ rho.mat @ sig_e
-    vals, _ = herm_eig((mid + mid.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    return float(np.log2(np.sum(vals**alpha)) / (alpha - 1))
+    vals, _ = herm_eig((mid + mid.conj().swapaxes(-1, -2)) / 2)
+    if alpha == INF:
+        q, scale = vals[..., 0], 1.0
+    else:
+        q, scale = (np.clip(vals, 0.0, None) ** alpha).sum(axis=-1), alpha - 1
+    off = q <= 0
+    if alpha > 1:
+        off |= _off_support(rho, sigma)
+    return np.where(off, INF, np.log2(np.where(off, 1.0, q)) / scale)[()]
 
 
 # ---------------------------------------------------------------------------

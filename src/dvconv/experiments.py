@@ -128,21 +128,36 @@ def _timed(fn):
 
 @dataclass
 class CltSeries:
-    """Norms, bounds and entropies along an iterated-convolution trajectory:
-    arrays over N = 0..n_max, and {alpha: array} for the entropies."""
+    """Norms, bounds and entropies along an iterated-convolution trajectory,
+    or along each trajectory of a stack.
+
+    ``norms``, ``bounds`` and each of ``entropies`` ({alpha: array}) run
+    over N = 0..n_max on their last axis; ``displacement`` is an integer
+    array over its 2n labels.  Every field carries the stack's leading
+    axes first, and ``mg`` and ``base_norm`` are scalars for one series.
+    ``series[i]`` is member i, indexed over the leading axes.
+    """
 
     d: int
     n: int
-    displacement: tuple[int, ...]
-    mg: float
-    base_norm: float
+    displacement: np.ndarray
+    mg: float | np.ndarray
+    base_norm: float | np.ndarray
     norms: np.ndarray
     bounds: np.ndarray
     entropies: dict[float, np.ndarray]
 
+    def __getitem__(self, index) -> CltSeries:
+        key = index if isinstance(index, tuple) else (index,)
+        if len(key) > np.ndim(self.mg):
+            raise IndexError(f"{len(key)} indices for a stack of shape {np.shape(self.mg)}")
+        return CltSeries(self.d, self.n, self.displacement[key], self.mg[key],
+                         self.base_norm[key], self.norms[key], self.bounds[key],
+                         {a: hs[key] for a, hs in self.entropies.items()})
+
     def log_slope(self) -> float | None:
         """Least-squares slope of ln(norm) vs N over the steps whose norm
-        exceeds SLOPE_NORM_FLOOR."""
+        exceeds SLOPE_NORM_FLOOR, of one series."""
         steps = np.flatnonzero(self.norms > SLOPE_NORM_FLOOR)
         if len(steps) < 2:
             return None
@@ -151,47 +166,58 @@ class CltSeries:
 
 def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
             n_max: int) -> CltSeries:
-    """Iterate the beam-splitter convolution and record norms and entropies.
+    """Iterate the beam-splitter convolution and record norms and entropies,
+    of one state or of each member of a stack.
 
-    Non-zero-mean inputs are displaced to zero mean first, on the table;
-    the applied displacement is recorded in the series.  The iteration runs
-    on characteristic tables, in chunks of at most CLT_CHUNK_VALUES // D^2
-    steps (at least one), so no more than a chunk of tables is held.  Per
-    chunk, the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
-    tables are inverted and validated as one stack; the spectra of all steps
-    give the entropies, one call per alpha.
+    Non-zero-mean inputs are displaced to zero mean first, on the table and
+    one member at a time; the applied displacement is recorded in the
+    series.  The iteration runs on characteristic tables, all members at
+    once, in chunks of at most CLT_CHUNK_VALUES // (members * D^2) steps
+    (at least one), so no more than a chunk of tables is held.  Per chunk,
+    the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
+    tables are inverted and validated as one stack; the spectra of all
+    steps give the entropies, one call per alpha.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    displacement, table0 = magic.make_zero_mean(weyl.char_function(rho))
     d, n = spec.d, spec.n
     D = d**n
+    tables = weyl.char_function(rho).values
+    lead = tables.shape[:-1]
+    # group recovery reads one table at a time
+    shifted = [magic.make_zero_mean(weyl.CharFunction(d, n, values))
+               for values in tables.reshape(-1, D * D)]
+    displacement = np.array([x for x, _ in shifted], dtype=np.int64).reshape(lead + (2 * n,))
+    table0 = weyl.CharFunction(d, n, np.array([t.values for _, t in shifted]).reshape(tables.shape))
     mean = weyl.char_function(magic.mean_state(table0)).values
     mg = magic.magic_gap(table0)
 
     def norms(tables: np.ndarray) -> np.ndarray:
-        return np.sqrt((np.abs(tables - mean) ** 2).sum(axis=-1) / D)
+        return np.sqrt((np.abs(tables - mean[..., None, :]) ** 2).sum(axis=-1) / D)
 
     def chunks():
         # displacing is unitary, so rho_0 has rho's spectrum
-        yield norms(table0.values[None]), rho.eigenvalues()[None]
-        size = max(1, CLT_CHUNK_VALUES // D**2)
+        yield norms(table0.values[..., None, :]), rho.eigenvalues()[..., None, :]
+        size = max(1, CLT_CHUNK_VALUES // (tables.size or 1))
         table = table0
         for start in range(1, n_max + 1, size):
-            tables = []
+            steps = []
             for _ in range(start, min(start + size, n_max + 1)):
                 table = conv.convolve_characteristic(table, table0, spec)
-                tables.append(table.values)
-            tables = np.array(tables)
-            chunk = weyl.inverse_char(weyl.CharFunction(d, n, tables))
-            yield norms(tables), states.DensityMatrix(d, n, chunk).eigenvalues()
+                steps.append(table.values)
+            steps = np.stack(steps, axis=-2)
+            chunk = weyl.inverse_char(weyl.CharFunction(d, n, steps))
+            yield norms(steps), states.DensityMatrix(d, n, chunk).eigenvalues()
 
     norm_parts, spectra_parts = zip(*chunks())
-    all_norms, spectra = np.concatenate(norm_parts), np.concatenate(spectra_parts)
-    base = float(all_norms[0])
+    all_norms = np.concatenate(norm_parts, axis=-1)
+    spectra = np.concatenate(spectra_parts, axis=-2)
+    base = all_norms[..., 0][()]
     # Python powers: numpy's array power can differ in the last bit
-    bounds = np.array([(1 - mg) ** N * base for N in range(n_max + 1)])
-    return CltSeries(d, n, displacement, mg, base, all_norms, bounds,
+    bounds = np.array([[(1 - m) ** N * b for N in range(n_max + 1)]
+                       for m, b in zip(np.ravel(mg).tolist(), np.ravel(base).tolist())])
+    return CltSeries(d, n, displacement, mg, base, all_norms,
+                     bounds.reshape(all_norms.shape),
                      {a: entropy.renyi_spectra(spectra, a) for a in ALPHAS_SECOND_LAW})
 
 
@@ -322,14 +348,11 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     sc = conv.convolve(sigma, tau, spec)
     tn_gaps = (linalg.trace_norm(rc.mat - sc.mat)
                - linalg.trace_norm(rho.mat - sigma.mat)).tolist()
-    # one batched eigh for each stack whose members are second arguments below
-    sigma.eigenvectors
-    sc.eigenvectors
+    re_gaps = (entropy.relative_entropy(rc, sc)
+               - entropy.relative_entropy(rho, sigma)).tolist()
     for i in range(trials):
         report.add(i, "trace_norm_gap", tn_gaps[i], TRACE_MONO_TOL)
-        re_gap = (entropy.relative_entropy(rc[i], sc[i])
-                  - entropy.relative_entropy(rho[i], sigma[i]))
-        report.add(i, "rel_entropy_gap", re_gap, RELENT_MONO_TOL)
+        report.add(i, "rel_entropy_gap", re_gaps[i], RELENT_MONO_TOL)
     return report
 
 
@@ -433,21 +456,29 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """LMG growth of Clifford+T circuits is at most N/2 on stabilizer inputs."""
     report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": 3})
     seeds = _child_seeds(seed, trials)
+    # trial i runs n = 1 + i % 2: per n the T counts, circuits and input
+    # Cliffords (none at n = 1), drawn trial by trial from each trial's rng
+    draws = {1: [], 2: []}
     for i in range(trials):
         rng = np.random.default_rng(seeds[i])
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        circuit_seed = int(rng.integers(2**32))
-        V = magic.clifford_t_circuit(circuit_seed, n, n_t)
-        if i % 2 == 0:
-            ket = states.ket_state(2, n, [0] * n)
-        else:
-            U = magic.random_clifford(rng, 2, n)
-            base = states.ket_state(2, n, [0] * n)
-            ket = states.DensityMatrix(2, n, U @ base.mat @ U.conj().T)
-        out = states.DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
-        report.add(i, f"lmg_minus_halfN_n{n}",
-                   magic.log_magic_gap(weyl.char_function(out)) - n_t / 2, SYNTH_TOL)
+        V = magic.clifford_t_circuit(int(rng.integers(2**32)), n, n_t)
+        draws[n].append((n_t, V, magic.random_clifford(rng, 2, n) if n == 2 else None))
+    lmg = {}
+    for n, drawn in draws.items():
+        if not drawn:
+            continue
+        n_t, V, U = (np.array(column) for column in zip(*drawn))
+        base = states.ket_state(2, n, [0] * n).mat
+        if n == 2:
+            base = U @ base @ U.conj().swapaxes(-1, -2)
+        ket = states.DensityMatrix(2, n, np.broadcast_to(base, V.shape))
+        out = states.DensityMatrix(2, n, V @ ket.mat @ V.conj().swapaxes(-1, -2))
+        lmg[n] = (magic.log_magic_gap(weyl.char_function(out)) - n_t / 2).tolist()
+    for i in range(trials):
+        n = 1 + i % 2
+        report.add(i, f"lmg_minus_halfN_n{n}", lmg[n][i // 2], SYNTH_TOL)
     return report
 
 
@@ -455,34 +486,40 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
 def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Exhaustive MSPS minimization of D_alpha is attained uniquely at M(rho)."""
     d = MSPS_D
-    msps_set = states.enumerate_msps(d)
+    msps = states.msps_states(states.enumerate_groups(d))
+    count = len(msps.mat)
     report = ExperimentReport("extremality", seed, {
         "d": d, "trials": trials, "alphas": [1, 2, "inf"]})
     seeds = _child_seeds(seed, trials)
+    # MSPS inputs (i % 5 == 4) exercise the uniqueness margin against all
+    # 12 others; every other trial draws a random state of random rank
+    drawn = [i for i in range(trials) if i % 5 != 4]
+    ranks = [np.random.default_rng(seeds[i]).integers(1, d + 1) for i in drawn]
+    mats = msps.mat[np.arange(trials) % count]
+    mats[drawn] = states.random_density(None, d, 1, ranks,
+                                        seeds=[seeds[i] for i in drawn]).mat
+    # (trials, 1) against the (count,) MSPS stack: one grid per alpha
+    rho = states.DensityMatrix(d, 1, mats[:, None])
+    M = magic.mean_state(weyl.char_function(rho))
+    # an MSPS this close to M(rho) is M(rho) and gets no margin
+    skip = (np.abs(msps.mat - M.mat).max(axis=(-2, -1)) < MEAN_MATCH_TOL).tolist()
+    identity, d_mean, d_other = {}, {}, {}
+    for alpha in ALPHAS_EXTREMALITY:
+        to_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)[:, 0]
+        gap = (entropy.renyi_spectra(M.eigenvalues(), alpha)
+               - entropy.renyi_spectra(rho.eigenvalues(), alpha))[:, 0]
+        identity[alpha] = np.abs(to_mean - gap).tolist()
+        d_mean[alpha] = to_mean.tolist()
+        d_other[alpha] = entropy.sandwiched_relative_entropy(rho, msps, alpha).tolist()
     for i in range(trials):
-        if i % 5 == 4:
-            # MSPS inputs exercise the uniqueness margin against all 12 others
-            rho = msps_set[i % len(msps_set)]
-        else:
-            rng = np.random.default_rng(seeds[i])
-            rank = int(rng.integers(1, d + 1))
-            rho = states.random_density(seeds[i], d, 1, rank)
-        M = magic.mean_state(weyl.char_function(rho))
         for alpha in ALPHAS_EXTREMALITY:
-            d_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)
-            identity_dev = abs(
-                d_mean - (entropy.renyi_entropy(M, alpha)
-                          - entropy.renyi_entropy(rho, alpha)))
-            report.add(i, f"identity_dev_a{alpha}", identity_dev, EXTREMALITY_TOL)
-            for j, sigma in enumerate(msps_set):
-                if np.max(np.abs(sigma.mat - M.mat)) < MEAN_MATCH_TOL:
-                    continue
-                d_other = entropy.sandwiched_relative_entropy(rho, sigma, alpha)
-                if d_other == INF:
+            report.add(i, f"identity_dev_a{alpha}", identity[alpha][i], EXTREMALITY_TOL)
+            for j, other in enumerate(d_other[alpha][i]):
+                if skip[i][j] or other == INF:
                     continue
                 # strict uniqueness: every other finite MSPS exceeds the minimum
                 report.add(i, f"uniqueness_margin_a{alpha}_s{j}",
-                           d_mean + EXTREMALITY_TOL - d_other, 0.0)
+                           d_mean[alpha][i] + EXTREMALITY_TOL - other, 0.0)
     return report
 
 
@@ -496,11 +533,12 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
         "s_t": list(find_beam_splitter_params(d)),
         "alphas": [0.5, 1, 2, "inf"]})
     seeds = _child_seeds(seed, trials)
+    # even trials are pure; odd ones draw their rank from their own seed
+    ranks = [1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
+             for i in range(trials)]
+    stack = clt_run(states.random_density(None, d, n, ranks, seeds=seeds), spec, steps)
     for i in range(trials):
-        rng = np.random.default_rng(seeds[i])
-        rank = 1 if i % 2 == 0 else int(rng.integers(1, d + 1))
-        rho = states.random_density(seeds[i], d, n, rank)
-        series = clt_run(rho, spec, steps)
+        series = stack[i]
         report.add(i, "norm_bound_gap", np.max(series.norms - series.bounds), CLT_TOL)
         slope = series.log_slope()
         if slope is not None and series.mg < 1:

@@ -16,17 +16,19 @@ SUPPORT_TOL = 1e-10
 
 
 def check_hermitian(A: np.ndarray) -> None:
-    """A, or every matrix of a (..., N, N) stack, within HERM_TOL of A^dag."""
-    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)))
+    """A, or every matrix of a (..., N, N) stack, within HERM_TOL of A^dag;
+    an empty stack passes."""
+    dev = np.max(np.abs(A - A.conj().swapaxes(-1, -2)), initial=0.0)
     if dev > HERM_TOL:
         raise NotHermitian(f"max |A - A^dag| = {dev:.3e} > {HERM_TOL:.0e}")
 
 
 def herm_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and unitary eigenvector columns."""
+    """Eigenvalues (real, descending) and unitary eigenvector columns, of A
+    or of every matrix of a (..., N, N) stack."""
     check_hermitian(A)
     vals, vecs = np.linalg.eigh(A)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def partial_trace_B(M: np.ndarray, dimA: int, dimB: int) -> np.ndarray:

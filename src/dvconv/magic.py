@@ -39,26 +39,27 @@ def mean_state(table: CharFunction) -> DensityMatrix:
     return DensityMatrix(table.d, table.n, (M + M.conj().swapaxes(-1, -2)) / 2)
 
 
-def _gap_candidates(table: CharFunction) -> np.ndarray:
-    """|Xi| over support points that are not unit modulus."""
+def _top_gap_modulus(table: CharFunction) -> np.ndarray:
+    """The largest |Xi| over support points that are not unit modulus, of
+    each table of a stack; 0 where there is none (an MSPS)."""
     mags = np.abs(table.values)
-    return mags[(mags > SUPPORT_TOL) & (unit_phases(table.values) == 0)]
+    cand = (mags > SUPPORT_TOL) & (unit_phases(table.values) == 0)
+    return np.where(cand, mags, 0.0).max(axis=-1)
 
 
-def magic_gap(table: CharFunction) -> float:
-    """1 - second-largest characteristic modulus on the support; 0 for MSPS."""
-    cand = _gap_candidates(table)
-    if cand.size == 0:
-        return 0.0
-    return float(1.0 - np.max(cand))
+def magic_gap(table: CharFunction) -> np.ndarray:
+    """1 - second-largest characteristic modulus on the support; 0 for MSPS.
+    An array of a stack's shape (an np.float64 for one table)."""
+    top = _top_gap_modulus(table)
+    return ((1.0 - top) * (top > 0))[()]
 
 
-def log_magic_gap(table: CharFunction) -> float:
-    """-log2 of the second-largest characteristic modulus; 0 for MSPS."""
-    cand = _gap_candidates(table)
-    if cand.size == 0:
-        return 0.0
-    return float(-np.log2(np.max(cand)))
+def log_magic_gap(table: CharFunction) -> np.ndarray:
+    """-log2 of the second-largest characteristic modulus; 0 for MSPS.
+    An array of a stack's shape (an np.float64 for one table)."""
+    top = _top_gap_modulus(table)
+    # 0.0 - log2(1) is 0.0 where -log2(1) would be -0.0
+    return (0.0 - np.log2(np.where(top > 0, top, 1.0)))[()]
 
 
 def mean_vector(table: CharFunction) -> StabilizerGroup:

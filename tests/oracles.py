@@ -13,11 +13,15 @@ from dvconv.conv import (ConvolutionSpec, beam_splitter_spec, convolve,
                          convolve_characteristic, default_spec, holevo_bounds,
                          holevo_weyl_ensemble)
 from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
-                            relative_entropy, renyi_entropy, total_fisher)
+                            relative_entropy, renyi_entropy,
+                            sandwiched_relative_entropy, total_fisher)
 from dvconv.errors import InvalidGroup
-from dvconv.linalg import SUPPORT_TOL, trace_norm
-from dvconv.magic import make_zero_mean, mean_state
-from dvconv.states import DensityMatrix, StabilizerGroup, enumerate_msps, random_density
+from dvconv.experiments import clt_run
+from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
+from dvconv.magic import (clifford_t_circuit, log_magic_gap, make_zero_mean,
+                          mean_state, random_clifford)
+from dvconv.states import (DensityMatrix, StabilizerGroup, enumerate_msps, ket_state,
+                           random_density)
 from dvconv.weyl import char_function, char_table, phase_points, weyl_op, xi
 
 UNITARY_TOL = 1e-10
@@ -143,9 +147,60 @@ def scalar_renyi(lam: np.ndarray, alpha: float) -> float:
     return float(np.log2(np.sum(pos**alpha)) / (1 - alpha))
 
 
+def _support_projector(sigma: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    vals, vecs = sigma.eigenvalues(), sigma.eigenvectors
+    keep = vals > SUPPORT_TOL
+    return vals[keep], vecs[:, keep], vecs[:, ~keep]
+
+
+def _outside_support_weight(rho: DensityMatrix, kernel_vecs: np.ndarray) -> float:
+    if kernel_vecs.shape[1] == 0:
+        return 0.0
+    return float(np.real(np.trace(kernel_vecs.conj().T @ rho.mat @ kernel_vecs)))
+
+
+def scalar_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Umegaki D(rho||sigma) in bits of one pair, on sigma's support columns
+    only; +inf when rho's weight off that support exceeds SUPPORT_TOL."""
+    svals, svecs, skern = _support_projector(sigma)
+    if _outside_support_weight(rho, skern) > SUPPORT_TOL:
+        return math.inf
+    rvals = rho.eigenvalues()
+    rpos = rvals[rvals > FULL_RANK_TOL]
+    s1 = float(np.sum(rpos * np.log2(rpos)))
+    log_sigma = (svecs * np.log2(svals)) @ svecs.conj().T
+    s2 = float(np.real(np.trace(rho.mat @ log_sigma)))
+    return s1 - s2
+
+
+def scalar_sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
+                                       alpha: float) -> float:
+    """Sandwiched Renyi divergence D_alpha of one pair, alpha in [1/2, inf],
+    one case at a time on sigma's support columns."""
+    if alpha == 1:
+        return scalar_relative_entropy(rho, sigma)
+    if not (0.5 <= alpha):
+        raise ValueError("alpha must be in [1/2, inf]")
+    svals, svecs, skern = _support_projector(sigma)
+    if alpha > 1 and _outside_support_weight(rho, skern) > SUPPORT_TOL:
+        return math.inf
+    if alpha == math.inf:
+        inv_sqrt = (svecs * svals**-0.5) @ svecs.conj().T
+        mid = inv_sqrt @ rho.mat @ inv_sqrt
+        vals, _ = herm_eig((mid + mid.conj().T) / 2)
+        return float(np.log2(vals[0]))
+    e = (1 - alpha) / (2 * alpha)
+    sig_e = (svecs * svals**e) @ svecs.conj().T
+    mid = sig_e @ rho.mat @ sig_e
+    vals, _ = herm_eig((mid + mid.conj().T) / 2)
+    vals = np.clip(vals, 0.0, None)
+    return float(np.log2(np.sum(vals**alpha)) / (alpha - 1))
+
+
 def per_trial_records(name: str, seed: int, trials: int) -> list[tuple]:
     """(index, metric, value) of every record of the sampled suite ``name``
-    (duality, entropy, fisher, monotonicity or holevo), in report order, rebuilt one
+    (duality, entropy, fisher, monotonicity, holevo, synthesis, extremality
+    or clt, at its default steps), in report order, rebuilt one
     trial at a time from single-state calls: the suites' draws and checks
     written as a loop over trials, with no stack."""
     return _PER_TRIAL[name](seed, trials)
@@ -262,5 +317,66 @@ def _holevo(seed, trials):
     return out
 
 
+def _synthesis(seed, trials):
+    seeds = _seeds(seed, trials)
+    out = []
+    for i in range(trials):
+        rng = np.random.default_rng(seeds[i])
+        n = 1 + i % 2
+        n_t = int(rng.integers(0, 4))
+        V = clifford_t_circuit(int(rng.integers(2**32)), n, n_t)
+        ket = ket_state(2, n, [0] * n)
+        if i % 2 == 1:
+            U = random_clifford(rng, 2, n)
+            ket = DensityMatrix(2, n, U @ ket.mat @ U.conj().T)
+        rho = DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
+        out.append((i, f"lmg_minus_halfN_n{n}", log_magic_gap(char_function(rho)) - n_t / 2))
+    return out
+
+
+def _extremality(seed, trials):
+    d = 3
+    msps_set = enumerate_msps(d)
+    seeds = _seeds(seed, trials)
+    out = []
+    for i in range(trials):
+        if i % 5 == 4:
+            rho = msps_set[i % len(msps_set)]
+        else:
+            rank = int(np.random.default_rng(seeds[i]).integers(1, d + 1))
+            rho = random_density(seeds[i], d, 1, rank)
+        M = mean_state(char_function(rho))
+        for alpha in experiments.ALPHAS_EXTREMALITY:
+            d_mean = sandwiched_relative_entropy(rho, M, alpha)
+            out.append((i, f"identity_dev_a{alpha}",
+                        abs(d_mean - (renyi_entropy(M, alpha) - renyi_entropy(rho, alpha)))))
+            for j, sigma in enumerate(msps_set):
+                if np.max(np.abs(sigma.mat - M.mat)) < experiments.MEAN_MATCH_TOL:
+                    continue
+                d_other = sandwiched_relative_entropy(rho, sigma, alpha)
+                if d_other != math.inf:
+                    out.append((i, f"uniqueness_margin_a{alpha}_s{j}",
+                                d_mean + experiments.EXTREMALITY_TOL - d_other))
+    return out
+
+
+def _clt(seed, trials, steps=experiments.CLT_STEPS):
+    d = 7
+    spec = beam_splitter_spec(d, 1)
+    seeds = _seeds(seed, trials)
+    out = []
+    for i in range(trials):
+        rank = 1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
+        series = clt_run(random_density(seeds[i], d, 1, rank), spec, steps)
+        out.append((i, "norm_bound_gap", np.max(series.norms - series.bounds)))
+        slope = series.log_slope()
+        if slope is not None and series.mg < 1:
+            out.append((i, "log_slope_gap", slope - math.log(1 - series.mg)))
+        for alpha, hs in series.entropies.items():
+            out.append((i, f"second_law_drop_a{alpha}", np.max(hs[:-1] - hs[1:])))
+    return out
+
+
 _PER_TRIAL = {"duality": _duality, "entropy": _entropy, "fisher": _fisher,
-              "monotonicity": _monotonicity, "holevo": _holevo}
+              "monotonicity": _monotonicity, "holevo": _holevo,
+              "synthesis": _synthesis, "extremality": _extremality, "clt": _clt}

@@ -6,13 +6,26 @@ names it reads must keep resolving even where only tests call them.
 """
 
 import importlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 from dvconv import conv, experiments, weyl
 
-BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def _gate_suites():
+    """perfbench/workload.py's GATE_SUITES, read from the file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_workload",
+                                                  ROOT / "perfbench" / "workload.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GATE_SUITES
 
 #: per-layer prefixes measured outside the dvconv layers
 NOT_LAYERS = {"numpy", "trace"}
@@ -42,3 +55,15 @@ def test_probed_names_remain():
     assert callable(weyl.neg_perm)
     assert {"rho", "sigma"} <= set(inspect.signature(conv.convolve).parameters)
     assert {"M", "d", "n"} <= set(inspect.signature(weyl.char_table).parameters)
+
+
+@pytest.mark.parametrize("name, kwargs, expected",
+                         [pytest.param(*entry, id=entry[0]) for entry in _gate_suites()])
+def test_gate_suites_report_a_record_count_in_their_range(name, kwargs, expected):
+    """The gate workload counts an op as failed when its report's record
+    count leaves the range, so a suite that reports more records (a new
+    metric) needs the range widened first.  Seed 0, as the workload runs."""
+    low, high = expected
+    report = experiments.SUITES[name](**({} if kwargs is None else dict(kwargs, seed=0)))
+    assert report.passed
+    assert low <= len(report.records) <= high

@@ -25,7 +25,8 @@ from dvconv.states import (
     random_density,
 )
 from dvconv.weyl import char_function, xi
-from oracles import scalar_renyi
+from oracles import (scalar_relative_entropy, scalar_renyi,
+                     scalar_sandwiched_relative_entropy)
 
 INF = math.inf
 
@@ -164,6 +165,52 @@ def test_sandwiched_cases():
     assert sandwiched_relative_entropy(rho, ket_state(3, 1, [0]), 2) == INF
     with pytest.raises(ValueError):
         sandwiched_relative_entropy(rho, rho, 0.25)
+
+
+#: at alpha < 1 the power lifts eigensolver noise (~1e-17) on the kernel of a
+#: rank-deficient sigma to about its square root, on either side
+NOISE_LIFT_TOL = 1e-7
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, INF])
+def test_divergences_match_the_scalar_oracle(alpha):
+    """Stacks of full-rank and rank-deficient rho against sigma = rho,
+    sigma = M(rho), a random full-rank sigma and random pure sigma, which
+    holds none of these rho in its support."""
+    ranks = [3, 3, 2, 1, 2, 1]
+    rho = random_density(None, 3, 1, ranks, seeds=range(6))
+    sigmas = {
+        "self": rho,
+        "mean": mean_state(char_function(rho)),
+        "full": random_density(None, 3, 1, seeds=range(10, 16)),
+        "pure": random_density(None, 3, 1, 1, seeds=range(20, 26)),
+    }
+    for name, sigma in sigmas.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sandwiched_relative_entropy(rho, sigma, alpha)
+            if alpha == 1:
+                assert np.array_equal(got, relative_entropy(rho, sigma))
+        assert got.shape == (6,)
+        for i in range(6):
+            want = scalar_sandwiched_relative_entropy(rho[i], sigma[i], alpha)
+            if alpha == 1:
+                assert want == scalar_relative_entropy(rho[i], sigma[i])
+            if name == "pure" and alpha >= 1:
+                assert got[i] == want == INF
+                continue
+            noisy = alpha < 1 and sigma.eigenvalues()[i][-1] <= FULL_RANK_TOL
+            assert abs(got[i] - want) <= (NOISE_LIFT_TOL if noisy else 1e-12), (name, i)
+
+
+def test_sandwiched_is_infinite_on_orthogonal_states_at_every_alpha():
+    rho, sigma = ket_state(3, 1, [0]), ket_state(3, 1, [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.5, 0.75, 1, 2, INF):
+            assert sandwiched_relative_entropy(rho, sigma, alpha) == INF
+    with pytest.raises(ValueError):
+        sandwiched_relative_entropy(rho, sigma, 0.25)
 
 
 @given(st.integers(0, 10**6))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dvconv import conv, experiments
+from dvconv import conv, entropy, experiments
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
 from dvconv.states import DensityMatrix, enumerate_msps, ket_state, random_density
@@ -88,7 +88,7 @@ def test_clt_run_matches_dense_iteration(n, steps, inputs):
     for rho in cases:
         series = clt_run(rho, spec, steps)
         if inputs == "displaced":
-            assert series.displacement == (0, 0, 4, 0)
+            assert series.displacement.tolist() == [0, 0, 4, 0]
         norms, entropies = dense_clt(rho, spec, steps, ALPHAS_SECOND_LAW)
         assert series.norms.shape == series.bounds.shape == (steps + 1,)
         assert series.base_norm == series.norms[0]
@@ -139,6 +139,22 @@ def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
     # past the set-up solves of step 0, steps 1..30 make one chunk at D = 7
     # and one stacked solve
     assert calls[2 * before:] == [(30, 7, 7)]
+
+
+def test_clt_run_chunks_count_values_over_the_whole_stack(monkeypatch):
+    spec = beam_splitter_spec(7, 1)
+    rho = random_density(None, 7, 1, 3, seeds=range(10))
+    calls = []
+    solver = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    clt_run(rho, spec, 30)
+    # 2^12 // (10 * 49) = 8 steps per chunk, after the mean states' solve
+    assert calls[1:] == [(10, 8, 7, 7)] * 3 + [(10, 6, 7, 7)]
 
 
 def test_clt_run_memory_at_d343():
@@ -216,6 +232,11 @@ def test_log_slope_keeps_only_norms_above_the_floor():
 @pytest.mark.parametrize("name, trials", [
     ("duality", 6), ("entropy", 6), ("fisher", 6), ("monotonicity", 6),
     ("duality", 2),  # fewer trials than configs: one config's stack is empty
+    ("synthesis", 7), ("synthesis", 1),  # 1: the n = 2 stack is empty
+    ("extremality", 11), ("extremality", 1),
+    ("extremality", 4),  # no MSPS input
+    ("extremality", 0),  # empty stacks
+    ("clt", 5), ("clt", 1),
 ])
 def test_stacked_suites_match_the_per_trial_oracle(name, trials):
     report = experiments.SUITES[name](seed=0, trials=trials)
@@ -249,6 +270,11 @@ def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
     ("entropy", 100, 6),  # 2 configs x (a, b, out)
     ("duality", 200, 9),  # 3 configs x (a, b, out)
     ("monotonicity", 100, 5),  # rho, sigma, tau and the two outputs
+    # the MSPS stack, the draw, the input stack and its mean states
+    ("extremality", 50, 4), ("extremality", 200, 4),
+    ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, inputs, outputs)
+    # the draw, the mean states and at most one chunk per step
+    ("clt", 50, 2 + experiments.CLT_STEPS), ("clt", 200, 2 + experiments.CLT_STEPS),
 ])
 def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most):
     checks = []
@@ -261,6 +287,52 @@ def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most)
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
     assert experiments.SUITES[name](seed=0, trials=trials).passed
     assert len(checks) <= most, checks
+
+
+@pytest.mark.parametrize("trials", [1, 3, 50])
+def test_suite_clt_convolves_once_per_step(monkeypatch, trials):
+    calls = []
+    step = conv.convolve_characteristic
+
+    def counted(*args):
+        calls.append(args[0].values.shape)
+        return step(*args)
+
+    monkeypatch.setattr(conv, "convolve_characteristic", counted)
+    assert experiments.suite_clt(seed=0, trials=trials, steps=6).passed
+    assert calls == [(trials, 49)] * 6
+
+
+@pytest.mark.parametrize("trials", [1, 4, 50])
+def test_suite_extremality_makes_two_divergence_calls_per_alpha(monkeypatch, trials):
+    calls = []
+    divergence = entropy.sandwiched_relative_entropy
+
+    def counted(rho, sigma, alpha):
+        calls.append(alpha)
+        return divergence(rho, sigma, alpha)
+
+    monkeypatch.setattr(entropy, "sandwiched_relative_entropy", counted)
+    assert experiments.suite_extremality(seed=0, trials=trials).passed
+    assert calls == [alpha for alpha in experiments.ALPHAS_EXTREMALITY for _ in range(2)]
+
+
+def test_clt_stack_members_are_one_state_series():
+    spec = beam_splitter_spec(7, 1)
+    seeds = [3, 4, 5]
+    stack = clt_run(random_density(None, 7, 1, [1, 2, 7], seeds=seeds), spec, 8)
+    assert stack.norms.shape == stack.bounds.shape == (3, 9)
+    assert stack.displacement.shape == (3, 2)
+    for i, (seed, rank) in enumerate(zip(seeds, [1, 2, 7])):
+        alone, member = clt_run(random_density(seed, 7, 1, rank), spec, 8), stack[i]
+        assert member.displacement.tolist() == alone.displacement.tolist()
+        assert (member.mg, member.base_norm) == (alone.mg, alone.base_norm)
+        assert member.norms.tobytes() == alone.norms.tobytes()
+        assert member.bounds.tobytes() == alone.bounds.tobytes()
+        for alpha, hs in alone.entropies.items():
+            assert member.entropies[alpha].tobytes() == hs.tobytes()
+    with pytest.raises(IndexError):
+        stack[0][0]
 
 
 @pytest.mark.parametrize("trials", [4, 7])

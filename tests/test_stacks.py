@@ -183,3 +183,38 @@ def test_holevo_msps_grid_matches_each_pair():
         assert (lower[j], upper[j]) == conv.holevo_bounds(spec, sigma)
         for k, rho0 in enumerate(msps):
             assert grid[j, k] == conv.holevo_weyl_ensemble(spec, sigma, rho0)
+
+
+def test_herm_eig_per_member():
+    _, _, rho = _stack(3, 2)
+    mats = rho.mat - np.eye(9) / 9  # Hermitian, not states
+    vals, vecs = linalg.herm_eig(mats)
+    assert vals.shape == (T, 9) and vecs.shape == (T, 9, 9)
+    for i in range(T):
+        alone_vals, alone_vecs = linalg.herm_eig(mats[i])
+        assert np.array_equal(vals[i], alone_vals)
+        assert np.array_equal(vecs[i], alone_vecs)
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_divergences_per_member(d, n):
+    _, _, rho = _stack(d, n)
+    _, _, sigma = _stack(d, n, first=T)
+    pairs = entropy.relative_entropy(rho, sigma)
+    assert pairs.shape == (T,)
+    for i in range(T):
+        assert pairs[i] == entropy.relative_entropy(rho[i], sigma[i])
+    assert type(entropy.relative_entropy(rho[0], sigma[0])) is np.float64
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, np.inf])
+def test_divergence_grid_against_the_msps_matches_each_pair(alpha):
+    """A (T, 1) stack against the 13 MSPS of one qutrit: one grid call."""
+    _, _, rho = _stack(3, 1)
+    msps = states.msps_states(states.enumerate_groups(3))
+    grid = entropy.sandwiched_relative_entropy(DensityMatrix(3, 1, rho.mat[:, None]),
+                                               msps, alpha)
+    assert grid.shape == (T, 13)
+    for i in range(T):
+        for j in range(13):
+            assert grid[i, j] == entropy.sandwiched_relative_entropy(rho[i], msps[j], alpha)
