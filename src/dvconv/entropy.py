@@ -115,7 +115,10 @@ def sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     if alpha == INF:
         q, scale = vals[..., 0], 1.0
     else:
-        q, scale = (np.clip(vals, 0.0, None) ** alpha).sum(axis=-1), alpha - 1
+        # below 1, the power lifts eigensolver noise on sigma's kernel; cut
+        # it as renyi_spectra does
+        cut = FULL_RANK_TOL if alpha < 1 else 0.0
+        q, scale = (np.where(vals > cut, vals, 0.0) ** alpha).sum(axis=-1), alpha - 1
     off = q <= 0
     if alpha > 1:
         off |= _off_support(rho, sigma)

@@ -169,8 +169,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     """Iterate the beam-splitter convolution and record norms and entropies,
     of one state or of each member of a stack.
 
-    Non-zero-mean inputs are displaced to zero mean first, on the table and
-    one member at a time; the applied displacement is recorded in the
+    Non-zero-mean inputs are displaced to zero mean first, all members in
+    one pass on their tables; the applied displacement is recorded in the
     series.  The iteration runs on characteristic tables, all members at
     once, in chunks of at most CLT_CHUNK_VALUES // (members * D^2) steps
     (at least one), so no more than a chunk of tables is held.  Per chunk,
@@ -183,12 +183,7 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     d, n = spec.d, spec.n
     D = d**n
     tables = weyl.char_function(rho).values
-    lead = tables.shape[:-1]
-    # group recovery reads one table at a time
-    shifted = [magic.make_zero_mean(weyl.CharFunction(d, n, values))
-               for values in tables.reshape(-1, D * D)]
-    displacement = np.array([x for x, _ in shifted], dtype=np.int64).reshape(lead + (2 * n,))
-    table0 = weyl.CharFunction(d, n, np.array([t.values for _, t in shifted]).reshape(tables.shape))
+    displacement, table0 = magic.make_zero_mean(weyl.CharFunction(d, n, tables))
     mean = weyl.char_function(magic.mean_state(table0)).values
     mg = magic.magic_gap(table0)
 
@@ -373,10 +368,9 @@ def suite_stability() -> ExperimentReport:
     spec = conv.default_spec(d, 1)
     groups, outs = _stabilizer_pairs(spec)
     report = ExperimentReport("stability", None, {"d": d, "pairs": len(groups) ** 2})
-    tables = weyl.char_function(outs).values.reshape(-1, d**2)
-    for idx, values in enumerate(tables):
-        ok, _ = states.is_msps(weyl.CharFunction(d, 1, values))
-        report.add(idx, "is_msps", 0.0 if ok else 1.0, 0.0)
+    ok, _ = states.is_msps(weyl.char_function(outs))
+    for idx, member_ok in enumerate(ok.ravel().tolist()):
+        report.add(idx, "is_msps", 0.0 if member_ok else 1.0, 0.0)
     return report
 
 
@@ -463,15 +457,17 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
         rng = np.random.default_rng(seeds[i])
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        V = magic.clifford_t_circuit(int(rng.integers(2**32)), n, n_t)
-        draws[n].append((n_t, V, magic.random_clifford(rng, 2, n) if n == 2 else None))
+        circuit = magic.draw_clifford_t(int(rng.integers(2**32)), n, n_t)
+        draws[n].append((n_t, circuit, magic.draw_clifford_word(rng, 2, n) if n == 2 else None))
     lmg = {}
     for n, drawn in draws.items():
         if not drawn:
             continue
-        n_t, V, U = (np.array(column) for column in zip(*drawn))
+        n_t, circuits, inputs = zip(*drawn)
+        n_t, V = np.array(n_t), magic.clifford_t_circuits(circuits, n)
         base = states.ket_state(2, n, [0] * n).mat
         if n == 2:
+            U = magic.clifford_words(np.array(inputs), 2, n)
             base = U @ base @ U.conj().swapaxes(-1, -2)
         ket = states.DensityMatrix(2, n, np.broadcast_to(base, V.shape))
         out = states.DensityMatrix(2, n, V @ ket.mat @ V.conj().swapaxes(-1, -2))

@@ -9,14 +9,16 @@ Logarithms are base 2 throughout (bits), matching the entropy module.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import permutations
 
 import numpy as np
 
-from .errors import NoSolution, PhaseNotRoot
+from .errors import PhaseNotRoot
 from .linalg import SUPPORT_TOL
-from .states import DensityMatrix, StabilizerGroup, is_msps, unit_phases
-from .weyl import CharFunction, displace, inverse_char, point_index, weyl_op, xi
+from .states import DensityMatrix, is_msps, unit_phases
+from .weyl import (CharFunction, displace, inverse_char, phase_points, point_index,
+                   weyl_op, xi)
 from .zmod import mod_inverse, solve_mod_linear
 
 #: gates per random Clifford word, before its closing Weyl displacement
@@ -62,33 +64,35 @@ def log_magic_gap(table: CharFunction) -> np.ndarray:
     return (0.0 - np.log2(np.where(top > 0, top, 1.0)))[()]
 
 
-def mean_vector(table: CharFunction) -> StabilizerGroup:
+def mean_vector(table: CharFunction):
     """The mean state's group: generators g_i and phases k_i, with Xi(g_i)
     within 2 UNIT_TOL of xi^{k_i}, as is_msps compares the unit phases with
-    the group's table."""
+    the group's table.  An object array of groups for a stack of tables."""
     ok, group = is_msps(_mean_table(table))
-    if not ok:
+    if not np.all(ok):
         raise PhaseNotRoot("mean state failed MSPS detection")
     return group
 
 
-def make_zero_mean(table: CharFunction) -> tuple[tuple[int, ...], CharFunction]:
-    """Weyl displacement x = (a, b) and the zero-mean table of w(x) rho w(x)^dag.
+def make_zero_mean(table: CharFunction) -> tuple[np.ndarray, CharFunction]:
+    """Weyl displacement x = (a, b) and the zero-mean table of w(x) rho w(x)^dag,
+    of one table or of each table of a stack ((..., 2n) displacements).
 
     Displacing by w(a, b) shifts each phase exponent by a.q_i - b.p_i, so
-    the displacement solves a linear system over Z_d.
+    the displacement solves a linear system over Z_d, once per distinct
+    group of the stack.
     """
     d, n = table.d, table.n
-    group = mean_vector(table)
-    if not group.generators:
-        return (0,) * (2 * n), table
-    g = np.array(group.generators, dtype=np.int64)
-    rows = np.concatenate([g[:, n:], -g[:, :n] % d], axis=1)
-    try:
-        sol = solve_mod_linear(rows, -np.array(group.phases, dtype=np.int64) % d, d)
-    except NoSolution as exc:  # consistent for valid inputs; defensive only
-        raise NoSolution("zero-mean displacement system inconsistent") from exc
-    return tuple(int(v) for v in sol), displace(table, sol)
+    groups = np.asarray(mean_vector(table), dtype=object)
+    solutions = {}
+    for group in set(groups.flat):
+        g = np.array(group.generators, dtype=np.int64).reshape(-1, 2 * n)
+        rows = np.concatenate([g[:, n:], -g[:, :n] % d], axis=1)
+        phases = np.array(group.phases, dtype=np.int64)
+        solutions[group] = solve_mod_linear(rows, -phases % d, d)
+    x = np.array([solutions[group] for group in groups.flat], dtype=np.int64)
+    x = x.reshape(groups.shape + (2 * n,))
+    return x, displace(table, x)
 
 
 # ---------------------------------------------------------------------------
@@ -100,84 +104,125 @@ T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 T_GATE.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
 def _fourier_gate(d: int) -> np.ndarray:
     j, k = np.indices((d, d))
-    F = xi(d) ** (j * k) / np.sqrt(d)
-    F.flags.writeable = False
-    return F
+    return xi(d) ** (j * k) / np.sqrt(d)
 
 
-@lru_cache(maxsize=None)
 def _phase_gate(d: int) -> np.ndarray:
     if d == 2:
-        P = np.diag([1.0, 1j])
-    else:
-        k = np.arange(d)
-        P = np.diag(xi(d) ** (mod_inverse(2, d) * k * k))
-    P.flags.writeable = False
-    return P
-
-
-#: the single-qudit gates of Clifford+T words, by name
-_SINGLE_GATES = {"fourier": _fourier_gate, "phase": _phase_gate,
-                 "t": lambda d: T_GATE}
+        return np.diag([1.0, 1j])
+    k = np.arange(d)
+    return np.diag(xi(d) ** (mod_inverse(2, d) * k * k))
 
 
 @lru_cache(maxsize=None)
-def _sum_gate(d: int, n: int, ctrl: int, tgt: int) -> np.ndarray:
-    """|i, j> -> |i, i+j> on wires (ctrl, tgt); CNOT at d=2 (read-only)."""
+def _gates(d: int, n: int) -> tuple[dict, np.ndarray]:
+    """Every gate a word on n qudits draws, as one read-only (G, D, D) stack,
+    and the index of each in it by key: ("fourier", wire), ("phase", wire),
+    ("t", wire) at d = 2, ("sum", ctrl, tgt) per ordered pair (|i, j> ->
+    |i, i+j>, CNOT at d = 2), and "weyl", the first of the d^{2n} Weyl
+    operators in phase-point order."""
     D = d**n
+    singles = {"fourier": _fourier_gate(d), "phase": _phase_gate(d)}
+    if d == 2:
+        singles["t"] = T_GATE
+    index, mats = {}, []
+    for name, gate in singles.items():
+        for wire in range(n):
+            index[name, wire] = len(mats)
+            mats.append(reduce(np.kron, [gate if k == wire else np.eye(d, dtype=complex)
+                                         for k in range(n)], np.eye(1, dtype=complex)))
     digits = np.indices((d,) * n).reshape(n, D).T
-    out = digits.copy()
-    out[:, tgt] = (digits[:, tgt] + digits[:, ctrl]) % d
-    U = np.zeros((D, D), dtype=complex)
-    U[point_index(out, d), np.arange(D)] = 1.0
-    U.flags.writeable = False
-    return U
+    for ctrl, tgt in permutations(range(n), 2):
+        out = digits.copy()
+        out[:, tgt] = (digits[:, tgt] + digits[:, ctrl]) % d
+        index["sum", ctrl, tgt] = len(mats)
+        mats.append(np.eye(D, dtype=complex)[:, point_index(out, d)])
+    index["weyl"] = len(mats)
+    mats += [weyl_op(d, n, x[:n], x[n:]) for x in phase_points(d, n)]
+    stack = np.array(mats)
+    stack.flags.writeable = False
+    return index, stack
 
 
-@lru_cache(maxsize=None)
-def _embed(gate: str, d: int, n: int, wire: int) -> np.ndarray:
-    """The named single-qudit gate on one wire of n (read-only)."""
-    out = np.eye(1, dtype=complex)
-    for k in range(n):
-        out = np.kron(out, _SINGLE_GATES[gate](d) if k == wire
-                      else np.eye(d, dtype=complex))
-    out.flags.writeable = False
-    return out
+def draw_clifford_word(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """The gate indices into _gates(d, n) of one random Clifford word:
+    CLIFFORD_WORD_LENGTH Fourier, phase and SUM gates (H, S, CNOT at d=2),
+    then a random Weyl displacement for phase-space coverage, drawn from
+    rng in that order."""
+    index, _ = _gates(d, n)
+    word = []
+    for _ in range(CLIFFORD_WORD_LENGTH):
+        kind = rng.integers(0, 3 if n > 1 else 2)
+        if kind == 2:
+            ctrl, tgt = rng.choice(n, size=2, replace=False)
+            word.append(index["sum", int(ctrl), int(tgt)])
+        else:
+            word.append(index[("fourier", "phase")[kind], int(rng.integers(n))])
+    p = rng.integers(0, d, size=n)
+    q = rng.integers(0, d, size=n)
+    word.append(index["weyl"] + int(point_index(np.concatenate([p, q]), d)))
+    return np.array(word)
+
+
+def clifford_words(words, d: int, n: int) -> np.ndarray:
+    """The unitary of each word of a (..., L) stack of gate indices,
+    (..., D, D): the gates applied in order to the identity, one stacked
+    product per position."""
+    words = np.asarray(words)
+    _, gates = _gates(d, n)
+    D = d**n
+    flat = words.reshape(-1, words.shape[-1])
+    U = np.tile(np.eye(D, dtype=complex), (len(flat), 1, 1))
+    for column in flat.T:
+        U = gates[column] @ U
+    return U.reshape(words.shape[:-1] + (D, D))
 
 
 def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """Random word of CLIFFORD_WORD_LENGTH Fourier, phase and SUM gates
-    (H, S, CNOT at d=2)."""
-    D = d**n
-    U = np.eye(D, dtype=complex)
-    for _ in range(CLIFFORD_WORD_LENGTH):
-        kind = rng.integers(0, 3 if n > 1 else 2)
-        if kind == 0:
-            U = _embed("fourier", d, n, int(rng.integers(n))) @ U
-        elif kind == 1:
-            U = _embed("phase", d, n, int(rng.integers(n))) @ U
-        else:
-            ctrl, tgt = rng.choice(n, size=2, replace=False)
-            U = _sum_gate(d, n, int(ctrl), int(tgt)) @ U
-    # random Weyl displacement for phase-space coverage
-    p = rng.integers(0, d, size=n)
-    q = rng.integers(0, d, size=n)
-    return weyl_op(d, n, p, q) @ U
+    """One random Clifford word, drawn and multiplied: the one-row call of
+    draw_clifford_word and clifford_words."""
+    return clifford_words(draw_clifford_word(rng, d, n), d, n)
+
+
+def draw_clifford_t(seed: int, n: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, t_gates) of one Clifford+T circuit at d=2: n_t + 1 Clifford
+    words, alternating with n_t T gates on random wires, as indices into
+    _gates(2, n), drawn from seed."""
+    if n not in (1, 2):
+        raise ValueError("clifford_t_circuit supports n in {1, 2}")
+    index, _ = _gates(2, n)
+    rng = np.random.default_rng(seed)
+    words, t_gates = [draw_clifford_word(rng, 2, n)], []
+    for _ in range(n_t):
+        t_gates.append(index["t", int(rng.integers(n))])
+        words.append(draw_clifford_word(rng, 2, n))
+    return np.array(words), np.array(t_gates, dtype=np.int64)
+
+
+def clifford_t_circuits(circuits, n: int) -> np.ndarray:
+    """The unitary of each drawn (words, t_gates) circuit, (len(circuits), D, D).
+
+    Every word of every circuit is one clifford_words stack; then each T
+    step k is one stacked product W_{k+1} (T_k U) over the circuits that
+    reach it.
+    """
+    _, gates = _gates(2, n)
+    counts = np.array([len(words) for words, _ in circuits])
+    starts = np.cumsum(counts) - counts
+    W = clifford_words(np.concatenate([words for words, _ in circuits]), 2, n)
+    U = W[starts]
+    for step in range(1, counts.max()):
+        live = np.flatnonzero(counts > step)
+        t_gates = np.array([circuits[c][1][step - 1] for c in live])
+        U[live] = gates[t_gates] @ U[live]
+        U[live] = W[starts[live] + step] @ U[live]
+    return U
 
 
 def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:
-    """Alternating random Clifford layers and T gates on random wires (d=2).
-
-    Exactly n_t T gates; deterministic per seed.
-    """
-    if n not in (1, 2):
-        raise ValueError("clifford_t_circuit supports n in {1, 2}")
-    rng = np.random.default_rng(seed)
-    U = random_clifford(rng, 2, n)
-    for _ in range(n_t):
-        U = _embed("t", 2, n, int(rng.integers(n))) @ U
-        U = random_clifford(rng, 2, n) @ U
-    return U
+    """Alternating random Clifford words and T gates on random wires (d=2):
+    exactly n_t T gates, deterministic per seed.  The one-row call of
+    draw_clifford_t and clifford_t_circuits."""
+    return clifford_t_circuits([draw_clifford_t(seed, n, n_t)], n)[0]

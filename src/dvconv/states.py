@@ -3,7 +3,8 @@
 An MSPS is a stabilizer group with a phase per generator; ``msps_table``,
 its characteristic table, is its one working form.  The enumerations invert
 those tables as one stack, and ``is_msps`` recovers a group from a table's
-unit support and compares the table with the group's own.
+unit support and compares the table with the group's own, once per
+distinct support and group of a stack.
 """
 
 from __future__ import annotations
@@ -198,15 +199,19 @@ class StabilizerGroup:
             raise InvalidGroup("generator/phase count mismatch")
         if len(self.generators) > self.n:
             raise InvalidGroup("more generators than qudits")
-        gens = [np.asarray(g, dtype=np.int64) % self.d for g in self.generators]
-        for g in gens:
-            if g.shape != (2 * self.n,):
-                raise InvalidGroup("generator label has wrong length")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if symplectic_form(gens[i], gens[j], self.d) != 0:
-                    raise InvalidGroup(f"generators {i}, {j} do not commute")
-        if gens and rank_mod(np.stack(gens), self.d) != len(gens):
+        if any(np.shape(g) != (2 * self.n,) for g in self.generators):
+            raise InvalidGroup("generator label has wrong length")
+        if not self.generators:
+            return
+        gens = np.array(self.generators, dtype=np.int64) % self.d
+        # every pair's form at once; forms is antisymmetric with a zero
+        # diagonal, so its first nonzero entry in row-major order is the
+        # first pair i < j that fails
+        forms = symplectic_form(gens[:, None], gens[None], self.d)
+        if forms.any():
+            i, j = np.argwhere(forms)[0]
+            raise InvalidGroup(f"generators {i}, {j} do not commute")
+        if rank_mod(gens, self.d) != len(gens):
             raise InvalidGroup("generators are linearly dependent mod d")
 
     @property
@@ -240,32 +245,57 @@ def msps_states(groups) -> DensityMatrix:
     return DensityMatrix(d, n, inverse_char(CharFunction(d, n, values)))
 
 
-def is_msps(table: CharFunction) -> tuple[bool, StabilizerGroup | None]:
-    """MSPS test on a table; returns the recovered group on success.
+def _equal_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """The row indices of each set of equal rows of a 2-D array, ascending
+    within each set; rows compare as bytes."""
+    sets: dict[bytes, list[int]] = {}
+    for i, row in enumerate(rows):
+        sets.setdefault(row.tobytes(), []).append(i)
+    return [np.array(indices) for indices in sets.values()]
 
-    Every |Xi| must be 0 or 1.  The unit support must hold d^r points,
-    r the rank of its labels, whose row-echelon generators commute; with
+
+def is_msps(table: CharFunction):
+    """MSPS test of a table, or of each table of a (..., d^{2n}) stack, with
+    the recovered group of each MSPS.
+
+    Every |Xi| must be 0 or 1.  The unit support must hold d^r points, r
+    the rank of its labels, whose row-echelon generators commute; with
     the phases read off the generators, the table must be their
-    msps_table within UNIT_TOL.  Never raises.
+    msps_table within UNIT_TOL.  Group recovery runs once per distinct
+    support and msps_table once per distinct group.  One table gives
+    (ok, group or None); a stack gives a bool array and an object array
+    of groups, both of its leading shape.  Never raises.
     """
-    d, n = table.d, table.n
-    phases = unit_phases(table.values)
+    d, n, values = table.d, table.n, table.values
+    flat = values.reshape(-1, values.shape[-1])
+    phases = unit_phases(flat)
     unit = phases != 0
-    if not np.all(unit | (np.abs(table.values) <= UNIT_TOL)):
-        return False, None
-    R, pivots = rref_mod(phase_points(d, n)[unit], d)
-    if np.count_nonzero(unit) != d ** len(pivots):
-        return False, None
-    gens = tuple(tuple(row) for row in R[:len(pivots)].tolist())
-    ks = tuple(int(round(d * np.angle(phases[point_index(g, d)]) / (2 * np.pi))) % d
-               for g in gens)
-    try:
-        group = StabilizerGroup(d, n, gens, ks)
-    except InvalidGroup:  # the generators do not commute
-        return False, None
-    if np.max(np.abs(msps_table(group).values - phases)) > UNIT_TOL:
-        return False, None
-    return True, group
+    ok = np.all(unit | (np.abs(flat) <= UNIT_TOL), axis=-1)
+    groups = np.full(len(flat), None, dtype=object)
+    members = np.flatnonzero(ok)
+    # members of one support, then of one phase vector on it
+    for rows in (members[i] for i in _equal_rows(unit[members])):
+        support = unit[rows[0]]
+        R, pivots = rref_mod(phase_points(d, n)[support], d)
+        if np.count_nonzero(support) != d ** len(pivots):
+            ok[rows] = False
+            continue
+        gens = R[:len(pivots)]
+        angles = np.angle(phases[rows[:, None], point_index(gens, d)])
+        ks = np.round(d * angles / (2 * np.pi)).astype(np.int64) % d
+        for i in _equal_rows(ks):
+            sub = rows[i]
+            try:
+                group = StabilizerGroup(d, n, tuple(map(tuple, gens.tolist())),
+                                        tuple(ks[i[0]].tolist()))
+            except InvalidGroup:  # the generators do not commute
+                ok[sub] = False
+                continue
+            ok[sub] = np.abs(msps_table(group).values - phases[sub]).max(axis=-1) <= UNIT_TOL
+            groups[sub[ok[sub]]] = group
+    if values.ndim == 1:
+        return bool(ok[0]), groups[0]
+    return ok.reshape(values.shape[:-1]), groups.reshape(values.shape[:-1])
 
 
 #: the most complex values one enumeration may hold, states x D^2

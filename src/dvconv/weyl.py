@@ -221,19 +221,23 @@ def pauli_rank(table: CharFunction) -> int:
     return int(np.sum(np.abs(table.values) > SUPPORT_TOL))
 
 
-def symplectic_form(x: np.ndarray, y: np.ndarray, d: int):
-    """p_x . q_y - q_x . p_y mod d for a length-2n label x and a label y,
-    vectorised over y's rows."""
-    n = len(x) // 2
-    return (y[..., n:] @ x[:n] - y[..., :n] @ x[n:]) % d
+def symplectic_form(x, y, d: int) -> np.ndarray:
+    """p_x . q_y - q_x . p_y mod d of length-2n labels x and y, broadcast over
+    their leading axes."""
+    x, y = np.asarray(x), np.asarray(y)
+    n = x.shape[-1] // 2
+    return ((x[..., :n] * y[..., n:]).sum(axis=-1)
+            - (x[..., n:] * y[..., :n]).sum(axis=-1)) % d
 
 
 def displace(table: CharFunction, x) -> CharFunction:
     """The table of w(x) rho w(x)^dag: Xi(y) xi^{<x, y>} at every phase point y.
 
+    x is one label or a (..., 2n) stack of them, one per table of a stack.
     Conjugation by w(x) multiplies w(-y) by xi^{<x, y>}, at d = 2 too, as
     the Weyl phases cancel.
     """
     d, n = table.d, table.n
-    phases = np.exp(2j * np.pi * symplectic_form(np.asarray(x), phase_points(d, n), d) / d)
+    x = np.asarray(x)[..., None, :]
+    phases = np.exp(2j * np.pi * symplectic_form(x, phase_points(d, n), d) / d)
     return CharFunction(d, n, table.values * phases)

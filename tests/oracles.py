@@ -20,9 +20,11 @@ from dvconv.experiments import clt_run
 from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
 from dvconv.magic import (clifford_t_circuit, log_magic_gap, make_zero_mean,
                           mean_state, random_clifford)
-from dvconv.states import (DensityMatrix, StabilizerGroup, enumerate_msps, ket_state,
-                           random_density)
-from dvconv.weyl import char_function, char_table, phase_points, weyl_op, xi
+from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_msps,
+                           ket_state, msps_table, random_density, unit_phases)
+from dvconv.weyl import (CharFunction, char_function, char_table, phase_points,
+                         point_index, weyl_op, xi)
+from dvconv.zmod import rref_mod
 
 UNITARY_TOL = 1e-10
 CLIFFORD_TOL = 1e-9
@@ -78,6 +80,31 @@ def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
     if abs(tr - scale) > 1e-8 * scale:
         raise InvalidGroup(f"projector trace {tr:.6f}, expected {scale}")
     return DensityMatrix(d, n, (P + P.conj().T) / (2 * scale))
+
+
+def scalar_is_msps(table: CharFunction) -> tuple[bool, StabilizerGroup | None]:
+    """MSPS test of one table, one step at a time: every |Xi| 0 or 1, a unit
+    support of d^r points whose row-echelon generators commute, and the
+    table within UNIT_TOL of the msps_table of those generators with the
+    phases read off them.  Returns the recovered group on success."""
+    d, n = table.d, table.n
+    phases = unit_phases(table.values)
+    unit = phases != 0
+    if not np.all(unit | (np.abs(table.values) <= UNIT_TOL)):
+        return False, None
+    R, pivots = rref_mod(phase_points(d, n)[unit], d)
+    if np.count_nonzero(unit) != d ** len(pivots):
+        return False, None
+    gens = tuple(tuple(row) for row in R[:len(pivots)].tolist())
+    ks = tuple(int(round(d * np.angle(phases[point_index(g, d)]) / (2 * np.pi))) % d
+               for g in gens)
+    try:
+        group = StabilizerGroup(d, n, gens, ks)
+    except InvalidGroup:  # the generators do not commute
+        return False, None
+    if np.max(np.abs(msps_table(group).values - phases)) > UNIT_TOL:
+        return False, None
+    return True, group
 
 
 def weyl_orbit_holevo(spec: ConvolutionSpec, sigma: DensityMatrix,
@@ -193,16 +220,18 @@ def scalar_sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     sig_e = (svecs * svals**e) @ svecs.conj().T
     mid = sig_e @ rho.mat @ sig_e
     vals, _ = herm_eig((mid + mid.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
+    # below 1 the power lifts eigensolver noise: the noise is removed, as in scalar_renyi
+    vals = vals[vals > FULL_RANK_TOL] if alpha < 1 else np.clip(vals, 0.0, None)
     return float(np.log2(np.sum(vals**alpha)) / (alpha - 1))
 
 
 def per_trial_records(name: str, seed: int, trials: int) -> list[tuple]:
     """(index, metric, value) of every record of the sampled suite ``name``
-    (duality, entropy, fisher, monotonicity, holevo, synthesis, extremality
-    or clt, at its default steps), in report order, rebuilt one
+    (duality, entropy, fisher, monotonicity, holevo, stability, synthesis,
+    extremality or clt, at its default steps), in report order, rebuilt one
     trial at a time from single-state calls: the suites' draws and checks
-    written as a loop over trials, with no stack."""
+    written as a loop over trials, with no stack.  Stability samples
+    nothing and ignores seed and trials."""
     return _PER_TRIAL[name](seed, trials)
 
 
@@ -334,6 +363,18 @@ def _synthesis(seed, trials):
     return out
 
 
+def _stability(seed, trials):
+    d = 3
+    spec = default_spec(d, 1)
+    pure = enumerate_msps(d, mixed=False)
+    out = []
+    for a in pure:
+        for b in pure:
+            ok, _ = scalar_is_msps(char_function(convolve(a, b, spec)))
+            out.append((len(out), "is_msps", 0.0 if ok else 1.0))
+    return out
+
+
 def _extremality(seed, trials):
     d = 3
     msps_set = enumerate_msps(d)
@@ -379,4 +420,5 @@ def _clt(seed, trials, steps=experiments.CLT_STEPS):
 
 _PER_TRIAL = {"duality": _duality, "entropy": _entropy, "fisher": _fisher,
               "monotonicity": _monotonicity, "holevo": _holevo,
-              "synthesis": _synthesis, "extremality": _extremality, "clt": _clt}
+              "stability": _stability, "synthesis": _synthesis,
+              "extremality": _extremality, "clt": _clt}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvconv import conv
 from dvconv.conv import (
+    COVARIANCE_TOL,
     ConvolutionSpec,
     amplifier_spec,
     beam_splitter_spec,
@@ -37,6 +38,30 @@ from dvconv.states import (
 from dvconv.weyl import CharFunction, char_function, point_index
 from dvconv.zmod import gmatrix_new
 from oracles import is_clifford, msps_from_group, weyl_orbit_holevo
+
+def _ensemble_with_covariance_off_by(delta):
+    """holevo_weyl_ensemble at (3, 1), with every displaced input's output
+    table moved by delta, so the covariance check deviates by delta."""
+    step = conv.convolve_characteristic
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conv, "convolve_characteristic", lambda a, b, spec: CharFunction(
+            spec.d, spec.n, step(a, b, spec).values + delta))
+        return holevo_weyl_ensemble(default_spec(3, 1), random_density(0, 3, 1),
+                                    random_density(1, 3, 1, 1))
+
+
+@given(st.floats(0, 0.99 * COVARIANCE_TOL))
+@settings(max_examples=20)
+def test_covariance_check_inside_covariance_tol(delta):
+    assert np.isfinite(_ensemble_with_covariance_off_by(delta))
+
+
+@given(st.floats(1.01 * COVARIANCE_TOL, 1e-3))
+@settings(max_examples=20)
+def test_covariance_check_outside_covariance_tol(delta):
+    with pytest.raises(CovarianceViolation):
+        _ensemble_with_covariance_off_by(delta)
+
 
 #: every named spec has a symmetric G; these do not, so a key map that used
 #: G where it needs G^T would show

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvconv.entropy import (
     FULL_RANK_TOL,
+    _off_support,
     fisher_fd_oracle,
     fisher_information,
     relative_entropy,
@@ -17,6 +18,7 @@ from dvconv.entropy import (
 )
 from dvconv.errors import RankDeficient
 from dvconv.experiments import ALPHAS_NEG, ALPHAS_NONNEG
+from dvconv.linalg import SUPPORT_TOL
 from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
@@ -167,11 +169,6 @@ def test_sandwiched_cases():
         sandwiched_relative_entropy(rho, rho, 0.25)
 
 
-#: at alpha < 1 the power lifts eigensolver noise (~1e-17) on the kernel of a
-#: rank-deficient sigma to about its square root, on either side
-NOISE_LIFT_TOL = 1e-7
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1, 2, INF])
 def test_divergences_match_the_scalar_oracle(alpha):
     """Stacks of full-rank and rank-deficient rho against sigma = rho,
@@ -199,8 +196,41 @@ def test_divergences_match_the_scalar_oracle(alpha):
             if name == "pure" and alpha >= 1:
                 assert got[i] == want == INF
                 continue
-            noisy = alpha < 1 and sigma.eigenvalues()[i][-1] <= FULL_RANK_TOL
-            assert abs(got[i] - want) <= (NOISE_LIFT_TOL if noisy else 1e-12), (name, i)
+            assert abs(got[i] - want) <= 1e-12, (name, i)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1, 2, INF])
+@pytest.mark.parametrize("d, n, rank", [(3, 1, 1), (3, 2, 1), (3, 2, 3), (7, 1, 2)])
+def test_divergence_of_a_rank_deficient_state_to_itself_is_zero(d, n, rank, alpha):
+    """200 seeds per case: at alpha < 1 no eigensolver noise on the kernel
+    of sigma = rho survives the power."""
+    rho = random_density(None, d, n, rank, seeds=range(200))
+    assert np.abs(sandwiched_relative_entropy(rho, rho, alpha)).max() <= 1e-12
+
+
+def _kernel_weight(delta):
+    """rho with weight delta on the kernel of sigma = |0><0|."""
+    return _diag_state(1.0 - delta, delta, 0.0), _diag_state(1.0, 0.0, 0.0)
+
+
+@given(st.floats(0, 0.99 * SUPPORT_TOL))
+@settings(max_examples=30)
+def test_support_rule_inside_support_tol(delta):
+    rho, sigma = _kernel_weight(delta)
+    assert not _off_support(rho, sigma)
+    assert relative_entropy(rho, sigma) < INF
+    assert sandwiched_relative_entropy(rho, sigma, 2) < INF
+    assert renyi_spectra(rho.eigenvalues(), 0) == 0.0  # one eigenvalue counts
+
+
+@given(st.floats(1.01 * SUPPORT_TOL, 0.5))
+@settings(max_examples=30)
+def test_support_rule_outside_support_tol(delta):
+    rho, sigma = _kernel_weight(delta)
+    assert _off_support(rho, sigma)
+    assert relative_entropy(rho, sigma) == INF
+    assert sandwiched_relative_entropy(rho, sigma, 2) == INF
+    assert renyi_spectra(rho.eigenvalues(), 0) == 1.0  # two count
 
 
 def test_sandwiched_is_infinite_on_orthogonal_states_at_every_alpha():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dvconv import conv, entropy, experiments
+from dvconv import conv, entropy, experiments, magic, states, weyl
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
 from dvconv.states import DensityMatrix, enumerate_msps, ket_state, random_density
@@ -237,9 +237,10 @@ def test_log_slope_keeps_only_norms_above_the_floor():
     ("extremality", 4),  # no MSPS input
     ("extremality", 0),  # empty stacks
     ("clt", 5), ("clt", 1),
+    ("stability", None),  # no seed, no trials: every ordered pure pair
 ])
 def test_stacked_suites_match_the_per_trial_oracle(name, trials):
-    report = experiments.SUITES[name](seed=0, trials=trials)
+    report = experiments.SUITES[name](**({} if trials is None else dict(seed=0, trials=trials)))
     records = [(r["index"], r["metric"], r["value"]) for r in report.records]
     assert records == per_trial_records(name, 0, trials)
 
@@ -315,6 +316,62 @@ def test_suite_extremality_makes_two_divergence_calls_per_alpha(monkeypatch, tri
     monkeypatch.setattr(entropy, "sandwiched_relative_entropy", counted)
     assert experiments.suite_extremality(seed=0, trials=trials).passed
     assert calls == [alpha for alpha in experiments.ALPHAS_EXTREMALITY for _ in range(2)]
+
+
+def test_suite_stability_recovers_each_distinct_support_once(monkeypatch):
+    """One rref_mod per distinct unit support of the 144 output tables, and
+    one is_msps call for all of them."""
+    calls = {"rref_mod": [], "is_msps": 0}
+    rref, detect = states.rref_mod, states.is_msps
+
+    def counted_rref(A, d):
+        calls["rref_mod"].append(np.asarray(A).tobytes())
+        return rref(A, d)
+
+    def counted_detect(table):
+        calls["is_msps"] += 1
+        return detect(table)
+
+    monkeypatch.setattr(states, "rref_mod", counted_rref)
+    monkeypatch.setattr(states, "is_msps", counted_detect)
+    assert experiments.suite_stability().passed
+    assert calls["is_msps"] == 1
+    # the labels each call reduces are one support's: no support twice
+    assert len(calls["rref_mod"]) == len(set(calls["rref_mod"]))
+    groups, outs = experiments._stabilizer_pairs(conv.default_spec(3, 1))
+    unit = states.unit_phases(weyl.char_function(outs).values) != 0
+    assert len(calls["rref_mod"]) == len(np.unique(unit.reshape(-1, 9), axis=0))
+
+
+@pytest.mark.parametrize("trials", [1, 50])
+def test_clt_run_makes_one_zero_mean_pass(monkeypatch, trials):
+    calls = []
+    shift = magic.make_zero_mean
+
+    def counted(table):
+        calls.append(table.values.shape)
+        return shift(table)
+
+    monkeypatch.setattr(magic, "make_zero_mean", counted)
+    assert experiments.suite_clt(seed=0, trials=trials, steps=2).passed
+    assert calls == [(trials, 49)]
+
+
+def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
+    """No one-row Clifford call: the words of a pass are drawn, then
+    multiplied per n in one clifford_t_circuits and one clifford_words."""
+    calls = {name: 0 for name in ("random_clifford", "clifford_t_circuit",
+                                  "clifford_t_circuits", "clifford_words")}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(magic, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(magic, name, counted)
+    assert experiments.suite_synthesis(seed=0, trials=100).passed
+    # per n one call each; clifford_t_circuits makes one clifford_words call
+    assert calls == {"random_clifford": 0, "clifford_t_circuit": 0,
+                     "clifford_t_circuits": 2, "clifford_words": 3}
 
 
 def test_clt_stack_members_are_one_state_series():

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dvconv.errors import DimensionMismatch, NotHermitian
 from dvconv.linalg import (
+    HERM_TOL,
+    check_hermitian,
     herm_eig,
     partial_trace_B,
     trace_norm,
@@ -29,6 +31,29 @@ def test_herm_eig_pauli_z():
     Z = np.diag([1.0, -1.0]).astype(complex)
     vals, _ = herm_eig(Z)
     assert np.allclose(vals, [1, -1])
+
+
+def _off_hermitian(delta):
+    """A 3 x 3 matrix whose one entry lacks its mirror by delta, and a stack
+    of it behind a Hermitian member."""
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, 1] = delta
+    return A, np.stack([np.eye(3, dtype=complex), A])
+
+
+@given(st.floats(0, 0.99 * HERM_TOL))
+@settings(max_examples=30)
+def test_check_hermitian_inside_herm_tol(delta):
+    for A in _off_hermitian(delta):
+        check_hermitian(A)
+
+
+@given(st.floats(1.01 * HERM_TOL, 1.0))
+@settings(max_examples=30)
+def test_check_hermitian_outside_herm_tol(delta):
+    for A in _off_hermitian(delta):
+        with pytest.raises(NotHermitian):
+            check_hermitian(A)
 
 
 def test_herm_eig_rejects_non_hermitian():

@@ -218,3 +218,18 @@ def test_divergence_grid_against_the_msps_matches_each_pair(alpha):
     for i in range(T):
         for j in range(13):
             assert grid[i, j] == entropy.sandwiched_relative_entropy(rho[i], msps[j], alpha)
+
+
+@pytest.mark.parametrize("d, n", SHAPES)
+def test_mean_vector_and_zero_mean_per_member(d, n):
+    _, _, rho = _stack(d, n)
+    tables = weyl.char_function(rho)
+    groups = magic.mean_vector(tables)
+    x, shifted = magic.make_zero_mean(tables)
+    assert groups.shape == (T,) and x.shape == (T, 2 * n)
+    for i in range(T):
+        alone = weyl.char_function(rho[i])
+        assert groups[i] == magic.mean_vector(alone)
+        x_alone, shifted_alone = magic.make_zero_mean(alone)
+        assert np.array_equal(x[i], x_alone)
+        assert np.array_equal(shifted.values[i], shifted_alone.values)

@@ -13,6 +13,8 @@ from dvconv.errors import (
 from dvconv.magic import mean_state
 from dvconv.states import (
     ENUMERATION_BUDGET,
+    STATE_TOL,
+    UNIT_TOL,
     DensityMatrix,
     StabilizerGroup,
     enumerate_msps,
@@ -26,10 +28,10 @@ from dvconv.states import (
     state_to_json,
     t_state,
 )
-from dvconv.weyl import (CharFunction, char_function, inverse_char, point_index,
-                         symplectic_form)
+from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
+                         point_index, symplectic_form)
 from dvconv.zmod import rank_mod, rref_mod
-from oracles import msps_from_group
+from oracles import msps_from_group, scalar_is_msps
 
 
 def test_density_matrix_validation():
@@ -118,12 +120,20 @@ def test_random_density_rank_and_determinism():
 
 
 def test_stabilizer_group_validation():
-    with pytest.raises(InvalidGroup):
-        # Z and X do not commute
+    with pytest.raises(InvalidGroup, match="more generators than qudits"):
         StabilizerGroup(3, 1, ((1, 0), (0, 1)), (0, 0))
+    with pytest.raises(InvalidGroup, match="generators 0, 1 do not commute"):
+        # Z_1 and X_1 do not commute
+        StabilizerGroup(3, 2, ((1, 0, 0, 0), (0, 0, 1, 0)), (0, 0))
+    with pytest.raises(InvalidGroup, match="generators 1, 2 do not commute"):
+        # Z_1 commutes with Z_2 and X_2; Z_2 and X_2 are the first pair that do not
+        StabilizerGroup(3, 3, ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                               (0, 0, 0, 0, 1, 0)), (0, 0, 0))
     with pytest.raises(InvalidGroup):
         # dependent generators at n=2
         StabilizerGroup(3, 2, ((1, 0, 0, 0), (2, 0, 0, 0)), (0, 0))
+    with pytest.raises(InvalidGroup, match="wrong length"):
+        StabilizerGroup(3, 2, ((1, 0, 0, 0), (1, 0)), (0, 0))
 
 
 def test_msps_empty_group():
@@ -241,17 +251,103 @@ def test_is_msps_accepts_bell_ghz_and_random_qubit_groups():
 
 
 def test_is_msps_refuses_without_raising():
-    d, n = 2, 2
+    # Bell with YY flipped (+1 is not the product phase); every label unit
+    # (rank 2n > n); Z_1 and X_1 (rank n, not commuting); nothing
+    for values in _refusals(2, 2):
+        assert is_msps(CharFunction(2, 2, values)) == (False, None)
+
+
+def _assert_stacked_matches_the_oracle(table):
+    """Each member's verdict and group from one stacked call are the
+    one-table oracle's."""
+    ok, groups = is_msps(table)
+    assert ok.shape == groups.shape == table.values.shape[:-1]
+    for i in np.ndindex(ok.shape):
+        member = CharFunction(table.d, table.n, table.values[i])
+        assert (bool(ok[i]), groups[i]) == scalar_is_msps(member), i
+    return ok
+
+
+def _refusals(d, n):
+    """The tables test_is_msps_refuses_without_raising refuses, in its order."""
     bell = char_function(_ket(d, n, {"00": 2**-0.5, "11": 2**-0.5}))
     flipped = bell.values.copy()
-    flipped[point_index((1, 1, 1, 1), d)] *= -1  # YY: +1 is not the product phase
-    # every label unit (rank 2n > n); Z_1 and X_1 (rank n, not commuting); nothing
+    flipped[point_index((1, 1, 1, 1), d)] *= -1
     noncommuting = np.zeros(d ** (2 * n), dtype=complex)
     for label in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0)):
         noncommuting[point_index(label, d)] = 1.0
-    for values in (flipped, np.ones(d ** (2 * n), dtype=complex), noncommuting,
-                   np.zeros(d ** (2 * n), dtype=complex)):
-        assert is_msps(CharFunction(d, n, values)) == (False, None)
+    return [flipped, np.ones(d ** (2 * n), dtype=complex), noncommuting,
+            np.zeros(d ** (2 * n), dtype=complex)]
+
+
+def test_stacked_is_msps_matches_the_oracle_per_member():
+    bell = char_function(_ket(2, 2, {"00": 2**-0.5, "11": 2**-0.5})).values
+    # MSPS and refusals mixed, on a (2, 3) stack
+    mixed = np.stack([bell] + _refusals(2, 2)
+                     + [char_function(random_density(0, 2, 2)).values]).reshape(2, 3, 16)
+    ok = _assert_stacked_matches_the_oracle(CharFunction(2, 2, mixed))
+    assert ok.tolist() == [[True, False, False], [False, False, False]]
+    ghz = char_function(_ket(2, 3, {"000": 2**-0.5, "111": 2**-0.5})).values
+    _assert_stacked_matches_the_oracle(CharFunction(2, 3, np.stack([ghz, ghz])))
+    rng = np.random.default_rng(2)
+    for n in (2, 3):
+        groups = [_random_group(rng, 2, n, r) for r in range(n + 1) for _ in range(4)]
+        tables = np.stack([msps_table(g).values for g in groups])
+        assert _assert_stacked_matches_the_oracle(CharFunction(2, n, tables)).all()
+    for d in (3, 7):
+        tables = char_function(DensityMatrix(d, 1, np.stack(
+            [rho.mat for rho in enumerate_msps(d)] + [random_density(d, d, 1).mat]))).values
+        ok = _assert_stacked_matches_the_oracle(CharFunction(d, 1, tables))
+        assert ok.tolist() == [True] * (len(tables) - 1) + [False]
+
+
+def test_stacked_is_msps_of_an_empty_stack():
+    ok, groups = is_msps(CharFunction(3, 1, np.zeros((0, 9), dtype=complex)))
+    assert ok.shape == groups.shape == (0,)
+
+
+@given(st.sampled_from([tuple(int(v) for v in x) for x in phase_points(3, 1)[1:]]),
+       st.sampled_from([1, -1]))
+@settings(max_examples=20)
+def test_stacked_unit_modulus_cliff_gives_each_member_its_own_verdict(x, sign):
+    """Two members, Xi(+-x) = 1 + delta at delta 0.99 UNIT_TOL and 1.01
+    UNIT_TOL: the first is an MSPS and the second is not."""
+    values = np.zeros((2, 9), dtype=complex)
+    values[:, 0] = 1.0
+    for row, factor in enumerate((0.99, 1.01)):
+        values[row, [point_index(x, 3), point_index(np.negative(x), 3)]] = \
+            1.0 + sign * factor * UNIT_TOL
+    ok = _assert_stacked_matches_the_oracle(CharFunction(3, 1, values))
+    assert ok.tolist() == [True, False]
+
+
+def _breaking(rule: str, delta: float) -> np.ndarray:
+    """A 3 x 3 matrix that breaks one state rule by delta and keeps the
+    others: an unmirrored off-diagonal entry, a diagonal entry off the unit
+    trace, or the eigenvalue -delta."""
+    if rule == "negative eigenvalue":
+        return np.diag([2 / 3 + delta, 1 / 3, -delta]).astype(complex)
+    m = np.eye(3, dtype=complex) / 3
+    m[(0, 1) if rule == "Hermiticity deviation" else (0, 0)] += delta
+    return m
+
+
+STATE_RULES = ["Hermiticity deviation", "trace deviation", "negative eigenvalue"]
+
+
+@pytest.mark.parametrize("rule", STATE_RULES)
+@given(st.floats(0, 0.99 * STATE_TOL))
+@settings(max_examples=20)
+def test_state_rules_inside_state_tol(rule, delta):
+    DensityMatrix(3, 1, _breaking(rule, delta))
+
+
+@pytest.mark.parametrize("rule", STATE_RULES)
+@given(st.floats(1.01 * STATE_TOL, 1e-3))
+@settings(max_examples=20)
+def test_state_rules_outside_state_tol(rule, delta):
+    with pytest.raises(InvalidState, match=rule):
+        DensityMatrix(3, 1, _breaking(rule, delta))
 
 
 def test_enumerated_msps_all_detected():
