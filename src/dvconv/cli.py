@@ -62,19 +62,31 @@ def _check_records(count: int) -> None:
                          f"the budget is {RECORD_BUDGET}")
 
 
-def _atomic_write(path: str, text: str) -> None:
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".dvconv-")
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` atomically to the file at ``path``, or else to stdout,
+    as bytes until every byte is taken: a short write through an unbuffered
+    text layer would lose the rest, and a closed reader's BrokenPipeError."""
+    if path:
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise ParseError(f"cannot write {path!r}: {exc.strerror}") from exc
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".dvconv-")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise ParseError(f"cannot write {path!r}: {exc.strerror}") from exc
+    elif not hasattr(sys.stdout, "buffer"):  # a text-only capture
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        data = text.encode(sys.stdout.encoding)
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.buffer.flush()
 
 
 def _load(descriptor: str, d: int, n: int,
@@ -143,8 +155,7 @@ def cmd_gap(args) -> int:
     if table is None:
         table = weyl.char_function(rho)
     if args.emit_char:
-        _atomic_write(args.emit_char,
-                      json.dumps(states.char_to_json(table), sort_keys=True))
+        _emit(json.dumps(states.char_to_json(table), sort_keys=True), args.emit_char)
     ok, _ = states.is_msps(table)
     out = {
         "d": rho.d,
@@ -179,7 +190,7 @@ def cmd_convolve(args) -> int:
             weyl.char_function(a), weyl.char_function(b), spec)
         dev = float(np.max(np.abs(weyl.char_function(out).values - dual.values)))
         print(f"duality-deviation {fmt(dev)}")
-    _atomic_write(args.out, json.dumps(states.state_to_json(out), sort_keys=True))
+    _emit(json.dumps(states.state_to_json(out), sort_keys=True), args.out)
     return EXIT_PASS
 
 
@@ -192,9 +203,9 @@ def cmd_clt(args) -> int:
     hs = {a: h.tolist() for a, h in series.entropies.items()}
     if args.format == "json":
         payload = {
-            "d": series.d, "n": series.n,
+            "d": args.d, "n": args.n,
             "displacement": series.displacement.tolist(),
-            "magic_gap": series.mg, "base_norm": series.base_norm,
+            "magic_gap": series.mg, "base_norm": norms[0],
             "steps": [{"N": N, "norm": norm, "bound": bound,
                        "entropies": {a: h[N] for a, h in hs.items()}}
                       for N, (norm, bound) in enumerate(zip(norms, bounds))],
@@ -205,10 +216,7 @@ def cmd_clt(args) -> int:
         for N, row in enumerate(zip(norms, bounds, *hs.values())):
             lines.append(",".join([str(N)] + [fmt(v) for v in row]))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return EXIT_PASS
 
 
@@ -230,11 +238,7 @@ def cmd_suite(args) -> int:
         counts = {k: v for k, v in kwargs.items() if k != "seed"}
         _check_records(experiments.record_bound(args.name, **counts))
     report = fn(**kwargs)
-    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json() + "\n" if args.format == "json" else report.to_csv(), args.out)
     print(f"suite {args.name}: {'PASS' if report.passed else 'FAIL'} "
           f"(max violation {fmt(report.max_violation)})", file=sys.stderr)
     return EXIT_PASS if report.passed else EXIT_VIOLATION
@@ -246,10 +250,7 @@ def cmd_enumerate(args) -> int:
         states.enumeration_count(args.d, args.n, mixed)
     payload = [states.state_to_json(s) for s in states.enumerate_msps(args.d, args.n, mixed)]
     text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        print(text)
+    _emit(text if args.out else text + "\n", args.out)
     return EXIT_PASS
 
 
@@ -277,10 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dvconv",
         description="Discrete-variable quantum convolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--d", type=int, required=True)
+    size.add_argument("--n", type=int, default=1)
 
-    p = sub.add_parser("gap", help="magic gap, LMG, Pauli rank, mean vector")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p = sub.add_parser("gap", parents=[size], help="magic gap, LMG, Pauli rank, mean vector")
     p.add_argument("--preset", dest="state")
     p.add_argument("--input", dest="state")
     p.add_argument("--seed", type=int)
@@ -288,9 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gap)
 
-    p = sub.add_parser("convolve", help="write rho boxtimes sigma as a JSON state")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p = sub.add_parser("convolve", parents=[size], help="write rho boxtimes sigma as a JSON state")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--seed", type=int)
@@ -299,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.set_defaults(fn=cmd_convolve)
 
-    p = sub.add_parser("clt", help="iterated beam-splitter convolution series")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p = sub.add_parser("clt", parents=[size], help="iterated beam-splitter convolution series")
     p.add_argument("--steps", type=int, default=30)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--preset", dest="state", default="random-pure")
@@ -319,16 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(fn=cmd_suite)
 
-    p = sub.add_parser("enumerate", help="enumerate MSPS or pure stabilizers")
+    p = sub.add_parser("enumerate", parents=[size], help="enumerate MSPS or pure stabilizers")
     p.add_argument("kind", choices=["msps", "stabilizers"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("capacity-bounds", help="Holevo capacity sandwich")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=1)
+    p = sub.add_parser("capacity-bounds", parents=[size], help="Holevo capacity sandwich")
     p.add_argument("--sigma", required=True)
     p.add_argument("--rho0")
     p.add_argument("--seed", type=int)

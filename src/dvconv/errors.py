@@ -61,3 +61,8 @@ class CovarianceViolation(DvconvError):
 
 class ParseError(DvconvError):
     """Malformed CLI input or state file."""
+
+
+class MalformedGroup(InvalidGroup, ParseError):
+    """Generator and phase lists of the wrong count or label length: a
+    malformed input, so a state file holding them is a usage error."""

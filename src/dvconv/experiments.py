@@ -134,34 +134,23 @@ class CltSeries:
     ``norms``, ``bounds`` and each of ``entropies`` ({alpha: array}) run
     over N = 0..n_max on their last axis; ``displacement`` is an integer
     array over its 2n labels.  Every field carries the stack's leading
-    axes first, and ``mg`` and ``base_norm`` are scalars for one series.
-    ``series[i]`` is member i, indexed over the leading axes.
+    axes first, and ``mg`` is a scalar for one series.
     """
 
-    d: int
-    n: int
     displacement: np.ndarray
     mg: float | np.ndarray
-    base_norm: float | np.ndarray
     norms: np.ndarray
     bounds: np.ndarray
     entropies: dict[float, np.ndarray]
 
-    def __getitem__(self, index) -> CltSeries:
-        key = index if isinstance(index, tuple) else (index,)
-        if len(key) > np.ndim(self.mg):
-            raise IndexError(f"{len(key)} indices for a stack of shape {np.shape(self.mg)}")
-        return CltSeries(self.d, self.n, self.displacement[key], self.mg[key],
-                         self.base_norm[key], self.norms[key], self.bounds[key],
-                         {a: hs[key] for a, hs in self.entropies.items()})
 
-    def log_slope(self) -> float | None:
-        """Least-squares slope of ln(norm) vs N over the steps whose norm
-        exceeds SLOPE_NORM_FLOOR, of one series."""
-        steps = np.flatnonzero(self.norms > SLOPE_NORM_FLOOR)
-        if len(steps) < 2:
-            return None
-        return float(np.polyfit(steps, np.log(self.norms[steps]), 1)[0])
+def log_slope(norms: np.ndarray) -> float | None:
+    """Least-squares slope of ln(norm) vs N over the steps whose norm
+    exceeds SLOPE_NORM_FLOOR, of one series' norms."""
+    steps = np.flatnonzero(norms > SLOPE_NORM_FLOOR)
+    if len(steps) < 2:
+        return None
+    return float(np.polyfit(steps, np.log(norms[steps]), 1)[0])
 
 
 def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
@@ -207,12 +196,10 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     norm_parts, spectra_parts = zip(*chunks())
     all_norms = np.concatenate(norm_parts, axis=-1)
     spectra = np.concatenate(spectra_parts, axis=-2)
-    base = all_norms[..., 0][()]
     # Python powers: numpy's array power can differ in the last bit
-    bounds = np.array([[(1 - m) ** N * b for N in range(n_max + 1)]
-                       for m, b in zip(np.ravel(mg).tolist(), np.ravel(base).tolist())])
-    return CltSeries(d, n, displacement, mg, base, all_norms,
-                     bounds.reshape(all_norms.shape),
+    bounds = np.array([[(1 - m) ** N * b for N in range(n_max + 1)] for m, b in
+                       zip(np.ravel(mg).tolist(), all_norms[..., 0].ravel().tolist())])
+    return CltSeries(displacement, mg, all_norms, bounds.reshape(all_norms.shape),
                      {a: entropy.renyi_spectra(spectra, a) for a in ALPHAS_SECOND_LAW})
 
 
@@ -250,10 +237,8 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
         ids = range(c, trials, len(configs))
         ranks = np.array([np.random.default_rng(seeds[2 * i]).integers(1, d**n + 1, size=2)
                           for i in ids]).reshape(-1, 2)
-        a = states.random_density(None, d, n, ranks[:, 0],
-                                  seeds=[seeds[2 * i] for i in ids])
-        b = states.random_density(None, d, n, ranks[:, 1],
-                                  seeds=[seeds[2 * i + 1] for i in ids])
+        a = states.random_density([seeds[2 * i] for i in ids], d, n, ranks[:, 0])
+        b = states.random_density([seeds[2 * i + 1] for i in ids], d, n, ranks[:, 1])
         lhs = weyl.char_function(conv.convolve(a, b, spec)).values
         rhs = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec).values
@@ -280,8 +265,8 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
         ranks = np.array([(D, D) if i % 2 == 0 else
                           np.random.default_rng(seeds[2 * i]).integers(1, D + 1, size=2)
                           for i in range(trials)])
-        a = states.random_density(None, d, n, ranks[:, 0], seeds=seeds[0::2])
-        b = states.random_density(None, d, n, ranks[:, 1], seeds=seeds[1::2])
+        a = states.random_density(seeds[0::2], d, n, ranks[:, 0])
+        b = states.random_density(seeds[1::2], d, n, ranks[:, 1])
         out = conv.convolve(a, b, spec)
         # (trials, 3, D): a, b and out
         spectra = np.stack([a.eigenvalues(), b.eigenvalues(), out.eigenvalues()], axis=1)
@@ -307,8 +292,8 @@ def suite_fisher(seed: int = 0, trials: int = 100,
     for d, n in configs:
         spec = _spec_for(d, n)
         seeds = _child_seeds(seed + d, 2 * trials)
-        a = states.random_density(None, d, n, seeds=seeds[0::2])
-        b = states.random_density(None, d, n, seeds=seeds[1::2])
+        a = states.random_density(seeds[0::2], d, n)
+        b = states.random_density(seeds[1::2], d, n)
         out = conv.convolve(a, b, spec)
         gaps = entropy.total_fisher(out) - np.minimum(entropy.total_fisher(a),
                                                       entropy.total_fisher(b))
@@ -335,10 +320,10 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     spec = conv.default_spec(d, n)
     report = ExperimentReport("monotonicity", seed, {"d": d, "n": n, "trials": trials})
     seeds = _child_seeds(seed, 3 * trials)
-    rho = states.random_density(None, d, n, seeds=seeds[0::3])
-    sigma = states.random_density(None, d, n, seeds=seeds[1::3])  # full rank
+    rho = states.random_density(seeds[0::3], d, n)
+    sigma = states.random_density(seeds[1::3], d, n)  # full rank
     tau_ranks = [np.random.default_rng(s).integers(1, d**n + 1) for s in seeds[2::3]]
-    tau = states.random_density(None, d, n, tau_ranks, seeds=seeds[2::3])
+    tau = states.random_density(seeds[2::3], d, n, tau_ranks)
     rc = conv.convolve(rho, tau, spec)
     sc = conv.convolve(sigma, tau, spec)
     tn_gaps = (linalg.trace_norm(rc.mat - sc.mat)
@@ -416,8 +401,8 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
         # trial i runs d = 3 when i is even, 7 when odd: this d's trials as one stack
         ids = range(parity, trials, 2)
         ranks = [np.random.default_rng(seeds[2 * i]).integers(1, d + 1) for i in ids]
-        sigma = states.random_density(None, d, 1, ranks, seeds=[seeds[2 * i] for i in ids])
-        rho0 = states.random_density(None, d, 1, 1, seeds=[seeds[2 * i + 1] for i in ids])
+        sigma = states.random_density([seeds[2 * i] for i in ids], d, 1, ranks)
+        rho0 = states.random_density([seeds[2 * i + 1] for i in ids], d, 1, 1)
         lower, upper = conv.holevo_bounds(spec, sigma)
         ensemble = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         for i, order, below in zip(ids, (lower - upper).tolist(), (ensemble - upper).tolist()):
@@ -492,8 +477,7 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     drawn = [i for i in range(trials) if i % 5 != 4]
     ranks = [np.random.default_rng(seeds[i]).integers(1, d + 1) for i in drawn]
     mats = msps.mat[np.arange(trials) % count]
-    mats[drawn] = states.random_density(None, d, 1, ranks,
-                                        seeds=[seeds[i] for i in drawn]).mat
+    mats[drawn] = states.random_density([seeds[i] for i in drawn], d, 1, ranks).mat
     # (trials, 1) against the (count,) MSPS stack: one grid per alpha
     rho = states.DensityMatrix(d, 1, mats[:, None])
     M = magic.mean_state(weyl.char_function(rho))
@@ -532,18 +516,18 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
     # even trials are pure; odd ones draw their rank from their own seed
     ranks = [1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
              for i in range(trials)]
-    stack = clt_run(states.random_density(None, d, n, ranks, seeds=seeds), spec, steps)
-    for i in range(trials):
-        series = stack[i]
-        report.add(i, "norm_bound_gap", np.max(series.norms - series.bounds), CLT_TOL)
-        slope = series.log_slope()
-        if slope is not None and series.mg < 1:
-            report.add(i, "log_slope_gap",
-                       slope - math.log(1 - series.mg), SLOPE_TOL)
-        for alpha, hs in series.entropies.items():
-            # a single state has no drop; with steps, the largest may be negative
-            worst_drop = np.max(hs[:-1] - hs[1:]) if steps else 0.0
-            report.add(i, f"second_law_drop_a{alpha}", worst_drop, SECOND_LAW_TOL)
+    series = clt_run(states.random_density(seeds, d, n, ranks), spec, steps)
+    gaps = np.max(series.norms - series.bounds, axis=-1).tolist()
+    # a single state has no drop; with steps, the largest may be negative
+    drops = {alpha: np.max(hs[:, :-1] - hs[:, 1:], axis=-1).tolist() if steps
+             else [0.0] * trials for alpha, hs in series.entropies.items()}
+    for i, (norms, mg) in enumerate(zip(series.norms, series.mg.tolist())):
+        report.add(i, "norm_bound_gap", gaps[i], CLT_TOL)
+        slope = log_slope(norms)
+        if slope is not None and mg < 1:
+            report.add(i, "log_slope_gap", slope - math.log(1 - mg), SLOPE_TOL)
+        for alpha, drop in drops.items():
+            report.add(i, f"second_law_drop_a{alpha}", drop[i], SECOND_LAW_TOL)
     return report
 
 

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidGroup, InvalidState, ParseError, UnsupportedScale
+from .errors import (InvalidGroup, InvalidState, MalformedGroup, ParseError,
+                     UnsupportedScale)
 # not called here: perfbench/test_tracer.py checks that the tracer's wrapper reaches this name
 from .linalg import herm_eig  # noqa: F401
 from .weyl import (
@@ -153,19 +154,17 @@ def t_state() -> DensityMatrix:
     return DensityMatrix(2, 1, (np.eye(2) + (X + Y) / np.sqrt(2)) / 2)
 
 
-def random_density(seed, d: int, n: int, rank=None, *, seeds=None) -> DensityMatrix:
+def random_density(seed, d: int, n: int, rank=None) -> DensityMatrix:
     """Ginibre state: A A^dag / Tr with a d^n x rank complex-Gaussian factor.
 
-    With ``seeds`` (and ``seed`` None) the result is a stack, one member per
-    seed, with ``rank`` None, one rank for all or a matching sequence of
-    ranks: member i is drawn from seeds[i] alone, as the single call draws
-    it, and the stack is validated once.
+    A list or tuple ``seed`` gives a stack, one member per seed, with
+    ``rank`` None, one rank for all or a matching sequence of ranks: member
+    i is drawn from seed[i] alone, as the single call draws it, and the
+    stack is validated once.
     """
     D = d**n
-    stacked = seeds is not None
-    if stacked and seed is not None:
-        raise ValueError("give one seed or a sequence of seeds, not both")
-    seeds = list(seeds) if stacked else [seed]
+    stacked = isinstance(seed, (list, tuple))
+    seeds = list(seed) if stacked else [seed]
     ranks = list(rank) if stacked and np.ndim(rank) else [rank] * len(seeds)
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
@@ -196,11 +195,11 @@ class StabilizerGroup:
 
     def __post_init__(self):
         if len(self.generators) != len(self.phases):
-            raise InvalidGroup("generator/phase count mismatch")
+            raise MalformedGroup("generator/phase count mismatch")
         if len(self.generators) > self.n:
-            raise InvalidGroup("more generators than qudits")
+            raise MalformedGroup("more generators than qudits")
         if any(np.shape(g) != (2 * self.n,) for g in self.generators):
-            raise InvalidGroup("generator label has wrong length")
+            raise MalformedGroup("generator label has wrong length")
         if not self.generators:
             return
         gens = np.array(self.generators, dtype=np.int64) % self.d
@@ -340,24 +339,18 @@ def enumerate_msps(d: int, n: int = 1, mixed: bool = True) -> list[DensityMatrix
 PRESETS = ("maximally-mixed", "zero-ket", "t-state")
 
 
+def _complex_json(d: int, n: int, kind: str, values: np.ndarray) -> dict:
+    """The one writer of a state schema object: real and imaginary parts as lists."""
+    return {"d": d, "n": n, "kind": kind,
+            "re": values.real.tolist(), "im": values.imag.tolist()}
+
+
 def state_to_json(rho: DensityMatrix) -> dict:
-    return {
-        "d": rho.d,
-        "n": rho.n,
-        "kind": "dense",
-        "re": [[float(v) for v in row] for row in rho.mat.real],
-        "im": [[float(v) for v in row] for row in rho.mat.imag],
-    }
+    return _complex_json(rho.d, rho.n, "dense", rho.mat)
 
 
 def char_to_json(table: CharFunction) -> dict:
-    return {
-        "d": table.d,
-        "n": table.n,
-        "kind": "char",
-        "re": [float(v) for v in table.values.real],
-        "im": [float(v) for v in table.values.imag],
-    }
+    return _complex_json(table.d, table.n, "char", table.values)
 
 
 def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:

@@ -114,27 +114,25 @@ def solve_mod_linear(A: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     return x
 
 
-def find_beam_splitter_params(d: int) -> tuple[int, int]:
-    """Lexicographically smallest (s, t), both nonzero, with s^2+t^2 = 1 mod d.
+def _smallest_pair(d: int, sign: int, law: str, a: str, b: str) -> tuple[int, int]:
+    """Lexicographically smallest (x, y), both nonzero, with x^2 + sign y^2 = 1
+    mod d; NoSolution names the ``law`` and calls the pair (a, b)."""
+    for x in range(1, d):
+        for y in range(1, d):
+            if (x * x + sign * y * y) % d == 1:
+                return x, y
+    raise NoSolution(f"no {law} parameters at d={d}: no nonzero ({a}, {b}) "
+                     f"with {a}^2{'+' if sign > 0 else '-'}{b}^2=1 mod {d}")
 
-    Solvable for every odd prime d >= 7; raises NoSolution for d in {3, 5}.
-    """
-    for s in range(1, d):
-        for t in range(1, d):
-            if (s * s + t * t) % d == 1:
-                return s, t
-    raise NoSolution(f"no beam-splitter parameters at d={d}: "
-                     f"no nonzero (s, t) with s^2+t^2=1 mod {d}")
+
+def find_beam_splitter_params(d: int) -> tuple[int, int]:
+    """Smallest (s, t) with s^2+t^2 = 1 mod d; NoSolution for d in {3, 5}."""
+    return _smallest_pair(d, 1, "beam-splitter", "s", "t")
 
 
 def find_amplifier_params(d: int) -> tuple[int, int]:
-    """Lexicographically smallest (l, m), both nonzero, with l^2-m^2 = 1 mod d."""
-    for l in range(1, d):
-        for m in range(1, d):
-            if (l * l - m * m) % d == 1:
-                return l, m
-    raise NoSolution(f"no amplifier parameters at d={d}: "
-                     f"no nonzero (l, m) with l^2-m^2=1 mod {d}")
+    """Smallest (l, m) with l^2-m^2 = 1 mod d."""
+    return _smallest_pair(d, -1, "amplifier", "l", "m")
 
 
 @dataclass(frozen=True)

@@ -410,7 +410,7 @@ def _clt(seed, trials, steps=experiments.CLT_STEPS):
         rank = 1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
         series = clt_run(random_density(seeds[i], d, 1, rank), spec, steps)
         out.append((i, "norm_bound_gap", np.max(series.norms - series.bounds)))
-        slope = series.log_slope()
+        slope = experiments.log_slope(series.norms)
         if slope is not None and series.mg < 1:
             out.append((i, "log_slope_gap", slope - math.log(1 - series.mg)))
         for alpha, hs in series.entropies.items():

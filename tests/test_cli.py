@@ -168,6 +168,16 @@ def test_clt_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_clt_json_reads_its_system_and_base_norm(capsys):
+    code, out, _ = run(capsys, "clt", "--d", "7", "--n", "2", "--steps", "3", "--seed", "2",
+                       "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["d"], obj["n"], len(obj["displacement"])) == (7, 2, 4)
+    assert [step["N"] for step in obj["steps"]] == [0, 1, 2, 3]
+    assert obj["base_norm"] == obj["steps"][0]["norm"] == obj["steps"][0]["bound"]
+
+
 def test_clt_rejects_d3(tmp_path, capsys):
     code, _, _ = run(capsys, "clt", "--d", "3", "--seed", "1")
     assert code == 2
@@ -377,6 +387,12 @@ BAD_STATE_FILES = {
                        "re": np.eye(3).tolist(), "im": "x"},
     "char-wrong-length": {"d": 3, "n": 1, "kind": "char", "re": [1.0], "im": [0.0]},
     "not-an-object": [1, 2, 3],
+    "msps-label-wrong-length": {"d": 3, "n": 1, "kind": "msps",
+                                "generators": [[1]], "phases": [0]},
+    "msps-count-mismatch": {"d": 3, "n": 1, "kind": "msps",
+                            "generators": [[1, 0]], "phases": [0, 1]},
+    "msps-more-generators-than-qudits": {"d": 3, "n": 1, "kind": "msps",
+                                         "generators": [[1, 0], [0, 1]], "phases": [0, 0]},
 }
 
 
@@ -393,6 +409,16 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, name):
     code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
     assert out == ""
     _assert_usage_error(code, err, "state.json")
+
+
+def test_msps_file_with_non_commuting_generators_is_not_a_valid_state(tmp_path, capsys):
+    """A well-formed group file whose generators, Z_1 and X_1, do not commute."""
+    path = _write(tmp_path / "state.json", {"d": 3, "n": 2, "kind": "msps",
+                                            "generators": [[1, 0, 0, 0], [0, 0, 1, 0]],
+                                            "phases": [0, 0]})
+    code, out, err = run(capsys, "gap", "--d", "3", "--n", "2", "--input", path)
+    assert (code, out) == (3, "")
+    assert err == "error: InvalidGroup: generators 0, 1 do not commute\n"
 
 
 # each member alone is a valid state: only the file's shape is wrong
@@ -579,16 +605,26 @@ def test_clt_at_d343(tmp_path, capsys):
         assert float(cols[1]) <= float(cols[2]) + 1e-9
 
 
-def test_a_closed_stdout_ends_quietly():
-    """``dvconv enumerate msps --d 17 | head -c 100``: the reader leaves early."""
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "msps", "--d", "17"),  # megabytes
+    ("suite", "entropy", "--trials", "200"),  # 170 kB of CSV
+    ("clt", "--d", "7", "--seed", "1", "--steps", "2000"),  # 250 kB of CSV
+], ids=["enumerate", "suite", "clt"])
+def test_a_closed_stdout_ends_quietly(argv, unbuffered):
+    """``dvconv ... | head -c 100``: the reader leaves early, while the output
+    is longer than a pipe holds.  Unbuffered, a write may be cut short
+    without an error; the rest must still reach the closed pipe."""
     src = str(Path(dvconv.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "dvconv", "enumerate", "msps", "--d", "17"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "dvconv", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert len(proc.stdout.read(100)) == 100  # the output is megabytes long
+        assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
         code = proc.wait(timeout=60)  # a traceback would fit in the pipe's buffer
         err = proc.stderr.read()

@@ -173,8 +173,8 @@ def test_convolve_memory_at_d343():
 def test_stacked_convolve_memory():
     """20 members at D = 49 hold a few stacks of one j's gathers, 0.73 MB each."""
     spec = default_spec(7, 2)
-    a = random_density(None, 7, 2, 1, seeds=range(20))
-    b = random_density(None, 7, 2, seeds=range(20, 40))
+    a = random_density(list(range(20)), 7, 2, 1)
+    b = random_density(list(range(20, 40)), 7, 2)
     tracemalloc.start()
     try:
         out = convolve(a, b, spec)

@@ -175,12 +175,12 @@ def test_divergences_match_the_scalar_oracle(alpha):
     sigma = M(rho), a random full-rank sigma and random pure sigma, which
     holds none of these rho in its support."""
     ranks = [3, 3, 2, 1, 2, 1]
-    rho = random_density(None, 3, 1, ranks, seeds=range(6))
+    rho = random_density(list(range(6)), 3, 1, ranks)
     sigmas = {
         "self": rho,
         "mean": mean_state(char_function(rho)),
-        "full": random_density(None, 3, 1, seeds=range(10, 16)),
-        "pure": random_density(None, 3, 1, 1, seeds=range(20, 26)),
+        "full": random_density(list(range(10, 16)), 3, 1),
+        "pure": random_density(list(range(20, 26)), 3, 1, 1),
     }
     for name, sigma in sigmas.items():
         with warnings.catch_warnings():
@@ -204,7 +204,7 @@ def test_divergences_match_the_scalar_oracle(alpha):
 def test_divergence_of_a_rank_deficient_state_to_itself_is_zero(d, n, rank, alpha):
     """200 seeds per case: at alpha < 1 no eigensolver noise on the kernel
     of sigma = rho survives the power."""
-    rho = random_density(None, d, n, rank, seeds=range(200))
+    rho = random_density(list(range(200)), d, n, rank)
     assert np.abs(sandwiched_relative_entropy(rho, rho, alpha)).max() <= 1e-12
 
 

@@ -60,7 +60,7 @@ def test_clt_run_bound_and_second_law():
     assert list(series.entropies) == list(experiments.ALPHAS_SECOND_LAW)
     for hs in series.entropies.values():
         assert (hs[1:] >= hs[:-1] - 1e-8).all()
-    slope = series.log_slope()
+    slope = experiments.log_slope(series.norms)
     assert slope is not None
     assert slope <= math.log(1 - series.mg) + 1e-6
 
@@ -91,7 +91,6 @@ def test_clt_run_matches_dense_iteration(n, steps, inputs):
             assert series.displacement.tolist() == [0, 0, 4, 0]
         norms, entropies = dense_clt(rho, spec, steps, ALPHAS_SECOND_LAW)
         assert series.norms.shape == series.bounds.shape == (steps + 1,)
-        assert series.base_norm == series.norms[0]
         assert np.max(np.abs(series.norms - norms)) <= 1e-12
         for alpha in ALPHAS_SECOND_LAW:
             dense = [hs[alpha] for hs in entropies]
@@ -100,7 +99,7 @@ def test_clt_run_matches_dense_iteration(n, steps, inputs):
 
 def test_clt_bounds_are_python_powers():
     series = clt_run(random_density(7, 7, 1, rank=1), beam_splitter_spec(7, 1), 30)
-    assert series.bounds.tolist() == [(1 - series.mg) ** N * series.base_norm
+    assert series.bounds.tolist() == [(1 - series.mg) ** N * series.norms[0]
                                       for N in range(31)]
 
 
@@ -143,7 +142,7 @@ def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
 
 def test_clt_run_chunks_count_values_over_the_whole_stack(monkeypatch):
     spec = beam_splitter_spec(7, 1)
-    rho = random_density(None, 7, 1, 3, seeds=range(10))
+    rho = random_density(list(range(10)), 7, 1, 3)
     calls = []
     solver = np.linalg.eigvalsh
 
@@ -225,8 +224,7 @@ def test_log_slope_keeps_only_norms_above_the_floor():
     upper one: the slope is that of steps 0 and 1 alone."""
     floor = experiments.SLOPE_NORM_FLOOR
     norms = np.array([1.0, floor * (1 + 1e-3), floor * (1 - 1e-3)])
-    series = experiments.CltSeries(7, 1, (0, 0), 0.5, 1.0, norms, norms, {})
-    assert series.log_slope() == pytest.approx(math.log(norms[1]), rel=1e-12)
+    assert experiments.log_slope(norms) == pytest.approx(math.log(norms[1]), rel=1e-12)
 
 
 @pytest.mark.parametrize("name, trials", [
@@ -377,19 +375,19 @@ def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
 def test_clt_stack_members_are_one_state_series():
     spec = beam_splitter_spec(7, 1)
     seeds = [3, 4, 5]
-    stack = clt_run(random_density(None, 7, 1, [1, 2, 7], seeds=seeds), spec, 8)
+    stack = clt_run(random_density(seeds, 7, 1, [1, 2, 7]), spec, 8)
     assert stack.norms.shape == stack.bounds.shape == (3, 9)
     assert stack.displacement.shape == (3, 2)
+    assert stack.mg.shape == (3,)
+    assert list(stack.entropies) == list(ALPHAS_SECOND_LAW)
     for i, (seed, rank) in enumerate(zip(seeds, [1, 2, 7])):
-        alone, member = clt_run(random_density(seed, 7, 1, rank), spec, 8), stack[i]
-        assert member.displacement.tolist() == alone.displacement.tolist()
-        assert (member.mg, member.base_norm) == (alone.mg, alone.base_norm)
-        assert member.norms.tobytes() == alone.norms.tobytes()
-        assert member.bounds.tobytes() == alone.bounds.tobytes()
+        alone = clt_run(random_density(seed, 7, 1, rank), spec, 8)
+        assert stack.displacement[i].tobytes() == alone.displacement.tobytes()
+        assert stack.mg[i].tobytes() == np.float64(alone.mg).tobytes()
+        assert stack.norms[i].tobytes() == alone.norms.tobytes()
+        assert stack.bounds[i].tobytes() == alone.bounds.tobytes()
         for alpha, hs in alone.entropies.items():
-            assert member.entropies[alpha].tobytes() == hs.tobytes()
-    with pytest.raises(IndexError):
-        stack[0][0]
+            assert stack.entropies[alpha][i].tobytes() == hs.tobytes()
 
 
 @pytest.mark.parametrize("trials", [4, 7])

@@ -21,7 +21,7 @@ def _stack(d, n, first=0, full_rank=False):
     """T states from seeds first.., of every rank from 1 up unless full rank."""
     seeds = list(range(first, first + T))
     ranks = [d**n if full_rank else 1 + s % d**n for s in seeds]
-    return seeds, ranks, random_density(None, d, n, ranks, seeds=seeds)
+    return seeds, ranks, random_density(seeds, d, n, ranks)
 
 
 @pytest.mark.parametrize("d, n", SHAPES)
@@ -32,26 +32,30 @@ def test_random_density_draws_each_member_from_its_own_seed(d, n):
         alone = random_density(seed, d, n, rank)
         assert np.array_equal(rho.mat[i], alone.mat)
         assert np.array_equal(rho.eigenvalues()[i], alone.eigenvalues())
-    full = random_density(None, d, n, seeds=seeds)
+    full = random_density(tuple(seeds), d, n)
     for i, seed in enumerate(seeds):
         assert np.array_equal(full.mat[i], random_density(seed, d, n).mat)
 
 
 def test_random_density_makes_a_stack_only_through_seeds():
-    # numpy reads a list of ints as one seed, and so does random_density
-    one = random_density([0, 1, 2], 3, 1)
-    assert one.mat.shape == (3, 3)
-    assert random_density(None, 3, 1, seeds=[[0, 1, 2]]).mat.shape == (1, 3, 3)
-    assert np.array_equal(random_density(None, 3, 1, seeds=[[0, 1, 2]]).mat[0], one.mat)
-    with pytest.raises(ValueError, match="not both"):
-        random_density(0, 3, 1, seeds=[0, 1])
+    # a list of ints is a stack of int seeds, not one seed as numpy reads it
+    for seeds in ([0, 1, 2], (0, 1, 2)):
+        rho = random_density(seeds, 3, 1)
+        assert rho.mat.shape == (3, 3, 3)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(rho.mat[i], random_density(seed, 3, 1).mat)
+    # a one-member stack, and a stack of no members
+    assert np.array_equal(random_density([4], 3, 1).mat, random_density(4, 3, 1).mat[None])
+    assert random_density([], 3, 1).mat.shape == (0, 3, 3)
+    # a SeedSequence is one seed
+    assert random_density(np.random.SeedSequence(5), 3, 1).mat.shape == (3, 3)
 
 
 def test_random_density_checks_each_rank():
     with pytest.raises(ValueError, match="2 ranks for 3 seeds"):
-        random_density(None, 3, 1, [1, 2], seeds=[0, 1, 2])
+        random_density([0, 1, 2], 3, 1, [1, 2])
     with pytest.raises(ValueError, match="rank must be in"):
-        random_density(None, 3, 1, [1, 4], seeds=[0, 1])
+        random_density([0, 1], 3, 1, [1, 4])
 
 
 @pytest.mark.parametrize("d, n", SHAPES)

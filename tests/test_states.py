@@ -122,6 +122,8 @@ def test_random_density_rank_and_determinism():
 def test_stabilizer_group_validation():
     with pytest.raises(InvalidGroup, match="more generators than qudits"):
         StabilizerGroup(3, 1, ((1, 0), (0, 1)), (0, 0))
+    with pytest.raises(InvalidGroup, match="count mismatch"):
+        StabilizerGroup(3, 1, ((1, 0),), (0, 1))
     with pytest.raises(InvalidGroup, match="generators 0, 1 do not commute"):
         # Z_1 and X_1 do not commute
         StabilizerGroup(3, 2, ((1, 0, 0, 0), (0, 0, 1, 0)), (0, 0))

@@ -133,6 +133,24 @@ def test_amplifier_examples():
     assert (l * l - m * m) % 11 == 1
 
 
+@pytest.mark.parametrize("search, sign, message", [
+    (find_beam_splitter_params, 1,
+     "no beam-splitter parameters at d={d}: no nonzero (s, t) with s^2+t^2=1 mod {d}"),
+    (find_amplifier_params, -1,
+     "no amplifier parameters at d={d}: no nonzero (l, m) with l^2-m^2=1 mod {d}"),
+], ids=["beam-splitter", "amplifier"])
+def test_parameter_search_is_the_smallest_nonzero_pair(search, sign, message):
+    for d in filter(is_prime, range(3, 98)):
+        pairs = [(a, b) for a in range(1, d) for b in range(1, d)
+                 if (a * a + sign * b * b) % d == 1]
+        if pairs:
+            assert search(d) == min(pairs)
+        else:
+            with pytest.raises(NoSolution) as exc:
+                search(d)
+            assert str(exc.value) == message.format(d=d)
+
+
 def test_gmatrix_default_d3():
     g = gmatrix_new((1, 1, 1, 2), 3)
     assert (g.g00, g.g01, g.g10, g.g11) == (1, 1, 1, 2)
