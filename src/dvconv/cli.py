@@ -223,7 +223,7 @@ def cmd_clt(args) -> int:
 def cmd_suite(args) -> int:
     fn = experiments.SUITES[args.name]
     kwargs = {}
-    if args.name in ("stability", "min-output"):
+    if args.name not in experiments.RECORD_COUNTS:
         # exhaustive suites: no sample to seed or size
         if args.seed is not None or args.trials is not None:
             raise ParseError(f"suite {args.name} takes no --seed or --trials")

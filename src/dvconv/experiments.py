@@ -435,27 +435,29 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """LMG growth of Clifford+T circuits is at most N/2 on stabilizer inputs."""
     report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": 3})
     seeds = _child_seeds(seed, trials)
-    # trial i runs n = 1 + i % 2: per n the T counts, circuits and input
-    # Cliffords (none at n = 1), drawn trial by trial from each trial's rng
+    # trial i runs n = 1 + i % 2: per n the T counts and gate sequences (the
+    # input Clifford word at n = 2, then the circuit), from each trial's rng
     draws = {1: [], 2: []}
     for i in range(trials):
         rng = np.random.default_rng(seeds[i])
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
         circuit = magic.draw_clifford_t(int(rng.integers(2**32)), n, n_t)
-        draws[n].append((n_t, circuit, magic.draw_clifford_word(rng, 2, n) if n == 2 else None))
+        if n == 2:
+            circuit = np.concatenate([magic.draw_clifford_word(rng, 2, n), circuit])
+        draws[n].append((n_t, circuit))
     lmg = {}
     for n, drawn in draws.items():
         if not drawn:
             continue
-        n_t, circuits, inputs = zip(*drawn)
-        n_t, V = np.array(n_t), magic.clifford_t_circuits(circuits, n)
+        n_t, circuits = np.array([k for k, _ in drawn]), [c for _, c in drawn]
+        # one product per T count, which fixes the length, into one stack per n
+        U = np.empty((len(drawn), 2**n, 2**n), dtype=complex)
+        for k in set(n_t.tolist()):  # np.unique would import numpy.ma: 1 MB of RSS
+            rows = np.flatnonzero(n_t == k)
+            U[rows] = magic.clifford_words(np.array([circuits[i] for i in rows]), 2, n)
         base = states.ket_state(2, n, [0] * n).mat
-        if n == 2:
-            U = magic.clifford_words(np.array(inputs), 2, n)
-            base = U @ base @ U.conj().swapaxes(-1, -2)
-        ket = states.DensityMatrix(2, n, np.broadcast_to(base, V.shape))
-        out = states.DensityMatrix(2, n, V @ ket.mat @ V.conj().swapaxes(-1, -2))
+        out = states.DensityMatrix(2, n, U @ base @ U.conj().swapaxes(-1, -2))
         lmg[n] = (magic.log_magic_gap(weyl.char_function(out)) - n_t / 2).tolist()
     for i in range(trials):
         n = 1 + i % 2

@@ -17,8 +17,7 @@ import numpy as np
 from .errors import PhaseNotRoot
 from .linalg import SUPPORT_TOL
 from .states import DensityMatrix, is_msps, unit_phases
-from .weyl import (CharFunction, displace, inverse_char, phase_points, point_index,
-                   weyl_op, xi)
+from .weyl import CharFunction, displace, inverse_char, point_index, weyl_op, xi
 from .zmod import mod_inverse, solve_mod_linear
 
 #: gates per random Clifford word, before its closing Weyl displacement
@@ -119,28 +118,26 @@ def _phase_gate(d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _gates(d: int, n: int) -> tuple[dict, np.ndarray]:
     """Every gate a word on n qudits draws, as one read-only (G, D, D) stack,
-    and the index of each in it by key: ("fourier", wire), ("phase", wire),
-    ("t", wire) at d = 2, ("sum", ctrl, tgt) per ordered pair (|i, j> ->
-    |i, i+j>, CNOT at d = 2), and "weyl", the first of the d^{2n} Weyl
-    operators in phase-point order."""
+    and the index of each in it by key: per wire ("fourier", wire), ("phase",
+    wire), ("t", wire) at d = 2 and ("weyl", p·d + q, wire), w(p, q) on that
+    wire; ("sum", ctrl, tgt) per ordered pair (|i, j> -> |i, i+j>, CNOT at
+    d = 2).  n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
     D = d**n
-    singles = {"fourier": _fourier_gate(d), "phase": _phase_gate(d)}
+    singles = {("fourier",): _fourier_gate(d), ("phase",): _phase_gate(d),
+               **{("weyl", k): weyl_op(d, 1, k // d, k % d) for k in range(d * d)}}
     if d == 2:
-        singles["t"] = T_GATE
+        singles[("t",)] = T_GATE
     index, mats = {}, []
-    for name, gate in singles.items():
+    for key, gate in singles.items():
         for wire in range(n):
-            index[name, wire] = len(mats)
+            index[key + (wire,)] = len(mats)
             mats.append(reduce(np.kron, [gate if k == wire else np.eye(d, dtype=complex)
                                          for k in range(n)], np.eye(1, dtype=complex)))
     digits = np.indices((d,) * n).reshape(n, D).T
     for ctrl, tgt in permutations(range(n), 2):
-        out = digits.copy()
-        out[:, tgt] = (digits[:, tgt] + digits[:, ctrl]) % d
         index["sum", ctrl, tgt] = len(mats)
+        out = digits + digits[:, [ctrl]] * (np.arange(n) == tgt)
         mats.append(np.eye(D, dtype=complex)[:, point_index(out, d)])
-    index["weyl"] = len(mats)
-    mats += [weyl_op(d, n, x[:n], x[n:]) for x in phase_points(d, n)]
     stack = np.array(mats)
     stack.flags.writeable = False
     return index, stack
@@ -149,8 +146,8 @@ def _gates(d: int, n: int) -> tuple[dict, np.ndarray]:
 def draw_clifford_word(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """The gate indices into _gates(d, n) of one random Clifford word:
     CLIFFORD_WORD_LENGTH Fourier, phase and SUM gates (H, S, CNOT at d=2),
-    then a random Weyl displacement for phase-space coverage, drawn from
-    rng in that order."""
+    then a random Weyl displacement w(p, q), one gate w(p_k, q_k) per wire,
+    for phase-space coverage; drawn from rng in that order."""
     index, _ = _gates(d, n)
     word = []
     for _ in range(CLIFFORD_WORD_LENGTH):
@@ -162,14 +159,14 @@ def draw_clifford_word(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
             word.append(index[("fourier", "phase")[kind], int(rng.integers(n))])
     p = rng.integers(0, d, size=n)
     q = rng.integers(0, d, size=n)
-    word.append(index["weyl"] + int(point_index(np.concatenate([p, q]), d)))
+    word += [index["weyl", int(k), wire] for wire, k in enumerate(p * d + q)]
     return np.array(word)
 
 
 def clifford_words(words, d: int, n: int) -> np.ndarray:
     """The unitary of each word of a (..., L) stack of gate indices,
     (..., D, D): the gates applied in order to the identity, one stacked
-    product per position."""
+    product per position.  A Clifford+T circuit is such a word too."""
     words = np.asarray(words)
     _, gates = _gates(d, n)
     D = d**n
@@ -186,43 +183,22 @@ def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     return clifford_words(draw_clifford_word(rng, d, n), d, n)
 
 
-def draw_clifford_t(seed: int, n: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(words, t_gates) of one Clifford+T circuit at d=2: n_t + 1 Clifford
-    words, alternating with n_t T gates on random wires, as indices into
-    _gates(2, n), drawn from seed."""
+def draw_clifford_t(seed: int, n: int, n_t: int) -> np.ndarray:
+    """The gate indices into _gates(2, n) of one Clifford+T circuit at d=2:
+    n_t + 1 Clifford words alternating with n_t T gates on random wires
+    (word, T, word, ..., word), drawn from seed in that order."""
     if n not in (1, 2):
         raise ValueError("clifford_t_circuit supports n in {1, 2}")
     index, _ = _gates(2, n)
     rng = np.random.default_rng(seed)
-    words, t_gates = [draw_clifford_word(rng, 2, n)], []
+    circuit = [draw_clifford_word(rng, 2, n)]
     for _ in range(n_t):
-        t_gates.append(index["t", int(rng.integers(n))])
-        words.append(draw_clifford_word(rng, 2, n))
-    return np.array(words), np.array(t_gates, dtype=np.int64)
-
-
-def clifford_t_circuits(circuits, n: int) -> np.ndarray:
-    """The unitary of each drawn (words, t_gates) circuit, (len(circuits), D, D).
-
-    Every word of every circuit is one clifford_words stack; then each T
-    step k is one stacked product W_{k+1} (T_k U) over the circuits that
-    reach it.
-    """
-    _, gates = _gates(2, n)
-    counts = np.array([len(words) for words, _ in circuits])
-    starts = np.cumsum(counts) - counts
-    W = clifford_words(np.concatenate([words for words, _ in circuits]), 2, n)
-    U = W[starts]
-    for step in range(1, counts.max()):
-        live = np.flatnonzero(counts > step)
-        t_gates = np.array([circuits[c][1][step - 1] for c in live])
-        U[live] = gates[t_gates] @ U[live]
-        U[live] = W[starts[live] + step] @ U[live]
-    return U
+        circuit += [[index["t", int(rng.integers(n))]], draw_clifford_word(rng, 2, n)]
+    return np.concatenate(circuit)
 
 
 def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:
     """Alternating random Clifford words and T gates on random wires (d=2):
     exactly n_t T gates, deterministic per seed.  The one-row call of
-    draw_clifford_t and clifford_t_circuits."""
-    return clifford_t_circuits([draw_clifford_t(seed, n, n_t)], n)[0]
+    draw_clifford_t and clifford_words."""
+    return clifford_words(draw_clifford_t(seed, n, n_t), 2, n)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (InvalidGroup, InvalidState, MalformedGroup, ParseError,
                      UnsupportedScale)
-# not called here: perfbench/test_tracer.py checks that the tracer's wrapper reaches this name
-from .linalg import herm_eig  # noqa: F401
+from .linalg import SUPPORT_TOL
+from .linalg import herm_eig  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .weyl import (
     CharFunction,
     inverse_char,
@@ -257,19 +257,19 @@ def is_msps(table: CharFunction):
     """MSPS test of a table, or of each table of a (..., d^{2n}) stack, with
     the recovered group of each MSPS.
 
-    Every |Xi| must be 0 or 1.  The unit support must hold d^r points, r
-    the rank of its labels, whose row-echelon generators commute; with
-    the phases read off the generators, the table must be their
-    msps_table within UNIT_TOL.  Group recovery runs once per distinct
-    support and msps_table once per distinct group.  One table gives
-    (ok, group or None); a stack gives a bool array and an object array
-    of groups, both of its leading shape.  Never raises.
+    Every |Xi| must be 1 or at most SUPPORT_TOL, the magic gap's zero.  The
+    unit support must hold d^r points, r the rank of its labels, whose
+    row-echelon generators commute; with the phases read off them, the
+    table must be their msps_table within UNIT_TOL.  Group recovery runs
+    once per distinct support and msps_table once per distinct group.  One
+    table gives (ok, group or None); a stack gives a bool array and an
+    object array of groups, both of its leading shape.  Never raises.
     """
     d, n, values = table.d, table.n, table.values
     flat = values.reshape(-1, values.shape[-1])
     phases = unit_phases(flat)
     unit = phases != 0
-    ok = np.all(unit | (np.abs(flat) <= UNIT_TOL), axis=-1)
+    ok = np.all(unit | (np.abs(flat) <= SUPPORT_TOL), axis=-1)
     groups = np.full(len(flat), None, dtype=object)
     members = np.flatnonzero(ok)
     # members of one support, then of one phase vector on it

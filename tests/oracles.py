@@ -18,8 +18,8 @@ from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
 from dvconv.errors import InvalidGroup
 from dvconv.experiments import clt_run
 from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
-from dvconv.magic import (clifford_t_circuit, log_magic_gap, make_zero_mean,
-                          mean_state, random_clifford)
+from dvconv.magic import (clifford_words, draw_clifford_t, draw_clifford_word,
+                          log_magic_gap, make_zero_mean, mean_state)
 from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_msps,
                            ket_state, msps_table, random_density, unit_phases)
 from dvconv.weyl import (CharFunction, char_function, char_table, phase_points,
@@ -83,14 +83,15 @@ def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
 
 
 def scalar_is_msps(table: CharFunction) -> tuple[bool, StabilizerGroup | None]:
-    """MSPS test of one table, one step at a time: every |Xi| 0 or 1, a unit
-    support of d^r points whose row-echelon generators commute, and the
-    table within UNIT_TOL of the msps_table of those generators with the
-    phases read off them.  Returns the recovered group on success."""
+    """MSPS test of one table, one step at a time: every |Xi| 1 or at most
+    SUPPORT_TOL, a unit support of d^r points whose row-echelon generators
+    commute, and the table within UNIT_TOL of the msps_table of those
+    generators with the phases read off them.  Returns the recovered group
+    on success."""
     d, n = table.d, table.n
     phases = unit_phases(table.values)
     unit = phases != 0
-    if not np.all(unit | (np.abs(table.values) <= UNIT_TOL)):
+    if not np.all(unit | (np.abs(table.values) <= SUPPORT_TOL)):
         return False, None
     R, pivots = rref_mod(phase_points(d, n)[unit], d)
     if np.count_nonzero(unit) != d ** len(pivots):
@@ -353,11 +354,11 @@ def _synthesis(seed, trials):
         rng = np.random.default_rng(seeds[i])
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        V = clifford_t_circuit(int(rng.integers(2**32)), n, n_t)
+        circuit = draw_clifford_t(int(rng.integers(2**32)), n, n_t)
+        if i % 2 == 1:  # the input Clifford word runs first
+            circuit = np.concatenate([draw_clifford_word(rng, 2, n), circuit])
+        V = clifford_words(circuit, 2, n)
         ket = ket_state(2, n, [0] * n)
-        if i % 2 == 1:
-            U = random_clifford(rng, 2, n)
-            ket = DensityMatrix(2, n, U @ ket.mat @ U.conj().T)
         rho = DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
         out.append((i, f"lmg_minus_halfN_n{n}", log_magic_gap(char_function(rho)) - n_t / 2))
     return out

@@ -46,6 +46,21 @@ def test_gap_missing_state(capsys):
     assert code == 2
 
 
+def test_gap_counts_a_band_above_support_tol_as_support(tmp_path, capsys):
+    """The maximally mixed qutrit with Xi(+-(1, 0)) = 5e-10, between
+    SUPPORT_TOL and UNIT_TOL: support of the magic gap and Pauli rank, so
+    no MSPS either."""
+    values = weyl.char_function(states.maximally_mixed(3, 1)).values.copy()
+    values[[weyl.point_index([1, 0], 3), weyl.point_index([-1, 0], 3)]] = 5e-10
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(char_to_json(weyl.CharFunction(3, 1, values))))
+    code, out, _ = run(capsys, "gap", "--d", "3", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[:4] == ["MG        0.99999999949999996",
+                                    "LMG       30.897352853986263",
+                                    "PauliRank 3", "IsMSPS    false"]
+
+
 def test_convolve_zero_kets(tmp_path, capsys):
     out_file = tmp_path / "out.json"
     code, _, _ = run(capsys, "convolve", "--d", "3", "--a", "zero-ket",

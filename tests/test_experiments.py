@@ -271,7 +271,7 @@ def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
     ("monotonicity", 100, 5),  # rho, sigma, tau and the two outputs
     # the MSPS stack, the draw, the input stack and its mean states
     ("extremality", 50, 4), ("extremality", 200, 4),
-    ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, inputs, outputs)
+    ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, outputs): 4
     # the draw, the mean states and at most one chunk per step
     ("clt", 50, 2 + experiments.CLT_STEPS), ("clt", 200, 2 + experiments.CLT_STEPS),
 ])
@@ -356,20 +356,31 @@ def test_clt_run_makes_one_zero_mean_pass(monkeypatch, trials):
 
 
 def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
-    """No one-row Clifford call: the words of a pass are drawn, then
-    multiplied per n in one clifford_t_circuits and one clifford_words."""
-    calls = {name: 0 for name in ("random_clifford", "clifford_t_circuit",
-                                  "clifford_t_circuits", "clifford_words")}
+    """No one-row Clifford call: the gate sequences of a pass are drawn,
+    then multiplied in one clifford_words call per distinct (n, length)."""
+    calls = {"random_clifford": 0, "clifford_t_circuit": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(magic, name)):
             calls[_name] += 1
             return _fn(*args)
 
         monkeypatch.setattr(magic, name, counted)
+    stacks = []
+    multiply = magic.clifford_words
+
+    def counted_words(words, d, n):
+        stacks.append((n,) + np.shape(words))
+        return multiply(words, d, n)
+
+    monkeypatch.setattr(magic, "clifford_words", counted_words)
     assert experiments.suite_synthesis(seed=0, trials=100).passed
-    # per n one call each; clifford_t_circuits makes one clifford_words call
-    assert calls == {"random_clifford": 0, "clifford_t_circuit": 0,
-                     "clifford_t_circuits": 2, "clifford_words": 3}
+    assert calls == {"random_clifford": 0, "clifford_t_circuit": 0}
+    # n_t + 1 words and n_t T gates, after an input word at n = 2
+    word = {n: magic.CLIFFORD_WORD_LENGTH + n for n in (1, 2)}
+    lengths = {(n, (n_t + 1) * word[n] + n_t + (word[n] if n == 2 else 0))
+               for n in (1, 2) for n_t in range(4)}
+    assert sorted((n, length) for n, _, length in stacks) == sorted(lengths)
+    assert sum(rows for _, rows, _ in stacks) == 100
 
 
 def test_clt_stack_members_are_one_state_series():

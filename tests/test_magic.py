@@ -204,9 +204,12 @@ def _sum_on_two_qutrits(ctrl, tgt):
     return U
 
 
-def _kron_clifford(rng, n, d=2):
-    """random_clifford at d=2 (or d=3 at n=2) with every gate built on the spot."""
-    U = np.eye(d**n, dtype=complex)
+def _kron_clifford(rng, n, d=2, U=None):
+    """random_clifford at d=2 (or d=3 at n=2) with every gate built on the
+    spot, applied to the running product U (the identity by default): the
+    closing Weyl displacement as one w(p_k, q_k) per wire, in wire order."""
+    if U is None:
+        U = np.eye(d**n, dtype=complex)
     for _ in range(magic.CLIFFORD_WORD_LENGTH):
         kind = rng.integers(0, 3 if n > 1 else 2)
         if kind == 0:
@@ -218,7 +221,9 @@ def _kron_clifford(rng, n, d=2):
             U = (CNOT[ctrl, tgt] if d == 2 else _sum_on_two_qutrits(ctrl, tgt)) @ U
     p = rng.integers(0, d, size=n)
     q = rng.integers(0, d, size=n)
-    return weyl_op(d, n, p, q) @ U
+    for wire in range(n):
+        U = _on_wire(weyl_op(d, 1, p[wire], q[wire]), n, wire, d) @ U
+    return U
 
 
 def test_stacked_words_match_kron_built_gates():
@@ -236,13 +241,15 @@ def test_stacked_words_match_kron_built_gates():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_stacked_circuits_match_each_circuit(n):
-    """Circuits of 0 to 3 T gates as one stack: each is its one-row call."""
-    seeds = range(9)
-    stacked = magic.clifford_t_circuits(
-        [magic.draw_clifford_t(seed, n, seed % 4) for seed in seeds], n)
-    assert stacked.shape == (len(seeds), 2**n, 2**n)
-    for seed, V in zip(seeds, stacked):
-        assert np.array_equal(V, clifford_t_circuit(seed, n, seed % 4))
+    """Circuits of one T count are words of one length: each stack of them
+    is one clifford_words call, and each member its one-row call."""
+    for n_t in range(4):
+        seeds = range(n_t, 24, 4)
+        words = np.array([magic.draw_clifford_t(seed, n, n_t) for seed in seeds])
+        stacked = magic.clifford_words(words, 2, n)
+        assert stacked.shape == (len(seeds), 2**n, 2**n)
+        for seed, V in zip(seeds, stacked):
+            assert np.array_equal(V, clifford_t_circuit(seed, n, n_t))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -253,8 +260,22 @@ def test_clifford_t_circuit_matches_kron_built_gates(n):
         V = _kron_clifford(rng, n)
         for _ in range(n_t):
             V = _on_wire(magic.T_GATE, n, int(rng.integers(n))) @ V
-            V = _kron_clifford(rng, n) @ V
+            V = _kron_clifford(rng, n, U=V)
         assert np.array_equal(clifford_t_circuit(seed, n, n_t), V)
+
+
+@pytest.mark.parametrize("d, n, count", [(2, 2, 16), (3, 2, 24), (7, 2, 104), (3, 3, 39)])
+def test_gate_stack_holds_one_wire_weyl_gates(d, n, count):
+    """n (d^2 + 2) one-wire gates, n (n - 1) SUM gates and n T gates at
+    d = 2: no gate per n-qudit Weyl operator.  The n one-wire gates of a
+    label multiply to its Weyl operator within round-off."""
+    index, gates = magic._gates(d, n)
+    assert gates.shape == (count, d**n, d**n)
+    for x in phase_points(d, n)[:: max(1, d ** (2 * n) // 50)]:
+        p, q = x[:n], x[n:]
+        W = reduce(lambda U, wire: gates[index["weyl", p[wire] * d + q[wire], wire]] @ U,
+                   range(n), np.eye(d**n, dtype=complex))
+        assert np.max(np.abs(W - weyl_op(d, n, p, q))) < 1e-14
 
 
 def test_cached_gates_are_read_only():

@@ -1,9 +1,10 @@
-"""The package holds no helpers that only tests use.
+"""The package holds no helpers that only tests use, and no unused imports.
 
 Every top-level public function or class of ``src/dvconv`` must be used by
 code of the package (a name or an attribute, not a docstring), or be read
 by the benchmark: named in BENCHMARK.json's per-layer metrics or used by
-``perfbench/*.py``.
+``perfbench/*.py``.  Every name a module imports must be read by that
+module, unless its line carries ``# noqa: F401``.
 """
 
 import ast
@@ -41,3 +42,20 @@ def test_every_public_name_in_src_is_used_by_src_or_by_the_benchmark():
     assert not unused, (f"public names that neither src/ nor the benchmark uses: {unused}; "
                         f"used only because the benchmark names them, the backlog of "
                         f"ROADMAP item 1: {pinned_only}")
+
+
+def test_every_import_in_src_is_used_by_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused, f"imports that their module never reads: {unused}"

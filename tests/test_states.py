@@ -10,7 +10,8 @@ from dvconv.errors import (
     UnsupportedDimension,
     UnsupportedScale,
 )
-from dvconv.magic import mean_state
+from dvconv.linalg import SUPPORT_TOL
+from dvconv.magic import magic_gap, mean_state
 from dvconv.states import (
     ENUMERATION_BUDGET,
     STATE_TOL,
@@ -321,6 +322,23 @@ def test_stacked_unit_modulus_cliff_gives_each_member_its_own_verdict(x, sign):
             1.0 + sign * factor * UNIT_TOL
     ok = _assert_stacked_matches_the_oracle(CharFunction(3, 1, values))
     assert ok.tolist() == [True, False]
+
+
+@given(st.sampled_from([tuple(int(v) for v in x) for x in phase_points(3, 1)[1:]]),
+       st.floats(0, 2 * np.pi))
+@settings(max_examples=20)
+def test_is_msps_and_the_magic_gap_share_one_zero(x, angle):
+    """The maximally mixed qutrit with Xi(+-x) of modulus 0.99 SUPPORT_TOL
+    and 1.01 SUPPORT_TOL: the first is an MSPS with magic gap 0, the second
+    is support and no MSPS."""
+    values = np.zeros((2, 9), dtype=complex)
+    values[:, 0] = 1.0
+    for row, factor in enumerate((0.99, 1.01)):
+        values[row, point_index(x, 3)] = factor * SUPPORT_TOL * np.exp(1j * angle)
+        values[row, point_index(np.negative(x), 3)] = factor * SUPPORT_TOL * np.exp(-1j * angle)
+    table = CharFunction(3, 1, values)
+    ok = _assert_stacked_matches_the_oracle(table)
+    assert ok.tolist() == (magic_gap(table) == 0).tolist() == [True, False]
 
 
 def _breaking(rule: str, delta: float) -> np.ndarray:
