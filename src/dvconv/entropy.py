@@ -137,12 +137,17 @@ def _full_rank_eig(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return vals, rho.eigenvectors
 
 
-def fisher_information(rho: DensityMatrix, H: np.ndarray) -> float:
-    """J(rho; H) = Tr rho [H, [H, log rho]], log base 2; needs full rank."""
+def fisher_information(rho: DensityMatrix, H: np.ndarray) -> np.ndarray:
+    """J(rho; H) = Tr rho [H, [H, log rho]], log base 2; needs full rank.
+
+    rho is a state or a stack and H a (..., D, D) Hermitian matrix or
+    stack, broadcast over their leading axes; the result has the broadcast
+    shape (an np.float64 for one pair).
+    """
     vals, vecs = _full_rank_eig(rho)
-    L = (vecs * np.log2(vals)) @ vecs.conj().T
+    L = (vecs * np.log2(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     comm = H @ (H @ L - L @ H) - (H @ L - L @ H) @ H
-    return float(np.real(np.trace(rho.mat @ comm)))
+    return np.trace(rho.mat @ comm, axis1=-2, axis2=-1).real[()]
 
 
 def total_fisher(rho: DensityMatrix) -> float | np.ndarray:
@@ -179,17 +184,20 @@ def total_fisher(rho: DensityMatrix) -> float | np.ndarray:
             * (logs[..., :, None] - logs[..., None, :])).sum(axis=(-2, -1))
 
 
-def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> float:
-    """Finite-difference check: second derivative of D(rho || e^{i t H} rho e^{-i t H})."""
-    def div(t: float) -> float:
+def fisher_fd_oracle(rho: DensityMatrix, H: np.ndarray) -> np.ndarray:
+    """Finite-difference check: second derivative of D(rho || e^{i t H} rho e^{-i t H}),
+    of each pair broadcast as ``fisher_information`` takes them; each side's
+    rotated states are validated as one stack."""
+    def div(t: float) -> np.ndarray:
         U = _expm_herm(1j * t * H)
-        rotated = DensityMatrix(rho.d, rho.n, U @ rho.mat @ U.conj().T)
+        rotated = DensityMatrix(rho.d, rho.n, U @ rho.mat @ U.conj().swapaxes(-1, -2))
         return relative_entropy(rho, rotated)
 
     return (div(FD_STEP) + div(-FD_STEP)) / FD_STEP**2
 
 
 def _expm_herm(A: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-Hermitian A = i t H via eigendecomposition of H."""
+    """exp(A) for anti-Hermitian A = i t H, or each of a stack, via
+    eigendecomposition of H."""
     vals, vecs = np.linalg.eigh(-1j * A)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)

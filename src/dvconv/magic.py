@@ -118,16 +118,17 @@ def _phase_gate(d: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _gates(d: int, n: int) -> tuple[dict, np.ndarray]:
     """Every gate a word on n qudits draws, as one read-only (G, D, D) stack,
-    and the index of each in it by key: per wire ("fourier", wire), ("phase",
-    wire), ("t", wire) at d = 2 and ("weyl", p·d + q, wire), w(p, q) on that
-    wire; ("sum", ctrl, tgt) per ordered pair (|i, j> -> |i, i+j>, CNOT at
-    d = 2).  n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
+    and the index of each in it by key: first ("id",), the identity, at
+    index 0; per wire ("fourier", wire), ("phase", wire), ("t", wire) at
+    d = 2 and ("weyl", p·d + q, wire), w(p, q) on that wire; ("sum", ctrl,
+    tgt) per ordered pair (|i, j> -> |i, i+j>, CNOT at d = 2).
+    1 + n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
     D = d**n
     singles = {("fourier",): _fourier_gate(d), ("phase",): _phase_gate(d),
                **{("weyl", k): weyl_op(d, 1, k // d, k % d) for k in range(d * d)}}
     if d == 2:
         singles[("t",)] = T_GATE
-    index, mats = {}, []
+    index, mats = {("id",): 0}, [np.eye(D, dtype=complex)]
     for key, gate in singles.items():
         for wire in range(n):
             index[key + (wire,)] = len(mats)
@@ -166,7 +167,9 @@ def draw_clifford_word(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 def clifford_words(words, d: int, n: int) -> np.ndarray:
     """The unitary of each word of a (..., L) stack of gate indices,
     (..., D, D): the gates applied in order to the identity, one stacked
-    product per position.  A Clifford+T circuit is such a word too."""
+    product per position.  A Clifford+T circuit is such a word too.  Gate
+    0 is the identity, and I @ I is exactly I, so a word front-padded with
+    zeros has the bits of the word alone."""
     words = np.asarray(words)
     _, gates = _gates(d, n)
     D = d**n

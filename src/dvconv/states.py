@@ -160,7 +160,11 @@ def random_density(seed, d: int, n: int, rank=None) -> DensityMatrix:
     A list or tuple ``seed`` gives a stack, one member per seed, with
     ``rank`` None, one rank for all or a matching sequence of ranks: member
     i is drawn from seed[i] alone, as the single call draws it, and the
-    stack is validated once.
+    stack is validated once.  A rank is None or an integer in [1, D]; any
+    other is a ValueError before anything is drawn.  Only the draws run
+    per member; the product and the normalisation run once per distinct
+    rank, on that rank's members as one stack, with the bits of the
+    single call (members padded to one rank would not have them).
     """
     D = d**n
     stacked = isinstance(seed, (list, tuple))
@@ -168,15 +172,19 @@ def random_density(seed, d: int, n: int, rank=None) -> DensityMatrix:
     ranks = list(rank) if stacked and np.ndim(rank) else [rank] * len(seeds)
     if len(ranks) != len(seeds):
         raise ValueError(f"{len(ranks)} ranks for {len(seeds)} seeds")
+    ranks = [D if r is None else r for r in ranks]
+    for r in ranks:
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= D:
+            raise ValueError(f"rank must be in [1, {D}] and an integer, got {r!r}")
     mats = np.empty((len(seeds), D, D), dtype=complex)
-    for k, (s, r) in enumerate(zip(seeds, ranks)):
-        r = D if r is None else int(r)
-        if not 1 <= r <= D:
-            raise ValueError(f"rank must be in [1, {D}]")
-        rng = np.random.default_rng(s)
-        A = rng.standard_normal((D, r)) + 1j * rng.standard_normal((D, r))
-        M = A @ A.conj().T
-        mats[k] = M / np.trace(M).real
+    for r in set(ranks):
+        rows = [k for k, rk in enumerate(ranks) if rk == r]
+        # real and imaginary parts: the stream of two (D, r) draws
+        parts = np.array([np.random.default_rng(seeds[k]).standard_normal((2, D, r))
+                          for k in rows])
+        A = parts[:, 0] + 1j * parts[:, 1]
+        M = A @ A.conj().swapaxes(-1, -2)
+        mats[rows] = M / M.trace(axis1=-2, axis2=-1).real[:, None, None]
     return DensityMatrix(d, n, mats if stacked else mats[0])
 
 

@@ -59,6 +59,17 @@ def is_clifford(U: np.ndarray, d: int, n: int) -> bool:
     return True
 
 
+def ginibre_state(seed, d: int, n: int, rank=None) -> np.ndarray:
+    """The Ginibre matrix A A^dag / Tr of one seed, drawn and multiplied on
+    its own: A is the (D, rank) real draw plus i times the next one."""
+    D = d**n
+    r = D if rank is None else int(rank)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((D, r)) + 1j * rng.standard_normal((D, r))
+    M = A @ A.conj().T
+    return M / np.trace(M).real
+
+
 def msps_from_group(group: StabilizerGroup) -> DensityMatrix:
     """rho = (1/d^{n-r}) prod_i E_k [xi^{x_i} w(p_i, q_i)]^k, from d r dense
     Weyl products."""
@@ -226,14 +237,15 @@ def scalar_sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     return float(np.log2(np.sum(vals**alpha)) / (alpha - 1))
 
 
-def per_trial_records(name: str, seed: int, trials: int) -> list[tuple]:
+def per_trial_records(name: str, seed: int, trials: int, **params) -> list[tuple]:
     """(index, metric, value) of every record of the sampled suite ``name``
     (duality, entropy, fisher, monotonicity, holevo, stability, synthesis,
     extremality or clt, at its default steps), in report order, rebuilt one
     trial at a time from single-state calls: the suites' draws and checks
-    written as a loop over trials, with no stack.  Stability samples
+    written as a loop over trials, with no stack.  ``params`` are the
+    suite's other parameters (fisher's oracle_cases).  Stability samples
     nothing and ignores seed and trials."""
-    return _PER_TRIAL[name](seed, trials)
+    return _PER_TRIAL[name](seed, trials, **params)
 
 
 def _seeds(seed, count):

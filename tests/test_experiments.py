@@ -243,6 +243,37 @@ def test_stacked_suites_match_the_per_trial_oracle(name, trials):
     assert records == per_trial_records(name, 0, trials)
 
 
+@pytest.mark.parametrize("oracle_cases", [0, 1, 2, 20])  # 0, 1: an empty stack
+def test_stacked_fisher_oracle_cases_match_the_per_trial_oracle(oracle_cases):
+    trials = 3
+    report = experiments.suite_fisher(seed=0, trials=trials, oracle_cases=oracle_cases)
+    records = [(r["index"], r["metric"], r["value"]) for r in report.records]
+    assert len(records) == 2 * trials + oracle_cases
+    assert records == per_trial_records("fisher", 0, trials, oracle_cases=oracle_cases)
+
+
+#: random_density calls per suite at the gate's parameters (the defaults):
+#: one per input operand and config (or d), and one per d of fisher's
+#: oracle cases
+GATE_DRAWS = {"duality": 6, "entropy": 4, "fisher": 6, "monotonicity": 3,
+              "holevo": 4, "extremality": 1, "clt": 1}
+
+
+@pytest.mark.parametrize("name", GATE_DRAWS)
+def test_suites_draw_once_per_input_stack(monkeypatch, name):
+    calls = {"random_density": 0, "fisher_fd_oracle": 0}
+    for module, fn in ((states, "random_density"), (entropy, "fisher_fd_oracle")):
+        def counted(*args, _name=fn, _fn=getattr(module, fn)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, fn, counted)
+    assert experiments.SUITES[name]().passed
+    # fisher checks its oracle cases as one stack per d
+    assert calls == {"random_density": GATE_DRAWS[name],
+                     "fisher_fd_oracle": 2 if name == "fisher" else 0}
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("trials", [1, 2, 5])  # 1: the d = 7 stack is empty
 def test_stacked_holevo_matches_the_per_trial_oracle(seed, trials):
@@ -357,7 +388,8 @@ def test_clt_run_makes_one_zero_mean_pass(monkeypatch, trials):
 
 def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
     """No one-row Clifford call: the gate sequences of a pass are drawn,
-    then multiplied in one clifford_words call per distinct (n, length)."""
+    then multiplied in one clifford_words call per n, each front-padded
+    with the identity gate to that n's longest."""
     calls = {"random_clifford": 0, "clifford_t_circuit": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(magic, name)):
@@ -375,12 +407,9 @@ def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
     monkeypatch.setattr(magic, "clifford_words", counted_words)
     assert experiments.suite_synthesis(seed=0, trials=100).passed
     assert calls == {"random_clifford": 0, "clifford_t_circuit": 0}
-    # n_t + 1 words and n_t T gates, after an input word at n = 2
+    # the longest at 3 T gates: 4 words and 3 T gates, after an input word at n = 2
     word = {n: magic.CLIFFORD_WORD_LENGTH + n for n in (1, 2)}
-    lengths = {(n, (n_t + 1) * word[n] + n_t + (word[n] if n == 2 else 0))
-               for n in (1, 2) for n_t in range(4)}
-    assert sorted((n, length) for n, _, length in stacks) == sorted(lengths)
-    assert sum(rows for _, rows, _ in stacks) == 100
+    assert stacks == [(1, 50, 4 * word[1] + 3), (2, 50, 5 * word[2] + 3)]
 
 
 def test_clt_stack_members_are_one_state_series():

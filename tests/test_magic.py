@@ -266,11 +266,13 @@ def test_clifford_t_circuit_matches_kron_built_gates(n):
 
 @pytest.mark.parametrize("d, n, count", [(2, 2, 16), (3, 2, 24), (7, 2, 104), (3, 3, 39)])
 def test_gate_stack_holds_one_wire_weyl_gates(d, n, count):
-    """n (d^2 + 2) one-wire gates, n (n - 1) SUM gates and n T gates at
-    d = 2: no gate per n-qudit Weyl operator.  The n one-wire gates of a
-    label multiply to its Weyl operator within round-off."""
+    """The identity, then ``count`` gates: n (d^2 + 2) one-wire gates,
+    n (n - 1) SUM gates and n T gates at d = 2, no gate per n-qudit Weyl
+    operator.  The n one-wire gates of a label multiply to its Weyl
+    operator within round-off."""
     index, gates = magic._gates(d, n)
-    assert gates.shape == (count, d**n, d**n)
+    assert gates.shape == (1 + count, d**n, d**n)
+    assert index["id",] == 0 and np.array_equal(gates[0], np.eye(d**n))
     for x in phase_points(d, n)[:: max(1, d ** (2 * n) // 50)]:
         p, q = x[:n], x[n:]
         W = reduce(lambda U, wire: gates[index["weyl", p[wire] * d + q[wire], wire]] @ U,

@@ -149,6 +149,27 @@ def test_total_fisher_and_trace_norm_per_member(d, n):
         assert norms[i] == linalg.trace_norm(rho.mat[i] - sigma.mat[i])
 
 
+@pytest.mark.parametrize("d", [3, 7])
+def test_fisher_information_and_its_oracle_per_member(d):
+    """A (10, d, d) stack of states against a stack of Hermitian H, and
+    against one H for all, bit for bit as each member alone."""
+    seeds = list(range(10))
+    rho = random_density(seeds, d, 1)
+    G = np.random.default_rng(d).standard_normal((2, 10, d, d))
+    H = G[0] + 1j * G[1]
+    H = H + H.conj().swapaxes(-1, -2)
+    J, fd = entropy.fisher_information(rho, H), entropy.fisher_fd_oracle(rho, H)
+    shared = entropy.fisher_information(rho, H[0])
+    assert J.shape == fd.shape == shared.shape == (10,)
+    for i, seed in enumerate(seeds):
+        alone = random_density(seed, d, 1)
+        assert J[i] == entropy.fisher_information(alone, H[i])
+        assert fd[i] == entropy.fisher_fd_oracle(alone, H[i])
+        assert shared[i] == entropy.fisher_information(alone, H[0])
+    assert type(entropy.fisher_information(alone, H[0])) is np.float64
+    assert type(entropy.fisher_fd_oracle(alone, H[0])) is np.float64
+
+
 @pytest.mark.parametrize("members", [2, 3])  # 3: a stack as tall as the matrices
 def test_mean_state_per_member(members):
     _, _, rho = _stack(3, 1)

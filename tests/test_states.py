@@ -32,7 +32,7 @@ from dvconv.states import (
 from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
                          point_index, symplectic_form)
 from dvconv.zmod import rank_mod, rref_mod
-from oracles import msps_from_group, scalar_is_msps
+from oracles import ginibre_state, msps_from_group, scalar_is_msps
 
 
 def test_density_matrix_validation():
@@ -118,6 +118,46 @@ def test_random_density_rank_and_determinism():
     assert abs(np.vdot(pure.mat, pure.mat).real - 1) < 1e-10
     again = random_density(1, 3, 1)
     assert np.array_equal(full.mat, again.mat)
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3)])
+def test_random_density_matches_the_ginibre_oracle_bit_for_bit(d, n):
+    """Every rank, drawn alone and in a mixed-rank stack whose ranks are
+    shuffled, so members of one rank are not neighbours."""
+    D = d**n
+    for rank in range(1, D + 1):
+        for seed in (rank, D + rank):
+            assert (random_density(seed, d, n, rank).mat.tobytes()
+                    == ginibre_state(seed, d, n, rank).tobytes())
+    ranks = np.random.default_rng(D).permutation(np.repeat(np.arange(1, D + 1), 2))
+    seeds = list(range(100, 100 + len(ranks)))
+    stack = random_density(seeds, d, n, ranks)
+    for mat, seed, rank in zip(stack.mat, seeds, ranks):
+        assert mat.tobytes() == ginibre_state(seed, d, n, rank).tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, None])
+def test_random_density_matches_the_ginibre_oracle_at_d343(rank):
+    assert (random_density(3, 7, 3, rank).mat.tobytes()
+            == ginibre_state(3, 7, 3, rank).tobytes())
+
+
+@pytest.mark.parametrize("rank", [1, 3, np.int64(2)])
+def test_random_density_takes_an_integer_rank_in_range(rank):
+    rho = random_density(0, 3, 1, rank)
+    assert rho.mat.tobytes() == ginibre_state(0, 3, 1, int(rank)).tobytes()
+    assert np.count_nonzero(rho.eigenvalues() > 1e-12) == rank
+
+
+@pytest.mark.parametrize("rank", [0, 4, 2.5, True])
+def test_random_density_refuses_any_other_rank_before_drawing(monkeypatch, rank):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before the rank was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for seed, ranks in ((0, rank), ([0, 1], [1, rank])):
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 3\] and an integer"):
+            random_density(seed, 3, 1, ranks)
 
 
 def test_stabilizer_group_validation():
