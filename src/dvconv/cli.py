@@ -89,17 +89,22 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _load(descriptor: str, d: int, n: int,
-          seed: int | None) -> tuple[states.DensityMatrix, weyl.CharFunction | None]:
-    """The state of a preset name, seeded random preset, or JSON file of this
-    (d, n), and the table a ``char`` or ``msps`` file holds or defines."""
+def _rng(args) -> np.random.Generator | None:
+    """The one generator a seeded command draws its operands from, in order."""
+    return None if args.seed is None else np.random.default_rng(args.seed)
+
+
+def _load(descriptor: str, d: int, n: int, rng: np.random.Generator | None
+          ) -> tuple[states.DensityMatrix, weyl.CharFunction | None]:
+    """The state of a preset name, random preset drawn from rng, or JSON file
+    of this (d, n), and the table a ``char`` or ``msps`` file holds or defines."""
     if descriptor in states.PRESETS:
         return states.preset_state(descriptor, d, n), None
     if descriptor in RANDOM_PRESETS:
-        if seed is None:
+        if rng is None:
             raise ParseError(f"preset {descriptor!r} requires --seed")
         rank = 1 if descriptor == "random-pure" else d**n
-        return states.random_density(seed, d, n, rank), None
+        return states.random_density(rng, d, n, rank), None
     if not os.path.exists(descriptor):
         raise ParseError(f"state descriptor {descriptor!r} is neither a preset "
                          f"({', '.join(states.PRESETS + RANDOM_PRESETS)}) nor a file")
@@ -151,7 +156,7 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 def cmd_gap(args) -> int:
     if args.state is None:
         raise ParseError("gap needs --preset or --input")
-    rho, table = _load(args.state, args.d, args.n, args.seed)
+    rho, table = _load(args.state, args.d, args.n, _rng(args))
     if table is None:
         table = weyl.char_function(rho)
     if args.emit_char:
@@ -182,8 +187,9 @@ def cmd_gap(args) -> int:
 
 def cmd_convolve(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    a = _load(args.a, args.d, args.n, args.seed)[0]
-    b = _load(args.b, args.d, args.n, None if args.seed is None else args.seed + 1)[0]
+    rng = _rng(args)
+    a = _load(args.a, args.d, args.n, rng)[0]
+    b = _load(args.b, args.d, args.n, rng)[0]
     out = conv.convolve(a, b, spec)
     if args.check_duality:
         dual = conv.convolve_characteristic(
@@ -197,7 +203,7 @@ def cmd_convolve(args) -> int:
 def cmd_clt(args) -> int:
     _check_records(args.steps + 1)
     spec = _spec_from_args("beam-splitter", None, args.d, args.n)
-    rho = _load(args.state, args.d, args.n, args.seed)[0]
+    rho = _load(args.state, args.d, args.n, _rng(args))[0]
     series = experiments.clt_run(rho, spec, args.steps)
     norms, bounds = series.norms.tolist(), series.bounds.tolist()
     hs = {a: h.tolist() for a, h in series.entropies.items()}
@@ -256,13 +262,13 @@ def cmd_enumerate(args) -> int:
 
 def cmd_capacity_bounds(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    sigma = _load(args.sigma, args.d, args.n, args.seed)[0]
+    rng = _rng(args)
+    sigma = _load(args.sigma, args.d, args.n, rng)[0]
     lower, upper = conv.holevo_bounds(spec, sigma)
     print(f"lower {fmt(lower)}")
     print(f"upper {fmt(upper)}")
     if args.rho0:
-        rho0 = _load(args.rho0, args.d, args.n,
-                     None if args.seed is None else args.seed + 2)[0]
+        rho0 = _load(args.rho0, args.d, args.n, rng)[0]
         val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         print(f"weyl-ensemble {fmt(val)}")
     return EXIT_PASS

@@ -1,7 +1,11 @@
 """Theorem-verification suites as named, seeded, reproducible experiments.
 
-Every suite is a pure function of (seed, parameters): per-trial inputs are
-drawn from spawned child seeds so records reproduce bit-identically.
+Every suite is a pure function of (seed, parameters) and reproduces its
+records bit-identically.  One draw rule: a suite spawns one generator per
+trial from ``np.random.default_rng(seed)``, or one per block (entropy's and
+fisher's configs, fisher's oracle cases) and one per trial from that; trial i
+draws its discrete choices (ranks, level, T count), then its states in the
+order the suite names them, then any circuits, all from its own generator.
 Violations are accumulated into the report rather than raised.
 """
 
@@ -101,10 +105,6 @@ def _json_default(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
-    return list(np.random.SeedSequence(seed).spawn(count))
 
 
 def _spec_for(d: int, n: int) -> conv.ConvolutionSpec:
@@ -229,16 +229,16 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
     """Matrix-side vs characteristic-side convolution agreement."""
     configs = DUALITY_CONFIGS
     report = ExperimentReport("duality", seed, {"configs": configs, "trials": trials})
-    seeds = _child_seeds(seed, 2 * trials)
+    rngs = np.random.default_rng(seed).spawn(trials)
     devs = {}
     for c, (d, n) in enumerate(configs):
         spec = _spec_for(d, n)
         # trial i runs config i % 3: this config's trials as one stack
-        ids = range(c, trials, len(configs))
-        ranks = np.array([np.random.default_rng(seeds[2 * i]).integers(1, d**n + 1, size=2)
-                          for i in ids]).reshape(-1, 2)
-        a = states.random_density([seeds[2 * i] for i in ids], d, n, ranks[:, 0])
-        b = states.random_density([seeds[2 * i + 1] for i in ids], d, n, ranks[:, 1])
+        ids, trial_rngs = range(c, trials, len(configs)), rngs[c::len(configs)]
+        ranks = np.array([rng.integers(1, d**n + 1, size=2)
+                          for rng in trial_rngs]).reshape(-1, 2)
+        a = states.random_density(trial_rngs, d, n, ranks[:, 0])
+        b = states.random_density(trial_rngs, d, n, ranks[:, 1])
         lhs = weyl.char_function(conv.convolve(a, b, spec)).values
         rhs = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec).values
@@ -257,16 +257,15 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
         "configs": configs, "trials": trials,
         "alphas": list(ALPHAS_NONNEG), "alphas_full_rank": list(ALPHAS_NEG),
     })
-    for d, n in configs:
+    for (d, n), block in zip(configs, np.random.default_rng(seed).spawn(len(configs))):
         spec = _spec_for(d, n)
-        seeds = _child_seeds(seed + d, 2 * trials)
+        rngs = block.spawn(trials)
         D = d**n
-        # even trials are full rank; odd ones draw both ranks from their first seed
-        ranks = np.array([(D, D) if i % 2 == 0 else
-                          np.random.default_rng(seeds[2 * i]).integers(1, D + 1, size=2)
-                          for i in range(trials)])
-        a = states.random_density(seeds[0::2], d, n, ranks[:, 0])
-        b = states.random_density(seeds[1::2], d, n, ranks[:, 1])
+        # even trials are full rank; odd ones draw both ranks first
+        ranks = np.array([(D, D) if i % 2 == 0 else rng.integers(1, D + 1, size=2)
+                          for i, rng in enumerate(rngs)])
+        a = states.random_density(rngs, d, n, ranks[:, 0])
+        b = states.random_density(rngs, d, n, ranks[:, 1])
         out = conv.convolve(a, b, spec)
         # (trials, 3, D): a, b and out
         spectra = np.stack([a.eigenvalues(), b.eigenvalues(), out.eigenvalues()], axis=1)
@@ -289,24 +288,25 @@ def suite_fisher(seed: int = 0, trials: int = 100,
     configs = FISHER_CONFIGS
     report = ExperimentReport("fisher", seed, {
         "configs": configs, "trials": trials, "oracle_cases": oracle_cases})
-    for d, n in configs:
+    blocks = np.random.default_rng(seed).spawn(len(configs) + 1)  # last: oracle cases
+    for (d, n), block in zip(configs, blocks):
         spec = _spec_for(d, n)
-        seeds = _child_seeds(seed + d, 2 * trials)
-        a = states.random_density(seeds[0::2], d, n)
-        b = states.random_density(seeds[1::2], d, n)
+        rngs = block.spawn(trials)
+        a = states.random_density(rngs, d, n)
+        b = states.random_density(rngs, d, n)
         out = conv.convolve(a, b, spec)
         gaps = entropy.total_fisher(out) - np.minimum(entropy.total_fisher(a),
                                                       entropy.total_fisher(b))
         for i, gap in enumerate(gaps.tolist()):
             report.add(i, f"fisher_gap_d{d}n{n}", gap, FISHER_TOL)
-    oracle_seeds = _child_seeds(seed + 1000, oracle_cases)
+    cases = blocks[-1].spawn(oracle_cases)
     devs = {}
     for parity, d in enumerate((3, 7)):
         # case i runs d = 3 when i is even, 7 when odd: this d's cases as one
-        # stack, each H the projector on a level drawn from the case's seed
-        ids = range(parity, oracle_cases, 2)
-        rho = states.random_density([oracle_seeds[i] for i in ids], d, 1)
-        levels = [np.random.default_rng(oracle_seeds[i]).integers(d) for i in ids]
+        # stack, each H the projector on a level the case draws before its state
+        ids, case_rngs = range(parity, oracle_cases, 2), cases[parity::2]
+        levels = [rng.integers(d) for rng in case_rngs]
+        rho = states.random_density(case_rngs, d, 1)
         H = np.zeros((len(ids), d, d), dtype=complex)
         H[np.arange(len(ids)), levels, levels] = 1.0
         dev = np.abs(entropy.fisher_information(rho, H) - entropy.fisher_fd_oracle(rho, H))
@@ -323,11 +323,11 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     d, n = 3, 1
     spec = conv.default_spec(d, n)
     report = ExperimentReport("monotonicity", seed, {"d": d, "n": n, "trials": trials})
-    seeds = _child_seeds(seed, 3 * trials)
-    rho = states.random_density(seeds[0::3], d, n)
-    sigma = states.random_density(seeds[1::3], d, n)  # full rank
-    tau_ranks = [np.random.default_rng(s).integers(1, d**n + 1) for s in seeds[2::3]]
-    tau = states.random_density(seeds[2::3], d, n, tau_ranks)
+    rngs = np.random.default_rng(seed).spawn(trials)
+    tau_ranks = [rng.integers(1, d**n + 1) for rng in rngs]
+    rho = states.random_density(rngs, d, n)
+    sigma = states.random_density(rngs, d, n)  # full rank
+    tau = states.random_density(rngs, d, n, tau_ranks)
     rc = conv.convolve(rho, tau, spec)
     sc = conv.convolve(sigma, tau, spec)
     tn_gaps = (linalg.trace_norm(rc.mat - sc.mat)
@@ -399,14 +399,14 @@ def suite_min_output() -> ExperimentReport:
 def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Capacity sandwich, ensemble lower bound, and the MSPS equality branch."""
     report = ExperimentReport("holevo", seed, {"trials": trials, "d": [3, 7]})
-    seeds = _child_seeds(seed, 2 * trials)
+    rngs = np.random.default_rng(seed).spawn(trials)
     for parity, d in enumerate((3, 7)):
         spec = _spec_for(d, 1)
         # trial i runs d = 3 when i is even, 7 when odd: this d's trials as one stack
-        ids = range(parity, trials, 2)
-        ranks = [np.random.default_rng(seeds[2 * i]).integers(1, d + 1) for i in ids]
-        sigma = states.random_density([seeds[2 * i] for i in ids], d, 1, ranks)
-        rho0 = states.random_density([seeds[2 * i + 1] for i in ids], d, 1, 1)
+        ids, trial_rngs = range(parity, trials, 2), rngs[parity::2]
+        ranks = [rng.integers(1, d + 1) for rng in trial_rngs]
+        sigma = states.random_density(trial_rngs, d, 1, ranks)
+        rho0 = states.random_density(trial_rngs, d, 1, 1)
         lower, upper = conv.holevo_bounds(spec, sigma)
         ensemble = conv.holevo_weyl_ensemble(spec, sigma, rho0)
         for i, order, below in zip(ids, (lower - upper).tolist(), (ensemble - upper).tolist()):
@@ -438,18 +438,14 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
 def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """LMG growth of Clifford+T circuits is at most N/2 on stabilizer inputs."""
     report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": 3})
-    seeds = _child_seeds(seed, trials)
     # trial i runs n = 1 + i % 2: per n the T counts and gate sequences (the
-    # input Clifford word at n = 2, then the circuit), from each trial's rng
+    # input Clifford word at n = 2, then the circuit), drawn in that order
     draws = {1: [], 2: []}
-    for i in range(trials):
-        rng = np.random.default_rng(seeds[i])
+    for i, rng in enumerate(np.random.default_rng(seed).spawn(trials)):
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        circuit = magic.draw_clifford_t(int(rng.integers(2**32)), n, n_t)
-        if n == 2:
-            circuit = np.concatenate([magic.draw_clifford_word(rng, 2, n), circuit])
-        draws[n].append((n_t, circuit))
+        word = magic.draw_clifford_word(rng, 2, n) if n == 2 else np.zeros(0, dtype=int)
+        draws[n].append((n_t, np.concatenate([word, magic.draw_clifford_t(rng, n, n_t)])))
     lmg = {}
     for n, drawn in draws.items():
         if not drawn:
@@ -478,13 +474,13 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     count = len(msps.mat)
     report = ExperimentReport("extremality", seed, {
         "d": d, "trials": trials, "alphas": [1, 2, "inf"]})
-    seeds = _child_seeds(seed, trials)
+    rngs = np.random.default_rng(seed).spawn(trials)
     # MSPS inputs (i % 5 == 4) exercise the uniqueness margin against all
     # 12 others; every other trial draws a random state of random rank
     drawn = [i for i in range(trials) if i % 5 != 4]
-    ranks = [np.random.default_rng(seeds[i]).integers(1, d + 1) for i in drawn]
+    ranks = [rngs[i].integers(1, d + 1) for i in drawn]
     mats = msps.mat[np.arange(trials) % count]
-    mats[drawn] = states.random_density([seeds[i] for i in drawn], d, 1, ranks).mat
+    mats[drawn] = states.random_density([rngs[i] for i in drawn], d, 1, ranks).mat
     # (trials, 1) against the (count,) MSPS stack: one grid per alpha
     rho = states.DensityMatrix(d, 1, mats[:, None])
     M = magic.mean_state(weyl.char_function(rho))
@@ -519,11 +515,10 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
         "d": d, "n": n, "steps": steps, "trials": trials,
         "s_t": list(find_beam_splitter_params(d)),
         "alphas": [0.5, 1, 2, "inf"]})
-    seeds = _child_seeds(seed, trials)
-    # even trials are pure; odd ones draw their rank from their own seed
-    ranks = [1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
-             for i in range(trials)]
-    series = clt_run(states.random_density(seeds, d, n, ranks), spec, steps)
+    rngs = np.random.default_rng(seed).spawn(trials)
+    # even trials are pure; odd ones draw their rank first
+    ranks = [1 if i % 2 == 0 else int(rng.integers(1, d + 1)) for i, rng in enumerate(rngs)]
+    series = clt_run(states.random_density(rngs, d, n, ranks), spec, steps)
     gaps = np.max(series.norms - series.bounds, axis=-1).tolist()
     # a single state has no drop; with steps, the largest may be negative
     drops = {alpha: np.max(hs[:, :-1] - hs[:, 1:], axis=-1).tolist() if steps

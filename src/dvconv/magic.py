@@ -186,14 +186,13 @@ def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     return clifford_words(draw_clifford_word(rng, d, n), d, n)
 
 
-def draw_clifford_t(seed: int, n: int, n_t: int) -> np.ndarray:
+def draw_clifford_t(rng: np.random.Generator, n: int, n_t: int) -> np.ndarray:
     """The gate indices into _gates(2, n) of one Clifford+T circuit at d=2:
     n_t + 1 Clifford words alternating with n_t T gates on random wires
-    (word, T, word, ..., word), drawn from seed in that order."""
+    (word, T, word, ..., word), drawn from rng in that order."""
     if n not in (1, 2):
         raise ValueError("clifford_t_circuit supports n in {1, 2}")
     index, _ = _gates(2, n)
-    rng = np.random.default_rng(seed)
     circuit = [draw_clifford_word(rng, 2, n)]
     for _ in range(n_t):
         circuit += [[index["t", int(rng.integers(n))]], draw_clifford_word(rng, 2, n)]
@@ -203,5 +202,5 @@ def draw_clifford_t(seed: int, n: int, n_t: int) -> np.ndarray:
 def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:
     """Alternating random Clifford words and T gates on random wires (d=2):
     exactly n_t T gates, deterministic per seed.  The one-row call of
-    draw_clifford_t and clifford_words."""
-    return clifford_words(draw_clifford_t(seed, n, n_t), 2, n)
+    draw_clifford_t, from default_rng(seed), and clifford_words."""
+    return clifford_words(draw_clifford_t(np.random.default_rng(seed), n, n_t), 2, n)

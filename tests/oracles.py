@@ -244,12 +244,19 @@ def per_trial_records(name: str, seed: int, trials: int, **params) -> list[tuple
     trial at a time from single-state calls: the suites' draws and checks
     written as a loop over trials, with no stack.  ``params`` are the
     suite's other parameters (fisher's oracle_cases).  Stability samples
-    nothing and ignores seed and trials."""
+    nothing and ignores seed and trials.
+
+    The draw rule is restated here, not imported: ``_rngs(seed, count)``
+    spawns one generator per trial from ``default_rng(seed)``, and a suite
+    of blocks spawns one child per block, then one grandchild per trial.
+    Each trial draws its discrete choices first, then its states in the
+    order the suite names them, then any circuits, all from its own
+    generator."""
     return _PER_TRIAL[name](seed, trials, **params)
 
 
-def _seeds(seed, count):
-    return np.random.SeedSequence(seed).spawn(count)
+def _rngs(seed, count):
+    return np.random.default_rng(seed).spawn(count)
 
 
 def _spec(d, n):
@@ -258,14 +265,13 @@ def _spec(d, n):
 
 def _duality(seed, trials):
     configs = [(3, 1), (3, 2), (7, 1)]
-    seeds = _seeds(seed, 2 * trials)
     out = []
-    for i in range(trials):
+    for i, rng in enumerate(_rngs(seed, trials)):
         d, n = configs[i % len(configs)]
         spec = _spec(d, n)
-        ranks = np.random.default_rng(seeds[2 * i]).integers(1, d**n + 1, size=2)
-        a = random_density(seeds[2 * i], d, n, int(ranks[0]))
-        b = random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
+        ranks = rng.integers(1, d**n + 1, size=2)
+        a = random_density(rng, d, n, int(ranks[0]))
+        b = random_density(rng, d, n, int(ranks[1]))
         lhs = char_function(convolve(a, b, spec)).values
         rhs = convolve_characteristic(char_function(a), char_function(b), spec).values
         out.append((i, f"duality_dev_d{d}n{n}", float(np.max(np.abs(lhs - rhs)))))
@@ -274,16 +280,14 @@ def _duality(seed, trials):
 
 def _entropy(seed, trials):
     out = []
-    for d, n in [(3, 1), (7, 1)]:
+    for (d, n), block in zip([(3, 1), (7, 1)], _rngs(seed, 2)):
         spec = _spec(d, n)
-        seeds = _seeds(seed + d, 2 * trials)
         D = d**n
-        for i in range(trials):
+        for i, rng in enumerate(block.spawn(trials)):
             full_rank = i % 2 == 0
-            ranks = ((D, D) if full_rank else
-                     np.random.default_rng(seeds[2 * i]).integers(1, D + 1, size=2))
-            a = random_density(seeds[2 * i], d, n, int(ranks[0]))
-            b = random_density(seeds[2 * i + 1], d, n, int(ranks[1]))
+            ranks = (D, D) if full_rank else rng.integers(1, D + 1, size=2)
+            a = random_density(rng, d, n, int(ranks[0]))
+            b = random_density(rng, d, n, int(ranks[1]))
             c = convolve(a, b, spec)
             alphas = experiments.ALPHAS_NONNEG + (experiments.ALPHAS_NEG if full_rank else ())
             for alpha in alphas:
@@ -295,20 +299,19 @@ def _entropy(seed, trials):
 
 def _fisher(seed, trials, oracle_cases=20):
     out = []
-    for d, n in [(3, 1), (7, 1)]:
+    *config_blocks, case_block = _rngs(seed, 3)
+    for (d, n), block in zip([(3, 1), (7, 1)], config_blocks):
         spec = _spec(d, n)
-        seeds = _seeds(seed + d, 2 * trials)
-        for i in range(trials):
-            a = random_density(seeds[2 * i], d, n)
-            b = random_density(seeds[2 * i + 1], d, n)
+        for i, rng in enumerate(block.spawn(trials)):
+            a = random_density(rng, d, n)
+            b = random_density(rng, d, n)
             gap = total_fisher(convolve(a, b, spec)) - min(total_fisher(a), total_fisher(b))
             out.append((i, f"fisher_gap_d{d}n{n}", gap))
-    oracle_seeds = _seeds(seed + 1000, oracle_cases)
-    for i in range(oracle_cases):
+    for i, rng in enumerate(case_block.spawn(oracle_cases)):
         d = 3 if i % 2 == 0 else 7
-        rho = random_density(oracle_seeds[i], d, 1)
+        j = int(rng.integers(d))
+        rho = random_density(rng, d, 1)
         H = np.zeros((d, d), dtype=complex)
-        j = int(np.random.default_rng(oracle_seeds[i]).integers(d))
         H[j, j] = 1.0
         dev = abs(fisher_information(rho, H) - fisher_fd_oracle(rho, H))
         out.append((i, f"fisher_fd_dev_d{d}", dev))
@@ -318,13 +321,12 @@ def _fisher(seed, trials, oracle_cases=20):
 def _monotonicity(seed, trials):
     d, n = 3, 1
     spec = _spec(d, n)
-    seeds = _seeds(seed, 3 * trials)
     out = []
-    for i in range(trials):
-        rho = random_density(seeds[3 * i], d, n)
-        sigma = random_density(seeds[3 * i + 1], d, n)
-        rank = int(np.random.default_rng(seeds[3 * i + 2]).integers(1, d**n + 1))
-        tau = random_density(seeds[3 * i + 2], d, n, rank)
+    for i, rng in enumerate(_rngs(seed, trials)):
+        rank = int(rng.integers(1, d**n + 1))
+        rho = random_density(rng, d, n)
+        sigma = random_density(rng, d, n)
+        tau = random_density(rng, d, n, rank)
         rc, sc = convolve(rho, tau, spec), convolve(sigma, tau, spec)
         out.append((i, "trace_norm_gap",
                     trace_norm(rc.mat - sc.mat) - trace_norm(rho.mat - sigma.mat)))
@@ -334,16 +336,15 @@ def _monotonicity(seed, trials):
 
 
 def _holevo(seed, trials):
-    seeds = _seeds(seed, 2 * trials)
     out = []
-    for i in range(trials):
+    for i, rng in enumerate(_rngs(seed, trials)):
         d = 3 if i % 2 == 0 else 7
         spec = _spec(d, 1)
-        rank = int(np.random.default_rng(seeds[2 * i]).integers(1, d + 1))
-        sigma = random_density(seeds[2 * i], d, 1, rank)
+        rank = int(rng.integers(1, d + 1))
+        sigma = random_density(rng, d, 1, rank)
         lower, upper = holevo_bounds(spec, sigma)
         out.append((i, f"sandwich_order_d{d}", lower - upper))
-        rho0 = random_density(seeds[2 * i + 1], d, 1, 1)
+        rho0 = random_density(rng, d, 1, 1)
         out.append((i, f"ensemble_below_upper_d{d}",
                     holevo_weyl_ensemble(spec, sigma, rho0) - upper))
     spec = default_spec(3, 1)
@@ -360,16 +361,13 @@ def _holevo(seed, trials):
 
 
 def _synthesis(seed, trials):
-    seeds = _seeds(seed, trials)
     out = []
-    for i in range(trials):
-        rng = np.random.default_rng(seeds[i])
+    for i, rng in enumerate(_rngs(seed, trials)):
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        circuit = draw_clifford_t(int(rng.integers(2**32)), n, n_t)
-        if i % 2 == 1:  # the input Clifford word runs first
-            circuit = np.concatenate([draw_clifford_word(rng, 2, n), circuit])
-        V = clifford_words(circuit, 2, n)
+        # the input Clifford word is drawn before the circuit and runs first
+        word = draw_clifford_word(rng, 2, n) if i % 2 == 1 else np.zeros(0, dtype=int)
+        V = clifford_words(np.concatenate([word, draw_clifford_t(rng, n, n_t)]), 2, n)
         ket = ket_state(2, n, [0] * n)
         rho = DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
         out.append((i, f"lmg_minus_halfN_n{n}", log_magic_gap(char_function(rho)) - n_t / 2))
@@ -391,14 +389,13 @@ def _stability(seed, trials):
 def _extremality(seed, trials):
     d = 3
     msps_set = enumerate_msps(d)
-    seeds = _seeds(seed, trials)
     out = []
-    for i in range(trials):
+    for i, rng in enumerate(_rngs(seed, trials)):
         if i % 5 == 4:
             rho = msps_set[i % len(msps_set)]
         else:
-            rank = int(np.random.default_rng(seeds[i]).integers(1, d + 1))
-            rho = random_density(seeds[i], d, 1, rank)
+            rank = int(rng.integers(1, d + 1))
+            rho = random_density(rng, d, 1, rank)
         M = mean_state(char_function(rho))
         for alpha in experiments.ALPHAS_EXTREMALITY:
             d_mean = sandwiched_relative_entropy(rho, M, alpha)
@@ -417,11 +414,10 @@ def _extremality(seed, trials):
 def _clt(seed, trials, steps=experiments.CLT_STEPS):
     d = 7
     spec = beam_splitter_spec(d, 1)
-    seeds = _seeds(seed, trials)
     out = []
-    for i in range(trials):
-        rank = 1 if i % 2 == 0 else int(np.random.default_rng(seeds[i]).integers(1, d + 1))
-        series = clt_run(random_density(seeds[i], d, 1, rank), spec, steps)
+    for i, rng in enumerate(_rngs(seed, trials)):
+        rank = 1 if i % 2 == 0 else int(rng.integers(1, d + 1))
+        series = clt_run(random_density(rng, d, 1, rank), spec, steps)
         out.append((i, "norm_bound_gap", np.max(series.norms - series.bounds)))
         slope = experiments.log_slope(series.norms)
         if slope is not None and series.mg < 1:

@@ -99,6 +99,30 @@ def test_random_preset_needs_seed(tmp_path, capsys):
     assert code == 2
 
 
+def test_convolve_operands_of_two_seeds_share_no_state(tmp_path, monkeypatch, capsys):
+    """One generator per command: b continues a's stream, so no operand of
+    --seed 0 is an operand of --seed 1, and a is the state of its seed alone."""
+    drawn = []
+
+    def recorded(*args, _fn=states.random_density):
+        drawn.append(_fn(*args).mat)
+        return DensityMatrix(3, 1, drawn[-1])
+
+    monkeypatch.setattr(states, "random_density", recorded)
+    for seed in ("0", "1"):
+        code, _, _ = run(capsys, "convolve", "--d", "3", "--a", "random-mixed",
+                         "--b", "random-mixed", "--seed", seed,
+                         "--out", str(tmp_path / f"{seed}.json"))
+        assert code == 0
+    assert len(drawn) == 4
+    for i in range(4):
+        for j in range(i):
+            assert not np.allclose(drawn[i], drawn[j]), (i, j)
+    # a is drawn first, so it is the state of its seed, as gap and clt draw it
+    assert np.array_equal(drawn[0], random_density(0, 3, 1).mat)
+    assert np.array_equal(drawn[2], random_density(1, 3, 1).mat)
+
+
 def test_state_file_input(tmp_path, capsys):
     rho = random_density(9, 3, 1)
     path = tmp_path / "state.json"
@@ -311,8 +335,9 @@ def test_capacity_bounds_weyl_ensemble_at_d125(capsys):
     assert elapsed < 2.0
     vals = {line.split()[0]: float(line.split()[1])
             for line in out.strip().splitlines()}
-    sigma = random_density(1, 5, 3, 125)
-    rho0 = random_density(3, 5, 3, 1)
+    rng = np.random.default_rng(1)  # rho0 continues sigma's stream
+    sigma = random_density(rng, 5, 3, 125)
+    rho0 = random_density(rng, 5, 3, 1)
     expected = 3 * np.log2(5) - renyi_entropy(convolve(rho0, sigma, default_spec(5, 3)), 1)
     assert abs(vals["weyl-ensemble"] - expected) < 1e-12
 
@@ -328,8 +353,9 @@ def test_capacity_bounds_weyl_ensemble_at_d343(capsys):
     assert elapsed < 2.0
     vals = {line.split()[0]: float(line.split()[1])
             for line in out.strip().splitlines()}
-    sigma = random_density(1, 7, 3, 343)
-    rho0 = random_density(3, 7, 3, 1)
+    rng = np.random.default_rng(1)  # rho0 continues sigma's stream
+    sigma = random_density(rng, 7, 3, 343)
+    rho0 = random_density(rng, 7, 3, 1)
     expected = 3 * np.log2(7) - renyi_entropy(convolve(rho0, sigma, default_spec(7, 3)), 1)
     assert abs(vals["weyl-ensemble"] - expected) < 1e-12
 

@@ -274,6 +274,96 @@ def test_suites_draw_once_per_input_stack(monkeypatch, name):
                      "fisher_fd_oracle": 2 if name == "fisher" else 0}
 
 
+class _RecordingGenerator(np.random.Generator):
+    """A generator that logs the draws made from it; its spawned children
+    are of its type, and default_rng returns it unchanged."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.draws, self.children = [], []
+
+    def spawn(self, n_children):
+        self.children += super().spawn(n_children)
+        return self.children[-n_children:]
+
+    def integers(self, *args, **kwargs):
+        self.draws.append("discrete")
+        return super().integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.draws.append("discrete")
+        return super().choice(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws.append("state")
+        return super().standard_normal(*args, **kwargs)
+
+
+#: the trial generators each sampled suite spawns at the gate's parameters
+#: (the defaults): one per trial and per fisher oracle case, 970 in all
+GATE_GENERATORS = {"duality": 200, "entropy": 2 * 100, "fisher": 2 * 100 + 20,
+                   "monotonicity": 100, "holevo": 50, "synthesis": 100,
+                   "extremality": 50, "clt": 50}
+
+
+@pytest.mark.parametrize("name", GATE_GENERATORS)
+def test_suites_draw_each_trial_from_one_generator(monkeypatch, name):
+    assert sum(GATE_GENERATORS.values()) == 970
+    roots = []
+
+    def default_rng(seed=None):
+        if isinstance(seed, np.random.Generator):
+            return seed
+        # any generator built from a seed, and not spawned, is a root
+        roots.append(_RecordingGenerator(np.random.PCG64(seed)))
+        return roots[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    assert experiments.SUITES[name](seed=3).passed
+    assert len(roots) == 1, f"{len(roots)} generators built from a seed, not spawned"
+    inner, leaves, stack = [], [], list(roots)
+    while stack:
+        rng = stack.pop()
+        (inner if rng.children else leaves).append(rng)
+        stack += rng.children
+    assert len(leaves) == GATE_GENERATORS[name]
+    # a root or a block only spawns; a trial draws its discrete choices,
+    # then its states, all from its one stream
+    assert not any(rng.draws for rng in inner)
+    for rng in leaves:
+        assert rng.draws == sorted(rng.draws, key=lambda kind: kind == "state")
+        if name != "synthesis" and "discrete" in rng.draws:
+            assert "state" in rng.draws, "a rank or level drawn apart from its state"
+
+
+@pytest.mark.parametrize("name, blocks", [
+    ("entropy", lambda call, pos: (call // 2, pos)),
+    # fisher's last two calls are the oracle cases of d = 3 (even) and 7 (odd)
+    ("fisher", lambda call, pos: (call // 2, pos if call < 4 else 2 * pos + call % 2)),
+])
+def test_no_seed_pool_is_shared_across_seeds_configs_or_trials(monkeypatch, name, blocks):
+    """Every (seed, block, trial) draws its states from a seed sequence of
+    its own, and each trial from one."""
+    owners, at = {}, {}
+
+    def recorded(seeds, *args, _fn=states.random_density):
+        for pos, s in enumerate(seeds):
+            ss = s.bit_generator.seed_seq if isinstance(s, np.random.Generator) else s
+            owner = (at["seed"], *blocks(at["call"], pos))
+            owners.setdefault((ss.entropy, ss.spawn_key), set()).add(owner)
+        at["call"] += 1
+        return _fn(seeds, *args)
+
+    monkeypatch.setattr(states, "random_density", recorded)
+    for seed in range(9):
+        at.update(seed=seed, call=0)
+        experiments.SUITES[name](seed=seed, trials=10)
+    shared = {key: owned for key, owned in owners.items() if len(owned) > 1}
+    assert not shared, f"seed sequences drawn by more than one input: {shared}"
+    # and no input draws from two: a trial's operands share its stream
+    assert len(owners) == len(set().union(*owners.values()))
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("trials", [1, 2, 5])  # 1: the d = 7 stack is empty
 def test_stacked_holevo_matches_the_per_trial_oracle(seed, trials):

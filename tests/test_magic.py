@@ -245,7 +245,8 @@ def test_stacked_circuits_match_each_circuit(n):
     is one clifford_words call, and each member its one-row call."""
     for n_t in range(4):
         seeds = range(n_t, 24, 4)
-        words = np.array([magic.draw_clifford_t(seed, n, n_t) for seed in seeds])
+        words = np.array([magic.draw_clifford_t(np.random.default_rng(seed), n, n_t)
+                          for seed in seeds])
         stacked = magic.clifford_words(words, 2, n)
         assert stacked.shape == (len(seeds), 2**n, 2**n)
         for seed, V in zip(seeds, stacked):

@@ -1,4 +1,5 @@
-"""The package holds no helpers that only tests use, and no unused imports.
+"""The package holds no helpers that only tests use, no unused imports and
+no arithmetic on a seed.
 
 Every top-level public function or class of ``src/dvconv`` must be used by
 code of the package (a name or an attribute, not a docstring), or be read
@@ -59,3 +60,21 @@ def test_every_import_in_src_is_used_by_its_module():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {name}")
     assert not unused, f"imports that their module never reads: {unused}"
+
+
+def _is_seed(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "seed")
+            or (isinstance(node, ast.Attribute) and node.attr == "seed"))
+
+
+def test_no_arithmetic_on_a_seed_in_src():
+    """Seeds are never offset or scaled (``seed + 1``, ``seed + d``): nearby
+    seeds would then share streams.  Children come from spawning."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                        else (node.target,) if isinstance(node, ast.AugAssign) else ())
+            if any(_is_seed(operand) for operand in operands):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"arithmetic on a seed: {found}"
