@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
+import secrets
 import sys
-import tempfile
 import traceback
 
 import numpy as np
@@ -65,11 +66,13 @@ def _check_records(count: int) -> None:
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` atomically to the file at ``path``, or else to stdout,
     as bytes until every byte is taken: a short write through an unbuffered
-    text layer would lose the rest, and a closed reader's BrokenPipeError."""
+    text layer would lose the rest, and a closed reader's BrokenPipeError.
+    The file gets mode 0o666 less the umask, as ``open(path, "w")`` gives."""
     if path:
         try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".dvconv-")
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".dvconv-{secrets.token_hex(8)}")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(text)
@@ -111,7 +114,8 @@ def _load(descriptor: str, d: int, n: int, rng: np.random.Generator | None
     try:
         with open(descriptor) as fh:
             obj = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON text
+    # ValueError: not JSON text; RecursionError: nested deeper than the decoder goes
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"state file {descriptor!r}: {exc}") from exc
     held = (obj.get("d"), obj.get("n")) if isinstance(obj, dict) else (None, None)
     if held != (d, n):  # checked before the state is built
@@ -279,7 +283,11 @@ def cmd_capacity_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use and shared by every
+    ``main`` call, so it is never changed: argparse spends about a
+    millisecond on its ~40 arguments, more than a small command's work."""
     parser = argparse.ArgumentParser(
         prog="dvconv",
         description="Discrete-variable quantum convolution toolkit")
@@ -294,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--emit-char", help="write the characteristic table to a file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("convolve", parents=[size], help="write rho boxtimes sigma as a JSON state")
     p.add_argument("--a", required=True)
@@ -303,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--check-duality", action="store_true")
     _add_spec_args(p)
-    p.set_defaults(fn=cmd_convolve)
 
     p = sub.add_parser("clt", parents=[size], help="iterated beam-splitter convolution series")
     p.add_argument("--steps", type=int, default=30)
@@ -312,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", dest="state")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(fn=cmd_clt)
 
     p = sub.add_parser("suite", help="run a named verification suite")
     p.add_argument("name", choices=sorted(experiments.SUITES))
@@ -321,21 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="clt only (default 30)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("enumerate", parents=[size], help="enumerate MSPS or pure stabilizers")
     p.add_argument("kind", choices=["msps", "stabilizers"])
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("capacity-bounds", parents=[size], help="Holevo capacity sandwich")
     p.add_argument("--sigma", required=True)
     p.add_argument("--rho0")
     p.add_argument("--seed", type=int)
     _add_spec_args(p)
-    p.set_defaults(fn=cmd_capacity_bounds)
 
     return parser
+
+
+#: the function that runs each subcommand, looked up when it runs
+COMMANDS = {
+    "gap": cmd_gap,
+    "convolve": cmd_convolve,
+    "clt": cmd_clt,
+    "suite": cmd_suite,
+    "enumerate": cmd_enumerate,
+    "capacity-bounds": cmd_capacity_bounds,
+}
 
 
 def main(argv=None) -> int:
@@ -348,7 +361,7 @@ def main(argv=None) -> int:
         if "d" in args:
             with _usage_errors():
                 check_system(args.d, args.n)
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -263,7 +263,7 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
         D = d**n
         # even trials are full rank; odd ones draw both ranks first
         ranks = np.array([(D, D) if i % 2 == 0 else rng.integers(1, D + 1, size=2)
-                          for i, rng in enumerate(rngs)])
+                          for i, rng in enumerate(rngs)]).reshape(-1, 2)
         a = states.random_density(rngs, d, n, ranks[:, 0])
         b = states.random_density(rngs, d, n, ranks[:, 1])
         out = conv.convolve(a, b, spec)

@@ -371,7 +371,11 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
     try:
         d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
         if kind in ("dense", "char"):
-            mat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+            re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+            if re.shape != im.shape:  # they would broadcast into another matrix
+                raise ParseError(f"{kind} state has re of shape {re.shape} "
+                                 f"and im of shape {im.shape}")
+            mat = re + 1j * im
             # a file holds one state: a stack would pass the stack-aware checks
             ndim = 2 if kind == "dense" else 1
             if mat.ndim != ndim:

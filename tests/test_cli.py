@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import dvconv
-from dvconv import magic, states, weyl
+from dvconv import cli, magic, states, weyl
 from dvconv.cli import EXIT_CLOSED_PIPE, RECORD_BUDGET, main
 from dvconv.conv import convolve, default_spec
 from dvconv.entropy import renyi_entropy
@@ -487,6 +489,36 @@ def test_state_file_holding_a_stack_is_usage_error(tmp_path, capsys, name, comma
     assert not out_file.exists()
 
 
+# re and im that numpy would broadcast into one matrix of the wrong state
+MISMATCHED_STATE_FILES = {
+    "dense-im-one-entry": ({"d": 3, "n": 1, "kind": "dense", "re": np.eye(3).tolist(),
+                            "im": [[0.0]]},
+                           "dense state has re of shape (3, 3) and im of shape (1, 1)"),
+    "dense-re-one-column": ({"d": 3, "n": 1, "kind": "dense", "re": [[1 / 3]] * 3,
+                             "im": np.zeros((3, 3)).tolist()},
+                            "dense state has re of shape (3, 1) and im of shape (3, 3)"),
+    "char-im-one-entry": ({"d": 3, "n": 1, "kind": "char", "re": [1.0] + [0.0] * 8,
+                           "im": [0.0]},
+                          "char state has re of shape (9,) and im of shape (1,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_STATE_FILES))
+def test_state_file_whose_re_and_im_shapes_differ_is_usage_error(tmp_path, capsys, name):
+    obj, message = MISMATCHED_STATE_FILES[name]
+    path = _write(tmp_path / "state.json", obj)
+    code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
+    assert out == ""
+    _assert_usage_error(code, err, message)
+
+
+def test_state_file_nested_too_deep_to_decode_is_usage_error(tmp_path, capsys):
+    path = _write(tmp_path / "state.json", "[" * 100_000)
+    code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
+    assert out == ""
+    _assert_usage_error(code, err, "maximum recursion depth exceeded")
+
+
 def test_directory_as_state_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "gap", "--d", "3", "--input", str(tmp_path))
     _assert_usage_error(code, err, "Is a directory")
@@ -509,6 +541,25 @@ def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
                        "--b", "zero-ket", "--out", str(tmp_path))
     _assert_usage_error(code, err, "Is a directory")
     assert list(tmp_path.iterdir()) == []  # the temporary file is removed
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+@pytest.mark.parametrize("argv", [
+    ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out"),
+    ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char"),
+], ids=["convolve-out", "gap-emit-char"])
+def test_written_file_takes_the_umask_mode(tmp_path, capsys, argv, umask, mode):
+    """As ``open(path, "w")`` would make it, and with no temporary file left."""
+    target = tmp_path / "x.json"
+    old = os.umask(umask)
+    try:
+        code, _, err = run(capsys, *argv, str(target))
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert list(tmp_path.iterdir()) == [target]
 
 
 D5_STATE = state_to_json(random_density(0, 5, 1))
@@ -646,6 +697,13 @@ def test_clt_at_d343(tmp_path, capsys):
         assert float(cols[1]) <= float(cols[2]) + 1e-9
 
 
+def _subprocess_env():
+    """The environment of a ``python -m dvconv`` run of these sources."""
+    src = str(Path(dvconv.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ("enumerate", "msps", "--d", "17"),  # megabytes
@@ -656,9 +714,7 @@ def test_a_closed_stdout_ends_quietly(argv, unbuffered):
     """``dvconv ... | head -c 100``: the reader leaves early, while the output
     is longer than a pipe holds.  Unbuffered, a write may be cut short
     without an error; the rest must still reach the closed pipe."""
-    src = str(Path(dvconv.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -673,3 +729,63 @@ def test_a_closed_stdout_ends_quietly(argv, unbuffered):
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (EXIT_CLOSED_PIPE, b"")
+
+
+def test_second_main_call_builds_no_parser(monkeypatch, capsys):
+    """``cli.main`` builds its parser once per process."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argv = ("gap", "--d", "3", "--preset", "zero-ket", "--json")
+    first = run(capsys, *argv)
+    assert built  # the count sees the first call build it
+    del built[:]
+    assert run(capsys, *argv) == first
+    assert built == []
+
+
+def test_commands_are_dispatched_through_the_table(monkeypatch, capsys):
+    seen = []
+
+    def stub(args):
+        seen.append((args.command, args.d, args.state))
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "gap", stub)
+    code, out, err = run(capsys, "gap", "--d", "3", "--preset", "zero-ket")
+    assert (code, out, err) == (0, "", "")
+    assert seen == [("gap", 3, "zero-ket")]
+
+
+def _run_in_process(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # help and argparse's own usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("gap", "--help"), 0),
+    (("suite", "--seed", "-1", "duality"), 2),
+    (("frobnicate",), 2),
+    (("gap", "--d", "3", "--preset", "zero-ket", "--json"), 0),
+], ids=["help", "gap-help", "suite-seed", "unknown-command", "gap-json"])
+def test_repeated_main_calls_match_a_fresh_process(monkeypatch, capsys, argv, code):
+    """The cached parser gives each call what a new process gives: exit code,
+    stdout and stderr, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    first = _run_in_process(capsys, argv)
+    assert first[0] == code
+    assert _run_in_process(capsys, argv) == first
+    proc = subprocess.run([sys.executable, "-m", "dvconv", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == first

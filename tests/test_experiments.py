@@ -520,6 +520,14 @@ def test_clt_stack_members_are_one_state_series():
             assert stack.entropies[alpha][i].tobytes() == hs.tobytes()
 
 
+@pytest.mark.parametrize("name", sorted(experiments.RECORD_COUNTS))
+def test_sampled_suites_pass_with_no_trials(name):
+    """No trial records: only the records a suite adds whatever its trials."""
+    report = experiments.SUITES[name](seed=0, trials=0)
+    assert report.passed
+    assert len(report.records) == experiments.RECORD_COUNTS[name](0)
+
+
 @pytest.mark.parametrize("trials", [4, 7])
 def test_record_bound_counts_each_sampled_suite(trials):
     for name in experiments.RECORD_COUNTS:
