@@ -64,19 +64,24 @@ def _check_records(count: int) -> None:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` atomically to the file at ``path``, or else to stdout,
-    as bytes until every byte is taken: a short write through an unbuffered
-    text layer would lose the rest, and a closed reader's BrokenPipeError.
-    The file gets mode 0o666 less the umask, as ``open(path, "w")`` gives."""
+    """Write ``text`` atomically to the file at ``path``, through a symlink,
+    with mode 0o666 less the umask, as ``open(path, "w")`` gives; an existing
+    target that is not a regular file (a FIFO, a device, a directory) is
+    refused.  Else write to stdout, as bytes until every byte is taken: a
+    short write through an unbuffered text layer would lose the rest, and a
+    closed reader's BrokenPipeError."""
     if path:
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            raise ParseError(f"cannot write {path!r}: " + (
+                "Is a directory" if os.path.isdir(real) else "Not a regular file"))
         try:
-            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
-                               f".dvconv-{secrets.token_hex(8)}")
+            tmp = os.path.join(os.path.dirname(real), f".dvconv-{secrets.token_hex(8)}")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
                     fh.write(text)
-                os.replace(tmp, path)
+                os.replace(tmp, real)
             except BaseException:
                 os.unlink(tmp)
                 raise

@@ -50,7 +50,11 @@ SLOPE_NORM_FLOOR = 1e-12
 
 @dataclass
 class ExperimentReport:
-    """Structured per-suite results; pass iff every record's value <= bound."""
+    """Structured per-suite results; pass iff every record's value <= bound.
+
+    ``add`` broadcasts index, metric, value, bound and keep together and adds
+    the records in row-major order, skipping those whose keep is False.
+    """
 
     suite: str
     seed: int | None
@@ -60,15 +64,18 @@ class ExperimentReport:
     max_violation: float = 0.0
     wall_time: float = 0.0
 
-    def add(self, index, metric: str, value: float, bound: float) -> None:
-        value, bound = float(value), float(bound)
+    def add(self, index, metric, value, bound, keep=True) -> None:
+        *columns, keep = np.broadcast_arrays(index, metric, np.asarray(value, dtype=float),
+                                             np.asarray(bound, dtype=float), keep)
+        index, metric, value, bound = (column[keep] for column in columns)
         ok = value <= bound
-        self.records.append(
-            {"index": index, "metric": metric, "value": value, "bound": bound, "pass": ok}
-        )
-        if not ok:
-            self.passed = False
-        self.max_violation = max(self.max_violation, value - bound)
+        self.records += [{"index": i, "metric": m, "value": v, "bound": b, "pass": p}
+                         for i, m, v, b, p in zip(*(column.tolist() for column in
+                                                    (index, metric, value, bound, ok)))]
+        self.passed = self.passed and bool(ok.all())
+        over = value - bound  # a NaN compares False: it never raises the maximum
+        self.max_violation = float(over.max(initial=self.max_violation,
+                                            where=over > self.max_violation))
 
     def to_json(self) -> str:
         """The report without its wall time, so it is byte-identical per seed."""
@@ -86,11 +93,8 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "seed", "index", "metric", "value", "bound", "pass"])
-        for rec in self.records:
-            writer.writerow([
-                self.suite, self.seed, rec["index"], rec["metric"],
-                fmt(rec["value"]), fmt(rec["bound"]), int(rec["pass"]),
-            ])
+        writer.writerows([self.suite, self.seed, rec["index"], rec["metric"], fmt(rec["value"]),
+                          fmt(rec["bound"]), int(rec["pass"])] for rec in self.records)
         return buf.getvalue()
 
 
@@ -100,10 +104,8 @@ def fmt(x: float) -> str:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.integer, np.floating)):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -230,11 +232,11 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
     configs = DUALITY_CONFIGS
     report = ExperimentReport("duality", seed, {"configs": configs, "trials": trials})
     rngs = np.random.default_rng(seed).spawn(trials)
-    devs = {}
+    devs = np.empty(trials)
     for c, (d, n) in enumerate(configs):
         spec = _spec_for(d, n)
         # trial i runs config i % 3: this config's trials as one stack
-        ids, trial_rngs = range(c, trials, len(configs)), rngs[c::len(configs)]
+        trial_rngs = rngs[c::len(configs)]
         ranks = np.array([rng.integers(1, d**n + 1, size=2)
                           for rng in trial_rngs]).reshape(-1, 2)
         a = states.random_density(trial_rngs, d, n, ranks[:, 0])
@@ -242,10 +244,9 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
         lhs = weyl.char_function(conv.convolve(a, b, spec)).values
         rhs = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec).values
-        devs.update(zip(ids, np.abs(lhs - rhs).max(axis=-1).tolist()))
-    for i in range(trials):
-        d, n = configs[i % len(configs)]
-        report.add(i, f"duality_dev_d{d}n{n}", devs[i], DUALITY_TOL)
+        devs[c::len(configs)] = np.abs(lhs - rhs).max(axis=-1)
+    report.add(np.arange(trials), np.resize([f"duality_dev_d{d}n{n}" for d, n in configs],
+                                            trials), devs, DUALITY_TOL)
     return report
 
 
@@ -257,6 +258,8 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
         "configs": configs, "trials": trials,
         "alphas": list(ALPHAS_NONNEG), "alphas_full_rank": list(ALPHAS_NEG),
     })
+    alphas = ALPHAS_NONNEG + ALPHAS_NEG
+    gaps = []
     for (d, n), block in zip(configs, np.random.default_rng(seed).spawn(len(configs))):
         spec = _spec_for(d, n)
         rngs = block.spawn(trials)
@@ -269,15 +272,14 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
         out = conv.convolve(a, b, spec)
         # (trials, 3, D): a, b and out
         spectra = np.stack([a.eigenvalues(), b.eigenvalues(), out.eigenvalues()], axis=1)
-        hs = {alpha: entropy.renyi_spectra(spectra, alpha).tolist()
-              for alpha in ALPHAS_NONNEG + ALPHAS_NEG}
-        for i in range(trials):
-            # the negative alphas only on the full-rank (even) trials
-            alphas = ALPHAS_NONNEG + (ALPHAS_NEG if i % 2 == 0 else ())
-            for alpha in alphas:
-                h_a, h_b, h_out = hs[alpha][i]
-                report.add(i, f"entropy_gap_d{d}n{n}_a{alpha}",
-                           max(h_a, h_b) - h_out, ENTROPY_TOL)
+        h_a, h_b, h_out = np.stack([entropy.renyi_spectra(spectra, alpha)
+                                    for alpha in alphas], axis=-1).swapaxes(0, 1)
+        # the builtin max of (h_a, h_b): h_a unless h_b exceeds it
+        gaps.append(np.where(h_b > h_a, h_b, h_a) - h_out)
+    ids = np.arange(trials)[:, None]
+    names = [[[f"entropy_gap_d{d}n{n}_a{alpha}" for alpha in alphas]] for d, n in configs]
+    # the negative alphas only on the full-rank (even) trials
+    report.add(ids, names, gaps, ENTROPY_TOL, keep=(ids % 2 == 0) | np.isin(alphas, ALPHAS_NONNEG))
     return report
 
 
@@ -289,31 +291,31 @@ def suite_fisher(seed: int = 0, trials: int = 100,
     report = ExperimentReport("fisher", seed, {
         "configs": configs, "trials": trials, "oracle_cases": oracle_cases})
     blocks = np.random.default_rng(seed).spawn(len(configs) + 1)  # last: oracle cases
+    gaps = []
     for (d, n), block in zip(configs, blocks):
         spec = _spec_for(d, n)
         rngs = block.spawn(trials)
         a = states.random_density(rngs, d, n)
         b = states.random_density(rngs, d, n)
         out = conv.convolve(a, b, spec)
-        gaps = entropy.total_fisher(out) - np.minimum(entropy.total_fisher(a),
-                                                      entropy.total_fisher(b))
-        for i, gap in enumerate(gaps.tolist()):
-            report.add(i, f"fisher_gap_d{d}n{n}", gap, FISHER_TOL)
+        gaps.append(entropy.total_fisher(out) - np.minimum(entropy.total_fisher(a),
+                                                           entropy.total_fisher(b)))
+    report.add(np.arange(trials), [[f"fisher_gap_d{d}n{n}"] for d, n in configs], gaps,
+               FISHER_TOL)
     cases = blocks[-1].spawn(oracle_cases)
-    devs = {}
+    devs = np.empty(oracle_cases)
     for parity, d in enumerate((3, 7)):
         # case i runs d = 3 when i is even, 7 when odd: this d's cases as one
         # stack, each H the projector on a level the case draws before its state
-        ids, case_rngs = range(parity, oracle_cases, 2), cases[parity::2]
+        case_rngs = cases[parity::2]
         levels = [rng.integers(d) for rng in case_rngs]
         rho = states.random_density(case_rngs, d, 1)
-        H = np.zeros((len(ids), d, d), dtype=complex)
-        H[np.arange(len(ids)), levels, levels] = 1.0
-        dev = np.abs(entropy.fisher_information(rho, H) - entropy.fisher_fd_oracle(rho, H))
-        devs.update(zip(ids, dev.tolist()))
-    for i in range(oracle_cases):
-        d = 3 if i % 2 == 0 else 7
-        report.add(i, f"fisher_fd_dev_d{d}", devs[i], FISHER_FD_TOL)
+        H = np.zeros((len(case_rngs), d, d), dtype=complex)
+        H[np.arange(len(case_rngs)), levels, levels] = 1.0
+        devs[parity::2] = np.abs(entropy.fisher_information(rho, H)
+                                 - entropy.fisher_fd_oracle(rho, H))
+    report.add(np.arange(oracle_cases), np.resize(["fisher_fd_dev_d3", "fisher_fd_dev_d7"],
+                                                  oracle_cases), devs, FISHER_FD_TOL)
     return report
 
 
@@ -330,13 +332,10 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     tau = states.random_density(rngs, d, n, tau_ranks)
     rc = conv.convolve(rho, tau, spec)
     sc = conv.convolve(sigma, tau, spec)
-    tn_gaps = (linalg.trace_norm(rc.mat - sc.mat)
-               - linalg.trace_norm(rho.mat - sigma.mat)).tolist()
-    re_gaps = (entropy.relative_entropy(rc, sc)
-               - entropy.relative_entropy(rho, sigma)).tolist()
-    for i in range(trials):
-        report.add(i, "trace_norm_gap", tn_gaps[i], TRACE_MONO_TOL)
-        report.add(i, "rel_entropy_gap", re_gaps[i], RELENT_MONO_TOL)
+    tn_gaps = linalg.trace_norm(rc.mat - sc.mat) - linalg.trace_norm(rho.mat - sigma.mat)
+    re_gaps = entropy.relative_entropy(rc, sc) - entropy.relative_entropy(rho, sigma)
+    report.add(np.arange(trials)[:, None], ["trace_norm_gap", "rel_entropy_gap"],
+               np.stack([tn_gaps, re_gaps], axis=-1), [TRACE_MONO_TOL, RELENT_MONO_TOL])
     return report
 
 
@@ -358,8 +357,7 @@ def suite_stability() -> ExperimentReport:
     groups, outs = _stabilizer_pairs(spec)
     report = ExperimentReport("stability", None, {"d": d, "pairs": len(groups) ** 2})
     ok, _ = states.is_msps(weyl.char_function(outs))
-    for idx, member_ok in enumerate(ok.ravel().tolist()):
-        report.add(idx, "is_msps", 0.0 if member_ok else 1.0, 0.0)
+    report.add(np.arange(ok.size), "is_msps", np.where(ok.ravel(), 0.0, 1.0), 0.0)
     return report
 
 
@@ -374,24 +372,21 @@ def suite_min_output() -> ExperimentReport:
     # groups[::d] holds phase 0 on each line
     out = conv.convolve(states.msps_states(partners[::d]),
                         states.msps_states(groups[::d]), spec)
-    for i, h in enumerate(entropy.renyi_spectra(out.eigenvalues(), 1).tolist()):
-        report.add(i, "partner_output_entropy", h, PURE_OUT_TOL)
-    h_outs = entropy.renyi_spectra(outs.eigenvalues(), 1).tolist()
+    h = entropy.renyi_spectra(out.eigenvalues(), 1)
+    report.add(np.arange(len(h)), "partner_output_entropy", h, PURE_OUT_TOL)
+    h_outs = entropy.renyi_spectra(outs.eigenvalues(), 1)
     # the enumerated generators are in RREF; bring each partner's to that form
     partner_gens = [tuple(map(tuple, rref_mod(np.array(s.generators), d)[0].tolist()))
                     for s in partners]
-    idx = 0
-    for ia in range(len(groups)):
-        for ib in range(len(groups)):
-            h_out = h_outs[ia][ib]
-            is_partner = groups[ia].generators == partner_gens[ib]
-            consistent = (h_out < PURE_OUT_TOL) == is_partner
-            report.add(idx, "zero_entropy_iff_partner",
-                       0.0 if consistent else 1.0, 0.0)
-            if not is_partner:
-                # mismatched pairs must sit well above zero entropy
-                report.add(idx, "mismatch_entropy_floor", 0.1, h_out)
-            idx += 1
+    is_partner = np.array([[a.generators == gens for gens in partner_gens] for a in groups])
+    consistent = (h_outs < PURE_OUT_TOL) == is_partner
+    # per pair its consistency, then, when mismatched, its entropy floor:
+    # mismatched pairs must sit well above zero entropy
+    report.add(np.arange(h_outs.size).reshape(h_outs.shape)[..., None],
+               ["zero_entropy_iff_partner", "mismatch_entropy_floor"],
+               np.dstack([np.where(consistent, 0.0, 1.0), np.full_like(h_outs, 0.1)]),
+               np.dstack([np.zeros_like(h_outs), h_outs]),
+               keep=np.dstack([np.ones_like(is_partner), ~is_partner]))
     return report
 
 
@@ -400,20 +395,19 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Capacity sandwich, ensemble lower bound, and the MSPS equality branch."""
     report = ExperimentReport("holevo", seed, {"trials": trials, "d": [3, 7]})
     rngs = np.random.default_rng(seed).spawn(trials)
+    gaps = np.empty((trials, 2))
     for parity, d in enumerate((3, 7)):
         spec = _spec_for(d, 1)
         # trial i runs d = 3 when i is even, 7 when odd: this d's trials as one stack
-        ids, trial_rngs = range(parity, trials, 2), rngs[parity::2]
+        trial_rngs = rngs[parity::2]
         ranks = [rng.integers(1, d + 1) for rng in trial_rngs]
         sigma = states.random_density(trial_rngs, d, 1, ranks)
         rho0 = states.random_density(trial_rngs, d, 1, 1)
         lower, upper = conv.holevo_bounds(spec, sigma)
         ensemble = conv.holevo_weyl_ensemble(spec, sigma, rho0)
-        for i, order, below in zip(ids, (lower - upper).tolist(), (ensemble - upper).tolist()):
-            report.add(i, f"sandwich_order_d{d}", order, HOLEVO_TOL)
-            report.add(i, f"ensemble_below_upper_d{d}", below, HOLEVO_TOL)
-    # a stable sort by trial: each trial's two records stay in their order
-    report.records.sort(key=lambda rec: rec["index"])
+        gaps[parity::2] = np.stack([lower - upper, ensemble - upper], axis=-1)
+    names = [[f"sandwich_order_d{d}", f"ensemble_below_upper_d{d}"] for d in (3, 7)]
+    report.add(np.arange(trials)[:, None], np.resize(names, (trials, 2)), gaps, HOLEVO_TOL)
     # equality branch: sigma an MSPS at d=3; some enumerated rho0 meets the bound
     d = MSPS_D
     spec = conv.default_spec(d, 1)
@@ -423,14 +417,12 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     best = conv.holevo_weyl_ensemble(
         spec, states.DensityMatrix(d, 1, candidates.mat[:, None]),
         states.DensityMatrix(d, 1, candidates.mat[None])).max(axis=1)
-    for j, gap in enumerate((upper - best).tolist()):
-        report.add(j, "msps_equality_gap", gap, HOLEVO_TOL)
+    report.add(np.arange(len(best)), "msps_equality_gap", upper - best, HOLEVO_TOL)
     # pure stabilizer sigma (all but the last, mixed, member): bounds collapse to log2 d
     cap = float(np.log2(d))
     lower, upper = conv.holevo_bounds(spec, candidates[:-1])
     collapse = np.maximum(np.abs(lower - cap), np.abs(upper - cap))
-    for j, dev in enumerate(collapse.tolist()):
-        report.add(j, "stab_bounds_collapse", dev, HOLEVO_TOL)
+    report.add(np.arange(len(collapse)), "stab_bounds_collapse", collapse, HOLEVO_TOL)
     return report
 
 
@@ -446,7 +438,7 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
         n_t = int(rng.integers(0, 4))
         word = magic.draw_clifford_word(rng, 2, n) if n == 2 else np.zeros(0, dtype=int)
         draws[n].append((n_t, np.concatenate([word, magic.draw_clifford_t(rng, n, n_t)])))
-    lmg = {}
+    lmg = np.empty(trials)
     for n, drawn in draws.items():
         if not drawn:
             continue
@@ -459,10 +451,9 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
         U = magic.clifford_words(words, 2, n)
         base = states.ket_state(2, n, [0] * n).mat
         out = states.DensityMatrix(2, n, U @ base @ U.conj().swapaxes(-1, -2))
-        lmg[n] = (magic.log_magic_gap(weyl.char_function(out)) - n_t / 2).tolist()
-    for i in range(trials):
-        n = 1 + i % 2
-        report.add(i, f"lmg_minus_halfN_n{n}", lmg[n][i // 2], SYNTH_TOL)
+        lmg[n - 1::2] = magic.log_magic_gap(weyl.char_function(out)) - n_t / 2
+    report.add(np.arange(trials), np.resize(["lmg_minus_halfN_n1", "lmg_minus_halfN_n2"], trials),
+               lmg, SYNTH_TOL)
     return report
 
 
@@ -485,24 +476,22 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     rho = states.DensityMatrix(d, 1, mats[:, None])
     M = magic.mean_state(weyl.char_function(rho))
     # an MSPS this close to M(rho) is M(rho) and gets no margin
-    skip = (np.abs(msps.mat - M.mat).max(axis=(-2, -1)) < MEAN_MATCH_TOL).tolist()
-    identity, d_mean, d_other = {}, {}, {}
+    skip = np.abs(msps.mat - M.mat).max(axis=(-2, -1)) < MEAN_MATCH_TOL
+    # (trials, alphas, 1 + count): per alpha the identity, then a margin per MSPS
+    values, keep = [], []
     for alpha in ALPHAS_EXTREMALITY:
-        to_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)[:, 0]
+        to_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)
         gap = (entropy.renyi_spectra(M.eigenvalues(), alpha)
-               - entropy.renyi_spectra(rho.eigenvalues(), alpha))[:, 0]
-        identity[alpha] = np.abs(to_mean - gap).tolist()
-        d_mean[alpha] = to_mean.tolist()
-        d_other[alpha] = entropy.sandwiched_relative_entropy(rho, msps, alpha).tolist()
-    for i in range(trials):
-        for alpha in ALPHAS_EXTREMALITY:
-            report.add(i, f"identity_dev_a{alpha}", identity[alpha][i], EXTREMALITY_TOL)
-            for j, other in enumerate(d_other[alpha][i]):
-                if skip[i][j] or other == INF:
-                    continue
-                # strict uniqueness: every other finite MSPS exceeds the minimum
-                report.add(i, f"uniqueness_margin_a{alpha}_s{j}",
-                           d_mean[alpha][i] + EXTREMALITY_TOL - other, 0.0)
+               - entropy.renyi_spectra(rho.eigenvalues(), alpha))
+        other = entropy.sandwiched_relative_entropy(rho, msps, alpha)
+        # strict uniqueness: every other finite MSPS exceeds the minimum
+        values.append(np.concatenate([np.abs(to_mean - gap),
+                                      to_mean + EXTREMALITY_TOL - other], axis=-1))
+        keep.append(np.insert(~skip & (other != INF), 0, True, axis=-1))
+    names = [[f"identity_dev_a{a}"] + [f"uniqueness_margin_a{a}_s{j}" for j in range(count)]
+             for a in ALPHAS_EXTREMALITY]
+    report.add(np.arange(trials)[:, None, None], names, np.stack(values, axis=1),
+               [EXTREMALITY_TOL] + [0.0] * count, keep=np.stack(keep, axis=1))
     return report
 
 
@@ -519,17 +508,20 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
     # even trials are pure; odd ones draw their rank first
     ranks = [1 if i % 2 == 0 else int(rng.integers(1, d + 1)) for i, rng in enumerate(rngs)]
     series = clt_run(states.random_density(rngs, d, n, ranks), spec, steps)
-    gaps = np.max(series.norms - series.bounds, axis=-1).tolist()
+    fits = [(log_slope(norms), mg) for norms, mg in zip(series.norms, series.mg.tolist())]
+    fitted = np.array([slope is not None and mg < 1 for slope, mg in fits], dtype=bool)
+    # math.log per series: numpy's array log can differ in the last bit
+    slope_gaps = [slope - math.log(1 - mg) if ok else 0.0 for (slope, mg), ok in zip(fits, fitted)]
     # a single state has no drop; with steps, the largest may be negative
-    drops = {alpha: np.max(hs[:, :-1] - hs[:, 1:], axis=-1).tolist() if steps
-             else [0.0] * trials for alpha, hs in series.entropies.items()}
-    for i, (norms, mg) in enumerate(zip(series.norms, series.mg.tolist())):
-        report.add(i, "norm_bound_gap", gaps[i], CLT_TOL)
-        slope = log_slope(norms)
-        if slope is not None and mg < 1:
-            report.add(i, "log_slope_gap", slope - math.log(1 - mg), SLOPE_TOL)
-        for alpha, drop in drops.items():
-            report.add(i, f"second_law_drop_a{alpha}", drop[i], SECOND_LAW_TOL)
+    drops = [np.max(hs[:, :-1] - hs[:, 1:], axis=-1) if steps else np.zeros(trials)
+             for hs in series.entropies.values()]
+    # per trial the norm gap, the slope gap where fitted, then a drop per alpha
+    report.add(np.arange(trials)[:, None],
+               ["norm_bound_gap", "log_slope_gap"]
+               + [f"second_law_drop_a{alpha}" for alpha in series.entropies],
+               np.stack([np.max(series.norms - series.bounds, axis=-1), slope_gaps, *drops], -1),
+               [CLT_TOL, SLOPE_TOL] + [SECOND_LAW_TOL] * len(drops),
+               keep=(np.arange(2 + len(drops)) != 1) | fitted[:, None])
     return report
 
 

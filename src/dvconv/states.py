@@ -61,14 +61,15 @@ def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
     if not np.isfinite(mats).all():
         raise InvalidState("matrix has a non-finite entry")
     adj = mats.conj().swapaxes(-1, -2)
-    herm_dev = abs(mats - adj).max()
-    if herm_dev > STATE_TOL:
-        raise InvalidState(f"Hermiticity deviation {herm_dev:.3e}")
-    # builtin max and min over .flat: for one state, a numpy reduction of
-    # one value costs more than the iteration
-    tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
-    if tr_dev > STATE_TOL:
-        raise InvalidState(f"trace deviation {tr_dev:.3e}")
+    with np.errstate(over="ignore"):  # a deviation past the float range is inf
+        herm_dev = abs(mats - adj).max()
+        if herm_dev > STATE_TOL:
+            raise InvalidState(f"Hermiticity deviation {herm_dev:.3e}")
+        # builtin max and min over .flat: for one state, a numpy reduction of
+        # one value costs more than the iteration
+        tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
+        if tr_dev > STATE_TOL:
+            raise InvalidState(f"trace deviation {tr_dev:.3e}")
     lam = np.linalg.eigvalsh((mats + adj) / 2)  # ascending
     low = min(lam[..., 0].flat)
     if low < -STATE_TOL:

@@ -11,7 +11,7 @@ import numpy as np
 from dvconv import experiments
 from dvconv.conv import (ConvolutionSpec, beam_splitter_spec, convolve,
                          convolve_characteristic, default_spec, holevo_bounds,
-                         holevo_weyl_ensemble)
+                         holevo_weyl_ensemble, partner_stabilizer_group)
 from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
                             relative_entropy, renyi_entropy,
                             sandwiched_relative_entropy, total_fisher)
@@ -20,8 +20,9 @@ from dvconv.experiments import clt_run
 from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
 from dvconv.magic import (clifford_words, draw_clifford_t, draw_clifford_word,
                           log_magic_gap, make_zero_mean, mean_state)
-from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_msps,
-                           ket_state, msps_table, random_density, unit_phases)
+from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_groups,
+                           enumerate_msps, ket_state, msps_states, msps_table,
+                           random_density, unit_phases)
 from dvconv.weyl import (CharFunction, char_function, char_table, phase_points,
                          point_index, weyl_op, xi)
 from dvconv.zmod import rref_mod
@@ -239,12 +240,12 @@ def scalar_sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
 
 def per_trial_records(name: str, seed: int, trials: int, **params) -> list[tuple]:
     """(index, metric, value) of every record of the sampled suite ``name``
-    (duality, entropy, fisher, monotonicity, holevo, stability, synthesis,
-    extremality or clt, at its default steps), in report order, rebuilt one
-    trial at a time from single-state calls: the suites' draws and checks
-    written as a loop over trials, with no stack.  ``params`` are the
-    suite's other parameters (fisher's oracle_cases).  Stability samples
-    nothing and ignores seed and trials.
+    (duality, entropy, fisher, monotonicity, holevo, stability, min-output,
+    synthesis, extremality or clt, at its default steps), in report order,
+    rebuilt one trial at a time from single-state calls: the suites' draws
+    and checks written as a loop over trials, with no stack.  ``params``
+    are the suite's other parameters (fisher's oracle_cases).  Stability
+    and min-output sample nothing and ignore seed and trials.
 
     The draw rule is restated here, not imported: ``_rngs(seed, count)``
     spawns one generator per trial from ``default_rng(seed)``, and a suite
@@ -386,6 +387,31 @@ def _stability(seed, trials):
     return out
 
 
+def _min_output(seed, trials):
+    d = 3
+    spec = default_spec(d, 1)
+    groups = enumerate_groups(d, mixed=False)
+    pure = enumerate_msps(d, mixed=False)
+    partners = [partner_stabilizer_group(g, spec) for g in groups]
+    partner_states = msps_states(partners)
+    out = []
+    # one line per phase-0 group: its partner's state convolved with its own
+    for i, j in enumerate(range(0, len(groups), d)):
+        h = renyi_entropy(convolve(partner_states[j], pure[j], spec), 1)
+        out.append((i, "partner_output_entropy", h))
+    for ia, a in enumerate(pure):
+        for ib, b in enumerate(pure):
+            h = renyi_entropy(convolve(a, b, spec), 1)
+            gens = rref_mod(np.array(partners[ib].generators), d)[0]
+            is_partner = groups[ia].generators == tuple(map(tuple, gens.tolist()))
+            idx = ia * len(pure) + ib
+            out.append((idx, "zero_entropy_iff_partner",
+                        0.0 if (h < experiments.PURE_OUT_TOL) == is_partner else 1.0))
+            if not is_partner:
+                out.append((idx, "mismatch_entropy_floor", 0.1))
+    return out
+
+
 def _extremality(seed, trials):
     d = 3
     msps_set = enumerate_msps(d)
@@ -429,5 +455,5 @@ def _clt(seed, trials, steps=experiments.CLT_STEPS):
 
 _PER_TRIAL = {"duality": _duality, "entropy": _entropy, "fisher": _fisher,
               "monotonicity": _monotonicity, "holevo": _holevo,
-              "stability": _stability, "synthesis": _synthesis,
+              "stability": _stability, "min-output": _min_output, "synthesis": _synthesis,
               "extremality": _extremality, "clt": _clt}

@@ -562,6 +562,35 @@ def test_written_file_takes_the_umask_mode(tmp_path, capsys, argv, umask, mode):
     assert list(tmp_path.iterdir()) == [target]
 
 
+WRITERS = pytest.mark.parametrize("argv", [
+    ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out"),
+    ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char"),
+], ids=["convolve-out", "gap-emit-char"])
+
+
+@WRITERS
+def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys, argv):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    code, _, err = run(capsys, *argv, str(link))
+    assert code == 0, err
+    assert link.is_symlink() and link.resolve() == target
+    assert json.loads(target.read_text())["d"] == 3
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@WRITERS
+def test_output_to_a_fifo_is_refused(tmp_path, capsys, argv):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    code, out, err = run(capsys, *argv, str(fifo))
+    _assert_usage_error(code, err, "Not a regular file")
+    assert out == ""
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
+
+
 D5_STATE = state_to_json(random_density(0, 5, 1))
 D4_PRESET = {"d": 4, "n": 1, "kind": "preset", "name": "zero-ket"}
 
@@ -625,6 +654,29 @@ def test_non_finite_state_is_invalid(tmp_path, capsys, case):
         assert code == 3 and out == ""
         assert err == "error: InvalidState: matrix has a non-finite entry\n"
     assert not (tmp_path / "out.json").exists()
+
+
+#: dense states whose Hermiticity or trace deviation overflows to inf
+OVERFLOW_MESSAGES = {"all-entries-1e308": "trace deviation inf",
+                     "real-pair-1e308-and-minus-1e308": "Hermiticity deviation inf",
+                     "imaginary-pair-both-1e308": "Hermiticity deviation inf"}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_MESSAGES)
+def test_state_past_the_float_range_is_numeric_error_with_no_warning(tmp_path, capsys, case):
+    """The inf fails its check with its one line, and numpy warns of nothing."""
+    re, im = np.eye(3) / 3, np.zeros((3, 3))
+    if case == "all-entries-1e308":
+        re[:] = 1e308
+    elif case == "real-pair-1e308-and-minus-1e308":
+        re[0, 1], re[1, 0] = 1e308, -1e308
+    else:
+        im[0, 1] = im[1, 0] = 1e308
+    path = _write(tmp_path / "state.json", {"d": 3, "n": 1, "kind": "dense",
+                                            "re": re.tolist(), "im": im.tolist()})
+    code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
+    assert code == 3 and out == ""
+    assert err == f"error: InvalidState: {OVERFLOW_MESSAGES[case]}\n"
 
 
 def _count_calls(monkeypatch, fn):

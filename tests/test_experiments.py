@@ -44,6 +44,47 @@ def test_report_add_takes_numpy_scalars():
     assert obj["max_violation"] == 0.25 and not obj["passed"]
 
 
+def test_report_add_takes_a_block_in_row_major_order_less_the_dropped():
+    """A (trials, metrics) block: each trial's metrics in turn, and a dropped
+    entry neither adds a record nor counts toward pass or max_violation."""
+    report = ExperimentReport("demo", 0, {})
+    report.add(np.arange(3)[:, None], ["a", "b"], [[0.1, 0.2], [0.3, 9.0], [0.5, 0.6]],
+               [1.0, 0.5], keep=[[True, True], [True, False], [False, True]])
+    assert [tuple(r.values()) for r in report.records] == [
+        (0, "a", 0.1, 1.0, True), (0, "b", 0.2, 0.5, True),
+        (1, "a", 0.3, 1.0, True), (2, "b", 0.6, 0.5, False)]
+    for rec in report.records:
+        assert [type(v) for v in rec.values()] == [int, str, float, float, bool]
+    assert not report.passed
+    assert report.max_violation == pytest.approx(0.1)
+    report = ExperimentReport("demo", 0, {})
+    report.add([0, 1], "m", [0.5, 2.0], 1.0, keep=[True, False])
+    assert report.passed and report.max_violation == 0.0 and len(report.records) == 1
+
+
+def test_report_nan_value_fails_and_leaves_max_violation_as_it_was():
+    """As the builtin max over [max_violation] + the differences leaves it."""
+    report = ExperimentReport("demo", 0, {})
+    report.add(0, "m", math.nan, 1.0)
+    assert not report.passed and report.max_violation == 0.0
+    report.add([1, 2, 3], "m", [1.5, math.nan, 1.25], 1.0)
+    assert [r["pass"] for r in report.records] == [False, False, False, False]
+    assert report.max_violation == max([0.0, math.nan - 1.0, 0.5, math.nan, 0.25]) == 0.5
+    assert math.isnan(report.records[2]["value"])
+
+
+@pytest.mark.parametrize("block", [
+    (np.arange(0)[:, None], ["a", "b"], np.zeros((0, 2)), [1.0, 2.0]),  # 0 trials
+    (0, "m", 5.0, 1.0, False),  # one record, dropped
+], ids=["zero-trials", "all-dropped"])
+def test_report_empty_add_changes_nothing(block):
+    report = ExperimentReport("demo", 0, {})
+    report.add(0, "m", 1.5, 1.0)
+    before = (report.to_json(), report.to_csv(), report.passed, report.max_violation)
+    report.add(*block)
+    assert (report.to_json(), report.to_csv(), report.passed, report.max_violation) == before
+
+
 def test_clt_run_msps_fixed_point():
     spec = beam_splitter_spec(7, 1)
     from dvconv.states import maximally_mixed
@@ -236,11 +277,24 @@ def test_log_slope_keeps_only_norms_above_the_floor():
     ("extremality", 0),  # empty stacks
     ("clt", 5), ("clt", 1),
     ("stability", None),  # no seed, no trials: every ordered pure pair
+    ("min-output", None),
 ])
 def test_stacked_suites_match_the_per_trial_oracle(name, trials):
     report = experiments.SUITES[name](**({} if trials is None else dict(seed=0, trials=trials)))
     records = [(r["index"], r["metric"], r["value"]) for r in report.records]
     assert records == per_trial_records(name, 0, trials)
+
+
+def test_min_output_floor_bound_is_each_mismatched_pair_entropy():
+    """Record idx = a * 12 + b bounds the floor by H(a boxtimes b), a pair at a time."""
+    pure = enumerate_msps(3, mixed=False)
+    spec = conv.default_spec(3, 1)
+    floors = [(r["index"], r["bound"]) for r in experiments.suite_min_output().records
+              if r["metric"] == "mismatch_entropy_floor"]
+    assert len(floors) == 108
+    for idx, bound in floors:
+        a, b = divmod(idx, len(pure))
+        assert bound == entropy.renyi_entropy(conv.convolve(pure[a], pure[b], spec), 1)
 
 
 @pytest.mark.parametrize("oracle_cases", [0, 1, 2, 20])  # 0, 1: an empty stack

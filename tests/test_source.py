@@ -78,3 +78,53 @@ def test_no_arithmetic_on_a_seed_in_src():
             if any(_is_seed(operand) for operand in operands):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"arithmetic on a seed: {found}"
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _report_adds(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "report"]
+
+
+def test_no_report_add_in_a_loop_in_src():
+    """A suite adds each block of records with one broadcast ``report.add``,
+    never one record per pass of a loop or a comprehension."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text())):
+            if isinstance(loop, LOOPS):
+                found |= {f"{path.name}:{call.lineno}" for call in _report_adds(loop)}
+    assert not found, f"report.add inside a loop or comprehension: {sorted(found)}"
+
+
+def test_report_records_change_only_in_add():
+    """No code in src/ assigns, sorts or appends to a report's records except
+    ``ExperimentReport.add``: the record order is the one ``add`` makes."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                and cls.name == "ExperimentReport" for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "add"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                    else [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                targets = [node.func.value]  # records.sort(), records.append(...)
+            else:
+                continue
+            for target in targets:
+                while isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute) and target.attr == "records":
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"report records changed outside ExperimentReport.add: {found}"
