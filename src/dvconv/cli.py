@@ -65,16 +65,12 @@ def _check_records(count: int) -> None:
 
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` atomically to the file at ``path``, through a symlink,
-    with mode 0o666 less the umask, as ``open(path, "w")`` gives; an existing
-    target that is not a regular file (a FIFO, a device, a directory) is
-    refused.  Else write to stdout, as bytes until every byte is taken: a
-    short write through an unbuffered text layer would lose the rest, and a
-    closed reader's BrokenPipeError."""
+    with mode 0o666 less the umask, as ``open(path, "w")`` gives (``main``
+    has refused a target that is not a regular file).  Else write to stdout,
+    as bytes until every byte is taken: a short write through an unbuffered
+    text layer would lose the rest, and a closed reader's BrokenPipeError."""
     if path:
         real = os.path.realpath(path)
-        if os.path.exists(real) and not os.path.isfile(real):
-            raise ParseError(f"cannot write {path!r}: " + (
-                "Is a directory" if os.path.isdir(real) else "Not a regular file"))
         try:
             tmp = os.path.join(os.path.dirname(real), f".dvconv-{secrets.token_hex(8)}")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -366,6 +362,13 @@ def main(argv=None) -> int:
         if "d" in args:
             with _usage_errors():
                 check_system(args.d, args.n)
+        # an output target that is not a regular file (a FIFO, a device, a
+        # directory) is refused before the command runs
+        for path in (getattr(args, "out", None), getattr(args, "emit_char", None)):
+            real = path and os.path.realpath(path)
+            if real and os.path.exists(real) and not os.path.isfile(real):
+                raise ParseError(f"cannot write {path!r}: " + (
+                    "Is a directory" if os.path.isdir(real) else "Not a regular file"))
         return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

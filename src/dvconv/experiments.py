@@ -429,29 +429,20 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
 @_timed
 def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """LMG growth of Clifford+T circuits is at most N/2 on stabilizer inputs."""
-    report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": 3})
-    # trial i runs n = 1 + i % 2: per n the T counts and gate sequences (the
-    # input Clifford word at n = 2, then the circuit), drawn in that order
-    draws = {1: [], 2: []}
-    for i, rng in enumerate(np.random.default_rng(seed).spawn(trials)):
-        n = 1 + i % 2
-        n_t = int(rng.integers(0, 4))
-        word = magic.draw_clifford_word(rng, 2, n) if n == 2 else np.zeros(0, dtype=int)
-        draws[n].append((n_t, np.concatenate([word, magic.draw_clifford_t(rng, n, n_t)])))
+    report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": magic.MAX_T})
+    # trial i runs n = 1 + i % 2 on |0...0>: its T count, then its circuit,
+    # whose words before the first T make a random stabilizer input
+    rngs = np.random.default_rng(seed).spawn(trials)
+    n_t = np.array([rng.integers(0, magic.MAX_T + 1) for rng in rngs])
+    circuits = [magic.draw_clifford_t(rng, 1 + i % 2, k)
+                for i, (rng, k) in enumerate(zip(rngs, n_t))]
     lmg = np.empty(trials)
-    for n, drawn in draws.items():
-        if not drawn:
-            continue
-        n_t = np.array([k for k, _ in drawn])
-        # one product per n: each sequence front-padded to the longest with
-        # gate 0, the identity
-        words = np.zeros((len(drawn), max(len(c) for _, c in drawn)), dtype=np.int64)
-        for row, (_, circuit) in zip(words, drawn):
-            row[len(row) - len(circuit):] = circuit
-        U = magic.clifford_words(words, 2, n)
+    for n in (1, 2)[:trials]:  # each n that some trial runs
+        # every circuit of one n has one length: one stacked product
+        U = magic.clifford_words(np.array(circuits[n - 1::2]), 2, n)
         base = states.ket_state(2, n, [0] * n).mat
         out = states.DensityMatrix(2, n, U @ base @ U.conj().swapaxes(-1, -2))
-        lmg[n - 1::2] = magic.log_magic_gap(weyl.char_function(out)) - n_t / 2
+        lmg[n - 1::2] = magic.log_magic_gap(weyl.char_function(out)) - n_t[n - 1::2] / 2
     report.add(np.arange(trials), np.resize(["lmg_minus_halfN_n1", "lmg_minus_halfN_n2"], trials),
                lmg, SYNTH_TOL)
     return report

@@ -2,7 +2,9 @@
 normalization, and Clifford+T circuit generation.
 
 Every function of a state takes its ``CharFunction``; ``make_zero_mean``
-displaces the table by a phase per point, with no dense Weyl product.
+displaces the table by a phase per point, with no dense Weyl product.  A
+Clifford word or Clifford+T circuit is a fixed-shape array of indices into
+one gate stack, drawn with a fixed set of array calls.
 
 Logarithms are base 2 throughout (bits), matching the entropy module.
 """
@@ -10,7 +12,6 @@ Logarithms are base 2 throughout (bits), matching the entropy module.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import permutations
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .zmod import mod_inverse, solve_mod_linear
 
 #: gates per random Clifford word, before its closing Weyl displacement
 CLIFFORD_WORD_LENGTH = 8
+#: the most T gates of a Clifford+T circuit, and so its slots for them
+MAX_T = 3
 
 
 def _mean_table(table: CharFunction) -> CharFunction:
@@ -116,60 +119,59 @@ def _phase_gate(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gates(d: int, n: int) -> tuple[dict, np.ndarray]:
+def _gates(d: int, n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Every gate a word on n qudits draws, as one read-only (G, D, D) stack,
-    and the index of each in it by key: first ("id",), the identity, at
-    index 0; per wire ("fourier", wire), ("phase", wire), ("t", wire) at
-    d = 2 and ("weyl", p·d + q, wire), w(p, q) on that wire; ("sum", ctrl,
-    tgt) per ordered pair (|i, j> -> |i, i+j>, CNOT at d = 2).
-    1 + n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
+    and the first index of each kind, (fourier, phase, weyl, t, sum).  After
+    the identity at 0 come the one-wire gates, each on wires 0..n-1 in turn:
+    Fourier, phase, w(p, q) per label k = p·d + q (at weyl + k·n + wire) and
+    T at d = 2 (t == sum at odd d).  Then SUM per ordered pair, |i, j> ->
+    |i, i+j> (CNOT at d = 2), control c and target c + o mod n, o in [1, n),
+    at sum + c(n - 1) + o - 1.  1 + n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
     D = d**n
-    singles = {("fourier",): _fourier_gate(d), ("phase",): _phase_gate(d),
-               **{("weyl", k): weyl_op(d, 1, k // d, k % d) for k in range(d * d)}}
-    if d == 2:
-        singles[("t",)] = T_GATE
-    index, mats = {("id",): 0}, [np.eye(D, dtype=complex)]
-    for key, gate in singles.items():
-        for wire in range(n):
-            index[key + (wire,)] = len(mats)
-            mats.append(reduce(np.kron, [gate if k == wire else np.eye(d, dtype=complex)
-                                         for k in range(n)], np.eye(1, dtype=complex)))
+    eye = np.eye(d, dtype=complex)
+    singles = [_fourier_gate(d), _phase_gate(d),
+               *(weyl_op(d, 1, k // d, k % d) for k in range(d * d)), *[T_GATE] * (d == 2)]
+    one_wire = [reduce(np.kron, [gate if k == wire else eye for k in range(n)],
+                       np.eye(1, dtype=complex)) for gate in singles for wire in range(n)]
+    ctrl, offset = np.divmod(np.arange(n * (n - 1)), max(n - 1, 1))
+    tgt = (ctrl + offset + 1) % n
     digits = np.indices((d,) * n).reshape(n, D).T
-    for ctrl, tgt in permutations(range(n), 2):
-        index["sum", ctrl, tgt] = len(mats)
-        out = digits + digits[:, [ctrl]] * (np.arange(n) == tgt)
-        mats.append(np.eye(D, dtype=complex)[:, point_index(out, d)])
-    stack = np.array(mats)
+    # per pair, each basis state's digits with the control added to the target
+    out = np.tile(digits, (len(ctrl), 1, 1))
+    out[np.arange(len(ctrl)), :, tgt] += digits[:, ctrl].T
+    sums = np.eye(D, dtype=complex)[point_index(out, d)].swapaxes(-1, -2)
+    stack = np.concatenate([np.eye(D, dtype=complex)[None], one_wire, sums])
     stack.flags.writeable = False
-    return index, stack
+    t = 1 + n * (d * d + 2)
+    return (1, 1 + n, 1 + 2 * n, t, t + n * (d == 2)), stack
 
 
-def draw_clifford_word(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """The gate indices into _gates(d, n) of one random Clifford word:
-    CLIFFORD_WORD_LENGTH Fourier, phase and SUM gates (H, S, CNOT at d=2),
-    then a random Weyl displacement w(p, q), one gate w(p_k, q_k) per wire,
-    for phase-space coverage; drawn from rng in that order."""
-    index, _ = _gates(d, n)
-    word = []
-    for _ in range(CLIFFORD_WORD_LENGTH):
-        kind = rng.integers(0, 3 if n > 1 else 2)
-        if kind == 2:
-            ctrl, tgt = rng.choice(n, size=2, replace=False)
-            word.append(index["sum", int(ctrl), int(tgt)])
-        else:
-            word.append(index[("fourier", "phase")[kind], int(rng.integers(n))])
-    p = rng.integers(0, d, size=n)
-    q = rng.integers(0, d, size=n)
-    word += [index["weyl", int(k), wire] for wire, k in enumerate(p * d + q)]
-    return np.array(word)
+def draw_clifford_words(rng: np.random.Generator, d: int, n: int, count: int) -> np.ndarray:
+    """The gate indices into _gates(d, n) of ``count`` random Clifford words,
+    (count, CLIFFORD_WORD_LENGTH + n): CLIFFORD_WORD_LENGTH Fourier, phase
+    and SUM gates (H, S, CNOT at d=2) on uniform wires and ordered pairs,
+    then a uniform Weyl displacement w(p, q), one gate w(p_k, q_k) per wire,
+    for phase-space coverage.  Five array draws from rng, in this order: the
+    kinds, the wires (a SUM's control), the SUM target offsets in [1, n),
+    then p and q."""
+    (fourier, phase, weyl, _, sums), _ = _gates(d, n)
+    shape = (count, CLIFFORD_WORD_LENGTH)
+    kinds = rng.integers(0, 3 if n > 1 else 2, size=shape)
+    wires = rng.integers(0, n, size=shape)
+    offsets = rng.integers(1, max(n, 2), size=shape)  # all 1, unused, at n = 1
+    p = rng.integers(0, d, size=(count, n))
+    q = rng.integers(0, d, size=(count, n))
+    gates = np.choose(kinds, [fourier + wires, phase + wires,
+                              sums + wires * (n - 1) + offsets - 1])
+    return np.concatenate([gates, weyl + (p * d + q) * n + np.arange(n)], axis=-1)
 
 
 def clifford_words(words, d: int, n: int) -> np.ndarray:
     """The unitary of each word of a (..., L) stack of gate indices,
     (..., D, D): the gates applied in order to the identity, one stacked
     product per position.  A Clifford+T circuit is such a word too.  Gate
-    0 is the identity, and I @ I is exactly I, so a word front-padded with
-    zeros has the bits of the word alone."""
+    0 is the identity, and I @ U is exactly U, so an identity slot leaves
+    the product as it is."""
     words = np.asarray(words)
     _, gates = _gates(d, n)
     D = d**n
@@ -182,21 +184,24 @@ def clifford_words(words, d: int, n: int) -> np.ndarray:
 
 def random_clifford(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """One random Clifford word, drawn and multiplied: the one-row call of
-    draw_clifford_word and clifford_words."""
-    return clifford_words(draw_clifford_word(rng, d, n), d, n)
+    draw_clifford_words and clifford_words."""
+    return clifford_words(draw_clifford_words(rng, d, n, 1)[0], d, n)
 
 
 def draw_clifford_t(rng: np.random.Generator, n: int, n_t: int) -> np.ndarray:
-    """The gate indices into _gates(2, n) of one Clifford+T circuit at d=2:
-    n_t + 1 Clifford words alternating with n_t T gates on random wires
-    (word, T, word, ..., word), drawn from rng in that order."""
-    if n not in (1, 2):
-        raise ValueError("clifford_t_circuit supports n in {1, 2}")
-    index, _ = _gates(2, n)
-    circuit = [draw_clifford_word(rng, 2, n)]
-    for _ in range(n_t):
-        circuit += [[index["t", int(rng.integers(n))]], draw_clifford_word(rng, 2, n)]
-    return np.concatenate(circuit)
+    """The gate indices into _gates(2, n) of one Clifford+T circuit at d=2
+    with n_t <= MAX_T T gates, of one length whatever n_t: MAX_T + 1
+    Clifford words with a slot between each pair (word, slot, word, ...,
+    word).  The last n_t slots hold T on a random wire and the others gate
+    0, the identity, so the words before the first T make a random
+    stabilizer input.  Drawn from rng as the words, then a wire per slot."""
+    if n not in (1, 2) or not 0 <= n_t <= MAX_T:
+        raise ValueError(f"clifford_t_circuit supports n in {{1, 2}} and n_t in 0..{MAX_T}, "
+                         f"got n={n}, n_t={n_t}")
+    (_, _, _, t, _), _ = _gates(2, n)
+    words = draw_clifford_words(rng, 2, n, MAX_T + 1)
+    slots = np.where(np.arange(MAX_T) < MAX_T - n_t, 0, t + rng.integers(0, n, size=MAX_T))
+    return np.concatenate([np.column_stack([words[:-1], slots]).ravel(), words[-1]])
 
 
 def clifford_t_circuit(seed: int, n: int, n_t: int) -> np.ndarray:

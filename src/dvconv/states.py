@@ -70,9 +70,9 @@ def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
         tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
         if tr_dev > STATE_TOL:
             raise InvalidState(f"trace deviation {tr_dev:.3e}")
-    lam = np.linalg.eigvalsh((mats + adj) / 2)  # ascending
+    lam = np.linalg.eigvalsh(mats / 2 + adj / 2)  # ascending; halved first: no overflow
     low = min(lam[..., 0].flat)
-    if low < -STATE_TOL:
+    if not low >= -STATE_TOL:  # a NaN eigenvalue is refused too
         raise InvalidState(f"negative eigenvalue {low:.3e}")
     return np.maximum(lam[..., ::-1], 0.0)
 

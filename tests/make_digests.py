@@ -76,10 +76,12 @@ def digests(workdir) -> dict[str, str]:
     for name, kwargs, _ in workload.GATE_SUITES:
         for seed in SUITE_SEEDS:
             # as the benchmark calls it: a suite without parameters gets no seed
-            report = experiments.SUITES[name](**({} if kwargs is None else dict(kwargs, seed=seed)))
+            kwargs_at_seed = {} if kwargs is None else dict(kwargs, seed=seed)
+            report = experiments.SUITES[name](**kwargs_at_seed)
             out[f"suite {name} seed {seed}"] = _sha256(report.to_json() + report.to_csv())
     for d, n in workload.SCALE_CELLS:
-        dense, char = (os.path.join(workdir, f"{kind}_d{d}n{n}.json") for kind in ("state", "char"))
+        dense, char = (os.path.join(workdir, f"{kind}_d{d}n{n}.json")
+                       for kind in ("state", "char"))
         size = ["--d", str(d), "--n", str(n)]
         for label, argv in (
             ("convolve", ["convolve", *size, "--a", "random-pure", "--b", "random-mixed",

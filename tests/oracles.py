@@ -18,8 +18,8 @@ from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
 from dvconv.errors import InvalidGroup
 from dvconv.experiments import clt_run
 from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
-from dvconv.magic import (clifford_words, draw_clifford_t, draw_clifford_word,
-                          log_magic_gap, make_zero_mean, mean_state)
+from dvconv.magic import (clifford_words, draw_clifford_t, log_magic_gap, make_zero_mean,
+                          mean_state)
 from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_groups,
                            enumerate_msps, ket_state, msps_states, msps_table,
                            random_density, unit_phases)
@@ -366,9 +366,7 @@ def _synthesis(seed, trials):
     for i, rng in enumerate(_rngs(seed, trials)):
         n = 1 + i % 2
         n_t = int(rng.integers(0, 4))
-        # the input Clifford word is drawn before the circuit and runs first
-        word = draw_clifford_word(rng, 2, n) if i % 2 == 1 else np.zeros(0, dtype=int)
-        V = clifford_words(np.concatenate([word, draw_clifford_t(rng, n, n_t)]), 2, n)
+        V = clifford_words(draw_clifford_t(rng, n, n_t), 2, n)
         ket = ket_state(2, n, [0] * n)
         rho = DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
         out.append((i, f"lmg_minus_halfN_n{n}", log_magic_gap(char_function(rho)) - n_t / 2))

@@ -562,10 +562,10 @@ def test_written_file_takes_the_umask_mode(tmp_path, capsys, argv, umask, mode):
     assert list(tmp_path.iterdir()) == [target]
 
 
-WRITERS = pytest.mark.parametrize("argv", [
-    ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out"),
-    ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char"),
-], ids=["convolve-out", "gap-emit-char"])
+WRITER_ARGV = {"convolve-out": ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket",
+                                 "--out"),
+               "gap-emit-char": ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char")}
+WRITERS = pytest.mark.parametrize("argv", list(WRITER_ARGV.values()), ids=list(WRITER_ARGV))
 
 
 @WRITERS
@@ -580,7 +580,11 @@ def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys, argv):
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
-@WRITERS
+# with --check-duality: refused before the command prints its deviation
+@pytest.mark.parametrize("argv", [
+    *WRITER_ARGV.values(),
+    ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--check-duality", "--out"),
+], ids=[*WRITER_ARGV, "convolve-check-duality"])
 def test_output_to_a_fifo_is_refused(tmp_path, capsys, argv):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
@@ -656,10 +660,12 @@ def test_non_finite_state_is_invalid(tmp_path, capsys, case):
     assert not (tmp_path / "out.json").exists()
 
 
-#: dense states whose Hermiticity or trace deviation overflows to inf
+#: dense states whose Hermiticity or trace deviation overflows to inf, and
+#: a Hermitian one whose sum with its adjoint would
 OVERFLOW_MESSAGES = {"all-entries-1e308": "trace deviation inf",
                      "real-pair-1e308-and-minus-1e308": "Hermiticity deviation inf",
-                     "imaginary-pair-both-1e308": "Hermiticity deviation inf"}
+                     "imaginary-pair-both-1e308": "Hermiticity deviation inf",
+                     "real-pair-both-1e308": "negative eigenvalue -1.000e+308"}
 
 
 @pytest.mark.parametrize("case", OVERFLOW_MESSAGES)
@@ -670,6 +676,8 @@ def test_state_past_the_float_range_is_numeric_error_with_no_warning(tmp_path, c
         re[:] = 1e308
     elif case == "real-pair-1e308-and-minus-1e308":
         re[0, 1], re[1, 0] = 1e308, -1e308
+    elif case == "real-pair-both-1e308":
+        re[0, 1] = re[1, 0] = 1e308
     else:
         im[0, 1] = im[1, 0] = 1e308
     path = _write(tmp_path / "state.json", {"d": 3, "n": 1, "kind": "dense",

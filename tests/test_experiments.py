@@ -531,9 +531,9 @@ def test_clt_run_makes_one_zero_mean_pass(monkeypatch, trials):
 
 
 def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
-    """No one-row Clifford call: the gate sequences of a pass are drawn,
-    then multiplied in one clifford_words call per n, each front-padded
-    with the identity gate to that n's longest."""
+    """No one-row Clifford call: the circuits of a pass are drawn, then
+    multiplied in one clifford_words call per n.  Every circuit of one n has
+    one length, whatever its T count: MAX_T + 1 = 4 words and 3 T slots."""
     calls = {"random_clifford": 0, "clifford_t_circuit": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(magic, name)):
@@ -551,9 +551,15 @@ def test_suite_synthesis_multiplies_stacked_words_only(monkeypatch):
     monkeypatch.setattr(magic, "clifford_words", counted_words)
     assert experiments.suite_synthesis(seed=0, trials=100).passed
     assert calls == {"random_clifford": 0, "clifford_t_circuit": 0}
-    # the longest at 3 T gates: 4 words and 3 T gates, after an input word at n = 2
     word = {n: magic.CLIFFORD_WORD_LENGTH + n for n in (1, 2)}
-    assert stacks == [(1, 50, 4 * word[1] + 3), (2, 50, 5 * word[2] + 3)]
+    assert stacks == [(1, 50, 4 * word[1] + 3), (2, 50, 4 * word[2] + 3)]
+
+
+@pytest.mark.parametrize("seed", range(70))
+def test_suite_synthesis_passes_at_every_seed(seed):
+    report = experiments.suite_synthesis(seed=seed, trials=100)
+    assert report.passed, f"max violation {report.max_violation}"
+    assert len(report.records) == 100
 
 
 def test_clt_stack_members_are_one_state_series():

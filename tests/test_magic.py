@@ -177,7 +177,7 @@ def test_clifford_t_circuit():
         ket = ket_state(2, 1, [0])
         out = DensityMatrix(2, 1, V @ ket.mat @ V.conj().T)
         assert log_magic_gap(char_function(out)) <= 0.5 + 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n in \{1, 2\}"):
         clifford_t_circuit(0, 3, 1)
 
 
@@ -204,26 +204,37 @@ def _sum_on_two_qutrits(ctrl, tgt):
     return U
 
 
-def _kron_clifford(rng, n, d=2, U=None):
-    """random_clifford at d=2 (or d=3 at n=2) with every gate built on the
-    spot, applied to the running product U (the identity by default): the
-    closing Weyl displacement as one w(p_k, q_k) per wire, in wire order."""
-    if U is None:
-        U = np.eye(d**n, dtype=complex)
-    for _ in range(magic.CLIFFORD_WORD_LENGTH):
-        kind = rng.integers(0, 3 if n > 1 else 2)
-        if kind == 0:
-            U = _on_wire(magic._fourier_gate(d), n, int(rng.integers(n)), d) @ U
-        elif kind == 1:
-            U = _on_wire(magic._phase_gate(d), n, int(rng.integers(n)), d) @ U
-        else:
-            ctrl, tgt = (int(w) for w in rng.choice(n, size=2, replace=False))
-            U = (CNOT[ctrl, tgt] if d == 2 else _sum_on_two_qutrits(ctrl, tgt)) @ U
-    p = rng.integers(0, d, size=n)
-    q = rng.integers(0, d, size=n)
-    for wire in range(n):
-        U = _on_wire(weyl_op(d, 1, p[wire], q[wire]), n, wire, d) @ U
-    return U
+def _kron_words(rng, n, d=2, count=1):
+    """``count`` random Clifford words at d=2 (or d=3 at n=2), each a list of
+    gates built on the spot by np.kron, from the stream draw_clifford_words
+    reads: the kinds, the wires (a SUM's control), the SUM target offsets,
+    then p and q.  The closing Weyl displacement is one w(p_k, q_k) per
+    wire, in wire order."""
+    shape = (count, magic.CLIFFORD_WORD_LENGTH)
+    kinds = rng.integers(0, 3 if n > 1 else 2, size=shape)
+    wires = rng.integers(0, n, size=shape)
+    offsets = rng.integers(1, max(n, 2), size=shape)
+    p = rng.integers(0, d, size=(count, n))
+    q = rng.integers(0, d, size=(count, n))
+    words = []
+    for c in range(count):
+        word = []
+        for kind, wire, offset in zip(kinds[c], wires[c], offsets[c]):
+            if kind == 0:
+                word.append(_on_wire(magic._fourier_gate(d), n, wire, d))
+            elif kind == 1:
+                word.append(_on_wire(magic._phase_gate(d), n, wire, d))
+            else:
+                tgt = int(wire + offset) % n
+                word.append(CNOT[wire, tgt] if d == 2 else _sum_on_two_qutrits(wire, tgt))
+        words.append(word + [_on_wire(weyl_op(d, 1, p[c, k], q[c, k]), n, k, d)
+                             for k in range(n)])
+    return words
+
+
+def _apply(gates, D):
+    """The gates applied in order to the identity, one at a time."""
+    return reduce(lambda U, gate: gate @ U, gates, np.eye(D, dtype=complex))
 
 
 def test_stacked_words_match_kron_built_gates():
@@ -231,38 +242,80 @@ def test_stacked_words_match_kron_built_gates():
     (3, 4) stack, against the same rng stream built gate by gate."""
     d, n = 3, 2
     rng, again = np.random.default_rng(5), np.random.default_rng(5)
-    words = np.array([magic.draw_clifford_word(rng, d, n) for _ in range(12)])
+    words = magic.draw_clifford_words(rng, d, n, 12)
+    assert words.shape == (12, magic.CLIFFORD_WORD_LENGTH + n)
     stacked = magic.clifford_words(words.reshape(3, 4, -1), d, n)
     assert stacked.shape == (3, 4, 9, 9)
-    for U in stacked.reshape(12, 9, 9):
-        assert np.array_equal(U, _kron_clifford(again, n, d))
-    assert np.array_equal(magic.random_clifford(np.random.default_rng(5), d, n), stacked[0, 0])
+    for U, gates in zip(stacked.reshape(12, 9, 9), _kron_words(again, n, d, 12)):
+        assert np.array_equal(U, _apply(gates, 9))
+    assert np.array_equal(magic.random_clifford(np.random.default_rng(5), d, n),
+                          _apply(_kron_words(np.random.default_rng(5), n, d)[0], 9))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_stacked_circuits_match_each_circuit(n):
-    """Circuits of one T count are words of one length: each stack of them
+    """Circuits of every T count are words of one length: a stack of them
     is one clifford_words call, and each member its one-row call."""
-    for n_t in range(4):
-        seeds = range(n_t, 24, 4)
-        words = np.array([magic.draw_clifford_t(np.random.default_rng(seed), n, n_t)
-                          for seed in seeds])
-        stacked = magic.clifford_words(words, 2, n)
-        assert stacked.shape == (len(seeds), 2**n, 2**n)
-        for seed, V in zip(seeds, stacked):
-            assert np.array_equal(V, clifford_t_circuit(seed, n, n_t))
+    seeds = range(24)
+    words = np.array([magic.draw_clifford_t(np.random.default_rng(seed), n, seed % 4)
+                      for seed in seeds])
+    assert words.shape == (24, 4 * (magic.CLIFFORD_WORD_LENGTH + n) + 3)
+    stacked = magic.clifford_words(words, 2, n)
+    assert stacked.shape == (len(seeds), 2**n, 2**n)
+    for seed, V in zip(seeds, stacked):
+        assert np.array_equal(V, clifford_t_circuit(seed, n, seed % 4))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_clifford_t_circuit_matches_kron_built_gates(n):
+    """Four words, then a wire per slot between them, from one stream: the
+    last n_t slots hold T, the others nothing."""
     for seed in range(20):
         n_t = seed % 4
         rng = np.random.default_rng(seed)
-        V = _kron_clifford(rng, n)
-        for _ in range(n_t):
-            V = _on_wire(magic.T_GATE, n, int(rng.integers(n))) @ V
-            V = _kron_clifford(rng, n, U=V)
-        assert np.array_equal(clifford_t_circuit(seed, n, n_t), V)
+        first, *rest = _kron_words(rng, n, count=4)
+        wires = rng.integers(0, n, size=3)
+        gates = first
+        for slot, word in enumerate(rest):
+            gates += [_on_wire(magic.T_GATE, n, wires[slot])] * (slot >= 3 - n_t) + word
+        assert np.array_equal(clifford_t_circuit(seed, n, n_t), _apply(gates, 2**n))
+
+
+class _CountingGenerator:
+    """A Generator that counts the calls made on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_clifford_t_draw_is_one_shape_for_every_t_count(n):
+    """Five array draws for the words and one for the T wires, whatever n_t:
+    the same calls, the same stream consumed and one length."""
+    drawn = []
+    for n_t in range(magic.MAX_T + 1):
+        rng = _CountingGenerator(3)
+        circuit = magic.draw_clifford_t(rng, n, n_t)
+        drawn.append((rng.calls, str(rng.rng.bit_generator.state), circuit.shape))
+        assert np.count_nonzero(circuit[magic.CLIFFORD_WORD_LENGTH + n::
+                                        magic.CLIFFORD_WORD_LENGTH + n + 1]) == n_t
+    assert drawn == [drawn[0]] * (magic.MAX_T + 1)
+    assert drawn[0][0] == 6
+
+
+@pytest.mark.parametrize("n_t", [-1, 4])
+def test_clifford_t_count_past_its_slots_is_refused(n_t):
+    with pytest.raises(ValueError, match=r"n_t in 0\.\.3, got n=1, n_t="):
+        magic.draw_clifford_t(np.random.default_rng(0), 1, n_t)
 
 
 @pytest.mark.parametrize("d, n, count", [(2, 2, 16), (3, 2, 24), (7, 2, 104), (3, 3, 39)])
@@ -270,15 +323,27 @@ def test_gate_stack_holds_one_wire_weyl_gates(d, n, count):
     """The identity, then ``count`` gates: n (d^2 + 2) one-wire gates,
     n (n - 1) SUM gates and n T gates at d = 2, no gate per n-qudit Weyl
     operator.  The n one-wire gates of a label multiply to its Weyl
-    operator within round-off."""
-    index, gates = magic._gates(d, n)
-    assert gates.shape == (1 + count, d**n, d**n)
-    assert index["id",] == 0 and np.array_equal(gates[0], np.eye(d**n))
+    operator within round-off, and the SUM gate of control c and target
+    c + o adds digit c to digit c + o mod n."""
+    (fourier, phase, weyl, t, sums), gates = magic._gates(d, n)
+    D = d**n
+    assert gates.shape == (1 + count, D, D)
+    assert np.array_equal(gates[0], np.eye(D))
+    assert (fourier, phase, weyl, t) == (1, 1 + n, 1 + 2 * n, 1 + (d * d + 2) * n)
+    assert sums == t + n * (d == 2) and sums + n * (n - 1) == len(gates)
     for x in phase_points(d, n)[:: max(1, d ** (2 * n) // 50)]:
         p, q = x[:n], x[n:]
-        W = reduce(lambda U, wire: gates[index["weyl", p[wire] * d + q[wire], wire]] @ U,
-                   range(n), np.eye(d**n, dtype=complex))
+        W = reduce(lambda U, wire: gates[weyl + (p[wire] * d + q[wire]) * n + wire] @ U,
+                   range(n), np.eye(D, dtype=complex))
         assert np.max(np.abs(W - weyl_op(d, n, p, q))) < 1e-14
+    for c in range(n):
+        for o in range(1, n):
+            U = gates[sums + c * (n - 1) + o - 1]
+            for i in range(D):
+                digits = list(np.unravel_index(i, (d,) * n))
+                digits[(c + o) % n] = (digits[(c + o) % n] + digits[c]) % d
+                assert U[np.ravel_multi_index(digits, (d,) * n), i] == 1
+            assert np.count_nonzero(U) == D
 
 
 def test_cached_gates_are_read_only():
