@@ -131,6 +131,8 @@ def _load(descriptor: str, d: int, n: int, rng: np.random.Generator | None
 def _spec_from_args(spec: str | None, G: str | None, d: int,
                     n: int) -> conv.ConvolutionSpec:
     """The one place a convolution spec is built from command-line arguments."""
+    if spec is not None and G is not None:
+        raise ParseError("--G and --spec each name a parameter matrix; give one")
     with _usage_errors():
         if spec == "beam-splitter":
             return conv.beam_splitter_spec(d, n)
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
 
     p = sub.add_parser("clt", parents=[size], help="iterated beam-splitter convolution series")
-    p.add_argument("--steps", type=int, default=30)
+    p.add_argument("--steps", type=int, default=experiments.CLT_STEPS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--preset", dest="state", default="random-pure")
     p.add_argument("--input", dest="state")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(experiments.SUITES))
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--steps", type=int, help="clt only (default 30)")
+    p.add_argument("--steps", type=int, help=f"clt only (default {experiments.CLT_STEPS})")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 

@@ -159,12 +159,9 @@ def partner_stabilizer_group(s2: StabilizerGroup,
         raise InvalidGroup("partner construction needs a maximal group (r = n)")
     cp = (-mod_inverse(g.g10, d) * g.g11) % d
     cq = (mod_inverse(g.g01, d) * g.g00) % d
-    gens = []
-    for label in s2.generators:
-        v = np.asarray(label, dtype=np.int64)
-        gens.append(tuple(int(x) for x in
-                          np.concatenate([(cp * v[:n]) % d, (cq * v[n:]) % d])))
-    return StabilizerGroup(d, n, tuple(gens), (0,) * n)
+    gens = np.array(s2.generators, dtype=np.int64)
+    gens = np.hstack([cp * gens[:, :n], cq * gens[:, n:]]) % d
+    return StabilizerGroup(d, n, tuple(map(tuple, gens.tolist())), (0,) * n)
 
 
 def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix

@@ -88,9 +88,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     as ``convolve`` broadcasts them; the result has the broadcast shape
     (an np.float64 for one pair).
     """
-    lam = rho.eigenvalues()
-    pos = np.where(lam > FULL_RANK_TOL, lam, 1.0)
-    s1 = (pos * np.log2(pos)).sum(axis=-1)
+    s1 = -renyi_spectra(rho.eigenvalues(), 1)
     s2 = np.trace(rho.mat @ _on_support(sigma, np.log2), axis1=-2, axis2=-1).real
     return np.where(_off_support(rho, sigma), INF, s1 - s2)[()]
 

@@ -41,9 +41,6 @@ FISHER_ORACLE_CASES = 20
 MSPS_D = 3
 #: the trajectory length suite clt runs by default
 CLT_STEPS = 30
-#: table values per chunk of the CLT iteration, at least one step per chunk:
-#: 83 steps at D = 7, one step at D = 49
-CLT_CHUNK_VALUES = 2**12
 #: norms at or below this are rounding noise, left out of the fitted slope
 SLOPE_NORM_FLOOR = 1e-12
 
@@ -162,9 +159,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
 
     Non-zero-mean inputs are displaced to zero mean first, all members in
     one pass on their tables; the applied displacement is recorded in the
-    series.  The iteration runs on characteristic tables, all members at
-    once, in chunks of at most CLT_CHUNK_VALUES // (members * D^2) steps
-    (at least one), so no more than a chunk of tables is held.  Per chunk,
+    series.  The iteration runs on characteristic tables, one step at a
+    time for all members, so only one step's tables are held.  Per step,
     the norms ||rho_N - M||_2 are taken on the tables by Parseval, and the
     tables are inverted and validated as one stack; the spectra of all
     steps give the entropies, one call per alpha.
@@ -172,32 +168,20 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     d, n = spec.d, spec.n
-    D = d**n
-    tables = weyl.char_function(rho).values
-    displacement, table0 = magic.make_zero_mean(weyl.CharFunction(d, n, tables))
+    displacement, table0 = magic.make_zero_mean(weyl.char_function(rho))
     mean = weyl.char_function(magic.mean_state(table0)).values
     mg = magic.magic_gap(table0)
 
-    def norms(tables: np.ndarray) -> np.ndarray:
-        return np.sqrt((np.abs(tables - mean[..., None, :]) ** 2).sum(axis=-1) / D)
+    def norm(table: weyl.CharFunction) -> np.ndarray:
+        return np.sqrt((np.abs(table.values - mean) ** 2).sum(axis=-1) / d**n)
 
-    def chunks():
-        # displacing is unitary, so rho_0 has rho's spectrum
-        yield norms(table0.values[..., None, :]), rho.eigenvalues()[..., None, :]
-        size = max(1, CLT_CHUNK_VALUES // (tables.size or 1))
-        table = table0
-        for start in range(1, n_max + 1, size):
-            steps = []
-            for _ in range(start, min(start + size, n_max + 1)):
-                table = conv.convolve_characteristic(table, table0, spec)
-                steps.append(table.values)
-            steps = np.stack(steps, axis=-2)
-            chunk = weyl.inverse_char(weyl.CharFunction(d, n, steps))
-            yield norms(steps), states.DensityMatrix(d, n, chunk).eigenvalues()
-
-    norm_parts, spectra_parts = zip(*chunks())
-    all_norms = np.concatenate(norm_parts, axis=-1)
-    spectra = np.concatenate(spectra_parts, axis=-2)
+    # displacing is unitary, so rho_0 has rho's spectrum
+    norms, spectra, table = [norm(table0)], [rho.eigenvalues()], table0
+    for _ in range(n_max):
+        table = conv.convolve_characteristic(table, table0, spec)
+        norms.append(norm(table))
+        spectra.append(states.DensityMatrix(d, n, weyl.inverse_char(table)).eigenvalues())
+    all_norms, spectra = np.stack(norms, axis=-1), np.stack(spectra, axis=-2)
     # Python powers: numpy's array power can differ in the last bit
     bounds = np.array([[(1 - m) ** N * b for N in range(n_max + 1)] for m, b in
                        zip(np.ravel(mg).tolist(), all_norms[..., 0].ravel().tolist())])

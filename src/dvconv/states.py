@@ -41,6 +41,11 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
     return np.where(unit, values / np.where(unit, mags, 1.0), 0.0)
 
 
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 of each matrix of a stack, halved first: no overflow."""
+    return mats / 2 + mats.conj().swapaxes(-1, -2) / 2
+
+
 def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
     """Spectra of a (..., D, D) stack of density matrices: the one state check.
 
@@ -70,7 +75,7 @@ def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
         tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
         if tr_dev > STATE_TOL:
             raise InvalidState(f"trace deviation {tr_dev:.3e}")
-    lam = np.linalg.eigvalsh(mats / 2 + adj / 2)  # ascending; halved first: no overflow
+    lam = np.linalg.eigvalsh(_hermitian_part(mats))  # ascending
     low = min(lam[..., 0].flat)
     if not low >= -STATE_TOL:  # a NaN eigenvalue is refused too
         raise InvalidState(f"negative eigenvalue {low:.3e}")
@@ -116,9 +121,6 @@ class DensityMatrix:
             object.__setattr__(member, "eigenvectors", self.eigenvectors[key])
         return member
 
-    def _hermitian_part(self) -> np.ndarray:
-        return (self.mat + self.mat.conj().swapaxes(-1, -2)) / 2
-
     def eigenvalues(self) -> np.ndarray:
         """The spectrum, clipped at 0, in descending order (read-only), (..., D)."""
         return self._spectrum
@@ -126,7 +128,7 @@ class DensityMatrix:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Unitary eigenvector columns aligned with ``eigenvalues()`` (read-only)."""
-        _, vecs = np.linalg.eigh(self._hermitian_part())
+        _, vecs = np.linalg.eigh(_hermitian_part(self.mat))
         return _read_only(vecs[..., ::-1])
 
 
@@ -386,14 +388,18 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
                 return DensityMatrix(d, n, mat), None
             table = CharFunction(d, n, mat)
         elif kind == "msps":
-            gens = tuple(tuple(int(v) for v in g) for g in obj["generators"])
-            table = msps_table(StabilizerGroup(d, n, gens, tuple(int(x) for x in obj["phases"])))
+            gens, phases = tuple(map(tuple, obj["generators"])), tuple(obj["phases"])
+            bad = [v for v in sum(gens, phases) if type(v) is not int]  # bool, float, str
+            if bad:
+                raise ParseError(f"msps generators and phases must be integers, got {bad[0]!r}")
+            table = msps_table(StabilizerGroup(d, n, gens, phases))
         elif kind == "preset":
             return preset_state(obj["name"], d, n), None
         else:
             raise ParseError(f"unknown state kind {kind!r}")
         return DensityMatrix(d, n, inverse_char(table)), table
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer past int64
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed state object: {exc!r}") from exc
 
 

@@ -212,7 +212,9 @@ def inverse_char(table: CharFunction) -> np.ndarray:
     d, n, values = table.d, table.n, table.values
     _, unindex, phases, F = _transform_tables(d, n)
     D = d**n
-    T = _per_digit(F, values * phases.conj(), d, n) / D
+    # np.multiply, not *: * reuses a large temporary of the result's shape
+    # in place, with other rounding, so a lone table would lose a stack's bits
+    T = _per_digit(F, np.multiply(values, phases.conj()), d, n) / D
     return T.take(unindex, axis=-1).reshape(values.shape[:-1] + (D, D))
 
 

@@ -383,6 +383,10 @@ def test_unsupported_enumeration_is_usage_error(capsys):
       "--G", "a,b,c,d"), "--G expects four comma-separated integers"),
     (("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket",
       "--G", "1,0,1,2"), "zero entry"),
+    (("convolve", "--d", "7", "--seed", "3", "--a", "random-mixed", "--b", "random-pure",
+      "--spec", "beam-splitter", "--G", "1,1,1,2"), "--G and --spec"),
+    (("capacity-bounds", "--d", "7", "--seed", "3", "--sigma", "random-mixed",
+      "--spec", "beam-splitter", "--G", "1,1,1,2"), "--G and --spec"),
     (("gap", "--d", "347", "--preset", "zero-ket"), "d^n = 347^1 exceeds the limit"),
     (("gap", "--d", "2", "--n", "9", "--preset", "zero-ket"), "d^n = 2^9 exceeds"),
     (("gap", "--d", "3", "--n", "1000000000", "--preset", "zero-ket"),
@@ -392,7 +396,8 @@ def test_unsupported_enumeration_is_usage_error(capsys):
     (("convolve", "--d", "7", "--n", "4", "--a", "zero-ket", "--b", "zero-ket"),
      "d^n = 7^4 exceeds"),
 ], ids=["gap-d4", "gap-d9", "gap-d-3", "gap-n0", "convolve-n0", "convolve-d9",
-        "convolve-G-letters", "convolve-G-zero-entry", "gap-d347", "gap-2^9",
+        "convolve-G-letters", "convolve-G-zero-entry", "convolve-G-with-spec",
+        "capacity-bounds-G-with-spec", "gap-d347", "gap-2^9",
         "gap-n-huge", "gap-d-huge-prime", "convolve-7^4"])
 def test_bad_system_is_usage_error(tmp_path, capsys, argv, message):
     out_file = tmp_path / "x.json"
@@ -436,6 +441,15 @@ BAD_STATE_FILES = {
                             "generators": [[1, 0]], "phases": [0, 1]},
     "msps-more-generators-than-qudits": {"d": 3, "n": 1, "kind": "msps",
                                          "generators": [[1, 0], [0, 1]], "phases": [0, 0]},
+    # a JSON integer each, never truncated: each would be the group ((1, 0),), phase 1
+    "msps-phase-float": {"d": 3, "n": 1, "kind": "msps", "generators": [[1, 0]],
+                         "phases": [1.7]},
+    "msps-generator-bool": {"d": 3, "n": 1, "kind": "msps", "generators": [[True, 0]],
+                            "phases": [1]},
+    "msps-generator-string": {"d": 3, "n": 1, "kind": "msps", "generators": [["1", 0]],
+                              "phases": [1]},
+    "msps-generator-past-int64": {"d": 3, "n": 1, "kind": "msps",
+                                  "generators": [[10**30, 0]], "phases": [0]},
 }
 
 

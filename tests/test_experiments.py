@@ -149,19 +149,6 @@ def test_clt_run_refuses_a_negative_step_count():
         clt_run(random_density(0, 7, 1, rank=1), beam_splitter_spec(7, 1), -1)
 
 
-@pytest.mark.parametrize("budget", [49, 4 * 49, 7 * 49])
-def test_clt_run_does_not_depend_on_the_chunk_size(monkeypatch, budget):
-    spec = beam_splitter_spec(7, 1)
-    rho = random_density(4, 7, 1, rank=2)
-    whole = clt_run(rho, spec, 30)  # one chunk of 30 steps at D = 7
-    monkeypatch.setattr(experiments, "CLT_CHUNK_VALUES", budget)  # chunks of 1, 4 and 7 steps
-    chunked = clt_run(rho, spec, 30)
-    assert chunked.norms.tobytes() == whole.norms.tobytes()
-    assert chunked.bounds.tobytes() == whole.bounds.tobytes()
-    for alpha, hs in whole.entropies.items():
-        assert chunked.entropies[alpha].tobytes() == hs.tobytes()
-
-
 def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
     spec = beam_splitter_spec(7, 1)
     rho = random_density(5, 7, 1, rank=3)
@@ -176,9 +163,8 @@ def test_clt_run_validates_each_chunk_with_one_eigensolve(monkeypatch):
     clt_run(rho, spec, 0)
     before = len(calls)
     clt_run(rho, spec, 30)
-    # past the set-up solves of step 0, steps 1..30 make one chunk at D = 7
-    # and one stacked solve
-    assert calls[2 * before:] == [(30, 7, 7)]
+    # past the set-up solves of step 0, one solve per step
+    assert calls[2 * before:] == [(7, 7)] * 30
 
 
 def test_clt_run_chunks_count_values_over_the_whole_stack(monkeypatch):
@@ -193,8 +179,8 @@ def test_clt_run_chunks_count_values_over_the_whole_stack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     clt_run(rho, spec, 30)
-    # 2^12 // (10 * 49) = 8 steps per chunk, after the mean states' solve
-    assert calls[1:] == [(10, 8, 7, 7)] * 3 + [(10, 6, 7, 7)]
+    # one solve of all 10 members per step, after the mean states' solve
+    assert calls[1:] == [(10, 7, 7)] * 30
 
 
 def test_clt_run_memory_at_d343():
@@ -208,7 +194,7 @@ def test_clt_run_memory_at_d343():
     finally:
         tracemalloc.stop()
     assert len(series.norms) == 31
-    # a chunk holds one table at D = 343; all 31 would be 58 MB
+    # one step's table is held at D = 343; all 31 would be 58 MB
     assert peak <= 32 * 2**20
 
 
@@ -447,7 +433,7 @@ def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
     # the MSPS stack, the draw, the input stack and its mean states
     ("extremality", 50, 4), ("extremality", 200, 4),
     ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, outputs): 4
-    # the draw, the mean states and at most one chunk per step
+    # the draw, the mean states and one stack per step
     ("clt", 50, 2 + experiments.CLT_STEPS), ("clt", 200, 2 + experiments.CLT_STEPS),
 ])
 def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most):

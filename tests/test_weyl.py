@@ -206,6 +206,15 @@ def test_stacked_inverse_matches_each_table(d, n):
     assert np.max(np.abs(grid - stacked.reshape(2, 3, D, D))) <= 1e-15
 
 
+@pytest.mark.parametrize("d, n", [(7, 3), (3, 5)])
+def test_a_lone_table_inverts_to_the_bits_of_a_stack_of_one(d, n):
+    # past 256 KB numpy may compute * in place in a temporary, with
+    # other rounding; a lone table must keep the bits it has in a stack
+    table = char_function(random_density(1, d, n, 1)).values
+    alone = inverse_char(CharFunction(d, n, table))
+    assert alone.tobytes() == inverse_char(CharFunction(d, n, table[None]))[0].tobytes()
+
+
 def test_inverse_char_delta():
     values = np.zeros(9, dtype=complex)
     values[0] = 1.0
