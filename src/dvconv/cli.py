@@ -119,7 +119,7 @@ def _load(descriptor: str, d: int, n: int, rng: np.random.Generator | None
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"state file {descriptor!r}: {exc}") from exc
     held = (obj.get("d"), obj.get("n")) if isinstance(obj, dict) else (None, None)
-    if held != (d, n):  # checked before the state is built
+    if tuple(map(type, held)) != (int, int) or held != (d, n):  # before anything is built
         raise ParseError(f"state file {descriptor!r} holds d={held[0]!r}, "
                          f"n={held[1]!r}; expected d={d}, n={n}")
     try:
@@ -261,7 +261,8 @@ def cmd_enumerate(args) -> int:
     mixed = args.kind == "msps"
     with _usage_errors():
         states.enumeration_count(args.d, args.n, mixed)
-    payload = [states.state_to_json(s) for s in states.enumerate_msps(args.d, args.n, mixed)]
+    stack = states.msps_states(states.enumerate_groups(args.d, args.n, mixed))
+    payload = [states.state_to_json(stack[i]) for i in range(len(stack.mat))]
     text = json.dumps(payload, sort_keys=True)
     _emit(text if args.out else text + "\n", args.out)
     return EXIT_PASS

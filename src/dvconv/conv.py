@@ -23,7 +23,7 @@ from .errors import (
 )
 from .entropy import renyi_spectra
 from .magic import mean_state
-from .states import DensityMatrix, StabilizerGroup
+from .states import DensityMatrix, StabilizerGroup, hermitian_part
 from .weyl import CharFunction, char_function, displace, phase_points, point_index
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import GMatrix, check_system, find_amplifier_params, \
@@ -120,7 +120,7 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
     out = np.zeros(np.broadcast_shapes(r.shape, s.shape), dtype=complex)
     for aj, bj in zip(a.T, b.T):
         out += r.take(aj, -2).take(aj, -1) * s.take(bj, -2).take(bj, -1)
-    return DensityMatrix(spec.d, spec.n, (out + out.conj().swapaxes(-1, -2)) / 2)
+    return DensityMatrix(spec.d, spec.n, hermitian_part(out))
 
 
 @lru_cache(maxsize=None)

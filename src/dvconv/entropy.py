@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .linalg import SUPPORT_TOL, herm_eig
-from .states import DensityMatrix
+from .states import DensityMatrix, hermitian_part
 
 #: below this minimum eigenvalue a state counts as rank deficient
 FULL_RANK_TOL = 1e-12
@@ -109,7 +109,7 @@ def sandwiched_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
     e = -0.5 if alpha == INF else (1 - alpha) / (2 * alpha)
     sig_e = _on_support(sigma, lambda v: v**e)
     mid = sig_e @ rho.mat @ sig_e
-    vals, _ = herm_eig((mid + mid.conj().swapaxes(-1, -2)) / 2)
+    vals, _ = herm_eig(hermitian_part(mid))
     if alpha == INF:
         q, scale = vals[..., 0], 1.0
     else:

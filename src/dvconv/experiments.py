@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,6 @@ class ExperimentReport:
     records: list[dict] = field(default_factory=list)
     passed: bool = True
     max_violation: float = 0.0
-    wall_time: float = 0.0
 
     def add(self, index, metric, value, bound, keep=True) -> None:
         *columns, keep = np.broadcast_arrays(index, metric, np.asarray(value, dtype=float),
@@ -75,7 +73,7 @@ class ExperimentReport:
                                             where=over > self.max_violation))
 
     def to_json(self) -> str:
-        """The report without its wall time, so it is byte-identical per seed."""
+        """The report as sorted, indented JSON: byte-identical per seed."""
         out = {
             "suite": self.suite,
             "seed": self.seed,
@@ -108,16 +106,6 @@ def _json_default(obj):
 
 def _spec_for(d: int, n: int) -> conv.ConvolutionSpec:
     return conv.beam_splitter_spec(d, n) if d >= 7 else conv.default_spec(d, n)
-
-
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.wall_time = time.perf_counter() - t0
-        return report
-
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +198,6 @@ SLOPE_TOL = 1e-6
 SECOND_LAW_TOL = 1e-8
 
 
-@_timed
 def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
     """Matrix-side vs characteristic-side convolution agreement."""
     configs = DUALITY_CONFIGS
@@ -234,7 +221,6 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """H_alpha(rho box sigma) >= max of the inputs, all alpha grids."""
     configs = ENTROPY_CONFIGS
@@ -267,7 +253,6 @@ def suite_entropy(seed: int = 0, trials: int = 100) -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_fisher(seed: int = 0, trials: int = 100,
                  oracle_cases: int = FISHER_ORACLE_CASES) -> ExperimentReport:
     """J(rho box sigma) <= min of inputs; J matches the finite-difference oracle."""
@@ -303,7 +288,6 @@ def suite_fisher(seed: int = 0, trials: int = 100,
     return report
 
 
-@_timed
 def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """Trace-norm and relative-entropy contraction under (.) box tau."""
     d, n = 3, 1
@@ -333,7 +317,6 @@ def _stabilizer_pairs(spec: conv.ConvolutionSpec):
     return groups, outs
 
 
-@_timed
 def suite_stability() -> ExperimentReport:
     """All 144 ordered pure-stabilizer pairs at d=3 convolve to MSPS."""
     d = 3
@@ -345,7 +328,6 @@ def suite_stability() -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_min_output() -> ExperimentReport:
     """Zero output entropy occurs exactly at partner-related label pairs (d=3)."""
     d = 3
@@ -374,7 +356,6 @@ def suite_min_output() -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Capacity sandwich, ensemble lower bound, and the MSPS equality branch."""
     report = ExperimentReport("holevo", seed, {"trials": trials, "d": [3, 7]})
@@ -410,7 +391,6 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """LMG growth of Clifford+T circuits is at most N/2 on stabilizer inputs."""
     report = ExperimentReport("synthesis", seed, {"trials": trials, "max_t": magic.MAX_T})
@@ -432,7 +412,6 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     """Exhaustive MSPS minimization of D_alpha is attained uniquely at M(rho)."""
     d = MSPS_D
@@ -470,7 +449,6 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     return report
 
 
-@_timed
 def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> ExperimentReport:
     """Norm decay bound, fitted slope, and second law along CLT trajectories."""
     d, n = 7, 1

@@ -1,7 +1,7 @@
 """Dense complex linear algebra on d^n-dimensional operators.
 
-Everything goes through eigen/singular decompositions; dimensions stay
-<= ~350 at desk scale so exactness beats speed.
+Everything goes through eigendecompositions; dimensions stay <= ~350 at
+desk scale so exactness beats speed.
 """
 
 from __future__ import annotations

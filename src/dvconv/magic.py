@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PhaseNotRoot
 from .linalg import SUPPORT_TOL
-from .states import DensityMatrix, is_msps, unit_phases
+from .states import DensityMatrix, hermitian_part, is_msps, unit_phases
 from .weyl import CharFunction, displace, inverse_char, point_index, weyl_op, xi
 from .zmod import mod_inverse, solve_mod_linear
 
@@ -40,7 +40,7 @@ def mean_state(table: CharFunction) -> DensityMatrix:
     """M(rho) from rho's table: _mean_table, inverted and symmetrized; a
     stack of states for a stack of tables."""
     M = inverse_char(_mean_table(table))
-    return DensityMatrix(table.d, table.n, (M + M.conj().swapaxes(-1, -2)) / 2)
+    return DensityMatrix(table.d, table.n, hermitian_part(M))
 
 
 def _top_gap_modulus(table: CharFunction) -> np.ndarray:

@@ -41,7 +41,7 @@ def unit_phases(values: np.ndarray) -> np.ndarray:
     return np.where(unit, values / np.where(unit, mags, 1.0), 0.0)
 
 
-def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+def hermitian_part(mats: np.ndarray) -> np.ndarray:
     """(A + A^dag) / 2 of each matrix of a stack, halved first: no overflow."""
     return mats / 2 + mats.conj().swapaxes(-1, -2) / 2
 
@@ -75,7 +75,7 @@ def _validated_spectra(d: int, n: int, mats: np.ndarray) -> np.ndarray:
         tr_dev = max(abs(mats.trace(axis1=-2, axis2=-1) - 1.0).flat)
         if tr_dev > STATE_TOL:
             raise InvalidState(f"trace deviation {tr_dev:.3e}")
-    lam = np.linalg.eigvalsh(_hermitian_part(mats))  # ascending
+    lam = np.linalg.eigvalsh(hermitian_part(mats))  # ascending
     low = min(lam[..., 0].flat)
     if not low >= -STATE_TOL:  # a NaN eigenvalue is refused too
         raise InvalidState(f"negative eigenvalue {low:.3e}")
@@ -128,7 +128,7 @@ class DensityMatrix:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Unitary eigenvector columns aligned with ``eigenvalues()`` (read-only)."""
-        _, vecs = np.linalg.eigh(_hermitian_part(self.mat))
+        _, vecs = np.linalg.eigh(hermitian_part(self.mat))
         return _read_only(vecs[..., ::-1])
 
 
@@ -336,13 +336,6 @@ def enumerate_groups(d: int, n: int = 1, mixed: bool = True) -> list[StabilizerG
     return groups + [StabilizerGroup(d, 1, (), ())] * mixed
 
 
-def enumerate_msps(d: int, n: int = 1, mixed: bool = True) -> list[DensityMatrix]:
-    """All d^2 + d + 1 MSPS of a single qudit (the d(d+1) pure ones unless
-    ``mixed``), members of one stack."""
-    stack = msps_states(enumerate_groups(d, n, mixed))
-    return [stack[i] for i in range(len(stack.mat))]
-
-
 # ---------------------------------------------------------------------------
 # JSON state schema (shared with the CLI)
 # ---------------------------------------------------------------------------
@@ -372,13 +365,16 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
     A malformed object is a ParseError.
     """
     try:
-        d, n, kind = int(obj["d"]), int(obj["n"]), obj["kind"]
+        d, n, kind = obj["d"], obj["n"], obj["kind"]
+        if type(d) is not int or type(n) is not int:  # bool, float, str
+            raise ParseError(f"d and n must be integers, got d={d!r}, n={n!r}")
         if kind in ("dense", "char"):
             re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
             if re.shape != im.shape:  # they would broadcast into another matrix
                 raise ParseError(f"{kind} state has re of shape {re.shape} "
                                  f"and im of shape {im.shape}")
-            mat = re + 1j * im
+            with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, refused below
+                mat = re + 1j * im
             # a file holds one state: a stack would pass the stack-aware checks
             ndim = 2 if kind == "dense" else 1
             if mat.ndim != ndim:
@@ -397,7 +393,9 @@ def load_state_json(obj: dict) -> tuple[DensityMatrix, CharFunction | None]:
             return preset_state(obj["name"], d, n), None
         else:
             raise ParseError(f"unknown state kind {kind!r}")
-        return DensityMatrix(d, n, inverse_char(table)), table
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: refused below
+            mat = inverse_char(table)
+        return DensityMatrix(d, n, mat), table
     # OverflowError: an integer past int64
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed state object: {exc!r}") from exc

@@ -21,14 +21,20 @@ from dvconv.linalg import SUPPORT_TOL, herm_eig, trace_norm
 from dvconv.magic import (clifford_words, draw_clifford_t, log_magic_gap, make_zero_mean,
                           mean_state)
 from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_groups,
-                           enumerate_msps, ket_state, msps_states, msps_table,
-                           random_density, unit_phases)
+                           ket_state, msps_states, msps_table, random_density,
+                           unit_phases)
 from dvconv.weyl import (CharFunction, char_function, char_table, phase_points,
                          point_index, weyl_op, xi)
 from dvconv.zmod import rref_mod
 
 UNITARY_TOL = 1e-10
 CLIFFORD_TOL = 1e-9
+
+
+def enumerate_msps(d: int, n: int = 1, mixed: bool = True) -> list[DensityMatrix]:
+    """The members of ``msps_states(enumerate_groups(d, n, mixed))`` as a list."""
+    stack = msps_states(enumerate_groups(d, n, mixed))
+    return [stack[i] for i in range(len(stack.mat))]
 
 
 def schatten2_norm(A: np.ndarray) -> float:

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dvconv
 from dvconv import cli, magic, states, weyl
@@ -268,7 +272,7 @@ def test_bad_counts_are_usage_errors(monkeypatch, capsys, argv, message):
         raise AssertionError("work ran before the refusal")
 
     monkeypatch.setattr(states, "random_density", no_work)
-    monkeypatch.setattr(states, "enumerate_msps", no_work)
+    monkeypatch.setattr(states, "msps_states", no_work)
     monkeypatch.setattr(states, "msps_table", no_work)
     code, out, err = run(capsys, *argv)
     _assert_usage_error(code, err, message)
@@ -450,6 +454,9 @@ BAD_STATE_FILES = {
                               "phases": [1]},
     "msps-generator-past-int64": {"d": 3, "n": 1, "kind": "msps",
                                   "generators": [[10**30, 0]], "phases": [0]},
+    # equal to --d 3 --n 1, yet not JSON integers: each would load as a (3, 1) state
+    "n-bool": {"d": 3, "n": True, "kind": "preset", "name": "zero-ket"},
+    "d-float": dict(state_to_json(states.ket_state(3, 1, [0])), d=3.0, n=1.0),
 }
 
 
@@ -466,6 +473,75 @@ def test_bad_state_file_is_usage_error(tmp_path, capsys, name):
     code, out, err = run(capsys, "gap", "--d", "3", "--input", path)
     assert out == ""
     _assert_usage_error(code, err, "state.json")
+
+
+#: the (d, n) each fuzzed file is read at; D <= 9 keeps an example cheap
+FUZZ_SYSTEMS = [(2, 1), (3, 1), (5, 1), (3, 2)]
+FUZZ_FLOATS = st.one_of(st.floats(-2, 2), st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+
+
+def _fuzz_int(value):
+    """An int, a bool, a float or a string, equal to ``value`` or not."""
+    return st.one_of(st.just(value), st.integers(-2, 2**70), st.booleans(), st.floats(),
+                     st.just(float(value)), st.just(str(value)), st.text(max_size=2))
+
+
+def _fuzz_lists(shape):
+    """Float lists nested to ``shape`` or to another shape, ragged lists, or
+    a value that is not a list."""
+    def nested(dims):
+        size = int(np.prod(dims))
+        return st.lists(FUZZ_FLOATS, min_size=size, max_size=size).map(
+            lambda flat: np.reshape(np.array(flat, dtype=float), dims).tolist())
+
+    dims = st.one_of(st.just(shape), st.lists(st.integers(0, 4), max_size=3).map(tuple))
+    return st.one_of(dims.flatmap(nested), st.just([[1.0], [1.0, 2.0]]),
+                     st.text(max_size=2), FUZZ_FLOATS, st.none())
+
+
+@st.composite
+def _fuzz_state_files(draw):
+    d, n = draw(st.sampled_from(FUZZ_SYSTEMS))
+    D = d**n
+    kind = draw(st.sampled_from(["dense", "char", "msps", "preset", "other"]))
+    exact = draw(st.booleans())  # else most files would hold another (d, n)
+    obj = {"d": d if exact else draw(_fuzz_int(d)),
+           "n": n if exact else draw(_fuzz_int(n)), "kind": kind}
+    if kind == "dense" and draw(st.booleans()):  # a valid state, so some files load
+        obj["re"], obj["im"] = (np.eye(D) / D).tolist(), np.zeros((D, D)).tolist()
+    elif kind == "dense":
+        obj["re"], obj["im"] = draw(_fuzz_lists((D, D))), draw(_fuzz_lists((D, D)))
+    elif kind == "char":
+        obj["re"], obj["im"] = draw(_fuzz_lists((D * D,))), draw(_fuzz_lists((D * D,)))
+    elif kind == "msps":
+        entry = st.one_of(st.integers(-4, 4), st.booleans(), FUZZ_FLOATS, st.text(max_size=1))
+        obj["generators"] = draw(st.lists(st.lists(entry, max_size=2 * n + 1), max_size=n + 1))
+        obj["phases"] = draw(st.lists(entry, max_size=n + 1))
+    elif kind == "preset":
+        obj["name"] = draw(st.sampled_from(list(states.PRESETS) + ["bogus", 7]))
+    else:
+        obj["kind"] = draw(st.one_of(st.text(max_size=4), st.integers(), st.none()))
+    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=1)):
+        del obj[key]
+    return d, n, obj
+
+
+@given(_fuzz_state_files())
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+def test_fuzzed_state_file_ends_in_a_documented_exit(tmp_path_factory, case):
+    """Any state file gives 0, or 2 or 3 with one ``error:`` line and no
+    stdout; never an internal error."""
+    d, n, obj = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-state.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gap", "--d", str(d), "--n", str(n), "--input", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
 
 
 def test_msps_file_with_non_commuting_generators_is_not_a_valid_state(tmp_path, capsys):
@@ -650,6 +726,8 @@ def _non_finite(case):
         m[0, 1] = np.nan
     elif case == "inf-diagonal":
         m[1, 1] = np.inf
+    elif case == "inf-imaginary-pair":  # re + 1j * im makes each nan + inf j
+        m[0, 1], m[1, 0] = complex(0, np.inf), complex(0, -np.inf)
     else:  # a Hermitian pair, so the Hermiticity check would meet inf - inf
         m[0, 2] = m[2, 0] = -np.inf
     return m
@@ -657,7 +735,7 @@ def _non_finite(case):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["nan-diagonal", "nan-off-diagonal", "inf-diagonal",
-                                  "minus-inf-off-diagonal"])
+                                  "inf-imaginary-pair", "minus-inf-off-diagonal"])
 def test_non_finite_state_is_invalid(tmp_path, capsys, case):
     m = _non_finite(case)
     with pytest.raises(InvalidState, match="non-finite"):
@@ -672,6 +750,25 @@ def test_non_finite_state_is_invalid(tmp_path, capsys, case):
         assert code == 3 and out == ""
         assert err == "error: InvalidState: matrix has a non-finite entry\n"
     assert not (tmp_path / "out.json").exists()
+
+
+#: char tables that invert to a non-finite matrix: an infinite entry, and
+#: 1e308s that overflow the inverse transform
+NON_FINITE_INVERSES = {
+    "char-im-inf": {"d": 2, "n": 1, "kind": "char", "re": [1.0, 0.0, 0.0, 0.0],
+                    "im": [0.0, 0.0, 0.0, math.inf]},
+    "char-1e308": {"d": 2, "n": 1, "kind": "char", "re": [0.0, 0.0, 0.0, 1e308],
+                   "im": [0.0, 1e308, 0.0, 0.0]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NON_FINITE_INVERSES))
+def test_char_table_with_a_non_finite_inverse_is_numeric_error(tmp_path, capsys, name):
+    path = _write(tmp_path / "state.json", NON_FINITE_INVERSES[name])
+    code, out, err = run(capsys, "gap", "--d", "2", "--input", path)
+    assert code == 3 and out == ""
+    assert err == "error: InvalidState: matrix has a non-finite entry\n"
 
 
 #: dense states whose Hermiticity or trace deviation overflows to inf, and

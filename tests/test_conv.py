@@ -29,7 +29,6 @@ from dvconv.linalg import partial_trace_B
 from dvconv.states import (
     DensityMatrix,
     StabilizerGroup,
-    enumerate_msps,
     is_msps,
     ket_state,
     maximally_mixed,
@@ -37,7 +36,7 @@ from dvconv.states import (
 )
 from dvconv.weyl import CharFunction, char_function, point_index
 from dvconv.zmod import gmatrix_new
-from oracles import is_clifford, msps_from_group, weyl_orbit_holevo
+from oracles import enumerate_msps, is_clifford, msps_from_group, weyl_orbit_holevo
 
 def _ensemble_with_covariance_off_by(delta):
     """holevo_weyl_ensemble at (3, 1), with every displaced input's output

@@ -8,8 +8,8 @@ import pytest
 from dvconv import conv, entropy, experiments, magic, states, weyl
 from dvconv.conv import beam_splitter_spec
 from dvconv.experiments import ALPHAS_SECOND_LAW, ExperimentReport, clt_run
-from dvconv.states import DensityMatrix, enumerate_msps, ket_state, random_density
-from oracles import dense_clt, per_trial_records
+from dvconv.states import DensityMatrix, ket_state, random_density
+from oracles import dense_clt, enumerate_msps, per_trial_records
 
 
 def test_report_accumulation():
@@ -225,6 +225,15 @@ def test_all_suites_registered_and_pass_small():
     for name, kwargs in small.items():
         report = experiments.SUITES[name](**kwargs)
         assert report.passed, f"{name}: max violation {report.max_violation}"
+
+
+@pytest.mark.parametrize("name", sorted(experiments.SUITES))
+def test_every_suite_keeps_its_own_name_and_docstring(name):
+    """Each registered suite is its own function, not a wrapper that hides
+    the name and docstring that help and tracing read."""
+    fn = experiments.SUITES[name]
+    assert fn.__name__ == "suite_" + name.replace("-", "_")
+    assert fn.__doc__ and fn.__doc__.strip()
 
 
 def test_extremality_covers_msps_inputs():

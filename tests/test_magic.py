@@ -18,7 +18,6 @@ from dvconv.states import (
     UNIT_TOL,
     DensityMatrix,
     StabilizerGroup,
-    enumerate_msps,
     is_msps,
     ket_state,
     maximally_mixed,
@@ -27,7 +26,7 @@ from dvconv.states import (
 )
 from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
                          point_index, weyl_op)
-from oracles import is_clifford, msps_from_group
+from oracles import enumerate_msps, is_clifford, msps_from_group
 
 
 def test_mean_state_fixed_points():

@@ -80,6 +80,47 @@ def test_no_arithmetic_on_a_seed_in_src():
     assert not found, f"arithmetic on a seed: {found}"
 
 
+def _adjoint_of(node: ast.AST) -> ast.AST | None:
+    """X for ``X.conj().swapaxes(-1, -2)``, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "swapaxes"
+            and [ast.unparse(arg) for arg in node.args] == ["-1", "-2"]
+            and isinstance(node.func.value, ast.Call)
+            and isinstance(node.func.value.func, ast.Attribute)
+            and node.func.value.func.attr == "conj"):
+        return node.func.value.func.value
+    return None
+
+
+def _halved(node: ast.AST) -> ast.AST:
+    """X for ``X / 2``, else the node itself."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2):
+        return node.left
+    return node
+
+
+def test_one_hermitian_part_in_src():
+    """``(X + X^dag) / 2``, halved before or after the sum, is written only in
+    ``states.hermitian_part``; everything else calls it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and path.stem == "states" and fn.name == "hermitian_part"
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in skip or not (isinstance(node, ast.BinOp)
+                                        and isinstance(node.op, ast.Add)):
+                continue
+            left, right = _halved(node.left), _halved(node.right)
+            for x, adj in ((left, right), (right, left)):
+                of = _adjoint_of(adj)
+                if of is not None and ast.dump(of) == ast.dump(x):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"Hermitian parts outside states.hermitian_part: {found}"
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

@@ -198,8 +198,8 @@ def test_holevo_bounds_and_ensemble_per_member(d, n):
 
 def test_holevo_msps_grid_matches_each_pair():
     spec = conv.default_spec(3, 1)
-    msps = states.enumerate_msps(3)
     stack = states.msps_states(states.enumerate_groups(3))
+    msps = [stack[i] for i in range(len(stack.mat))]
     lower, upper = conv.holevo_bounds(spec, stack)
     grid = conv.holevo_weyl_ensemble(spec, DensityMatrix(3, 1, stack.mat[:, None]),
                                      DensityMatrix(3, 1, stack.mat[None]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dvconv.errors import (
     InvalidGroup,
     InvalidState,
+    ParseError,
     UnsupportedDimension,
     UnsupportedScale,
 )
@@ -18,7 +19,7 @@ from dvconv.states import (
     UNIT_TOL,
     DensityMatrix,
     StabilizerGroup,
-    enumerate_msps,
+    enumerate_groups,
     enumeration_count,
     is_msps,
     ket_state,
@@ -32,7 +33,7 @@ from dvconv.states import (
 from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
                          point_index, symplectic_form)
 from dvconv.zmod import rank_mod, rref_mod
-from oracles import ginibre_state, msps_from_group, scalar_is_msps
+from oracles import enumerate_msps, ginibre_state, msps_from_group, scalar_is_msps
 
 
 def test_density_matrix_validation():
@@ -219,9 +220,9 @@ def test_enumerate_counts():
     # every named-spec prime fits the budget
     assert enumeration_count(13) * 13**2 <= ENUMERATION_BUDGET
     with pytest.raises(UnsupportedScale):
-        enumerate_msps(3, n=2)
+        enumerate_groups(3, n=2)
     with pytest.raises(UnsupportedScale):
-        enumerate_msps(337, mixed=False)
+        enumerate_groups(337, mixed=False)
     with pytest.raises(UnsupportedScale):
         enumeration_count(337)
 
@@ -475,3 +476,17 @@ def test_json_msps_and_preset_kinds():
     mixed = state_from_json({"d": 3, "n": 1, "kind": "preset",
                              "name": "maximally-mixed"})
     assert np.max(np.abs(mixed.mat - np.eye(3) / 3)) < 1e-12
+
+
+@pytest.mark.parametrize("field, value", [("n", True), ("d", 3.0), ("d", "3"), ("d", 3.9)])
+@pytest.mark.parametrize("kind", ["preset", "dense", "msps"])
+def test_json_d_and_n_must_be_integers(field, value, kind):
+    """d and n are JSON integers, as generator entries and phases are: a
+    bool, a float or a string is refused, never read as the integer it
+    equals or truncates to."""
+    obj = {"preset": {"kind": "preset", "name": "zero-ket"},
+           "dense": state_to_json(ket_state(3, 1, [0])),
+           "msps": {"kind": "msps", "generators": [[1, 0]], "phases": [0]}}[kind]
+    obj = {**obj, "d": 3, "n": 1, field: value}
+    with pytest.raises(ParseError, match="d and n must be integers"):
+        state_from_json(obj)
