@@ -7,7 +7,8 @@ or an output path that cannot be written); 3 numeric precondition failure
 on valid arguments; 4 internal error (any exception that is not a
 DvconvError, printed with its traceback before one ``internal error:``
 line); 141 (128 + SIGPIPE) when the reader of stdout has closed it, with
-nothing printed.  Codes 2 and 3 print one ``error:`` line.
+nothing printed.  Codes 2 and 3 print one ``error:`` line (argparse's own
+errors too), and nothing on stdout or to a file.
 All floats print with 17 significant digits so outputs are byte-identical
 across runs and platforms.
 """
@@ -166,9 +167,8 @@ def cmd_gap(args) -> int:
     rho, table = _load(args.state, args.d, args.n, _rng(args))
     if table is None:
         table = weyl.char_function(rho)
-    if args.emit_char:
-        _emit(json.dumps(states.char_to_json(table), sort_keys=True), args.emit_char)
     ok, _ = states.is_msps(table)
+    group = magic.mean_vector(table)
     out = {
         "d": rho.d,
         "n": rho.n,
@@ -176,12 +176,13 @@ def cmd_gap(args) -> int:
         "log_magic_gap": magic.log_magic_gap(table),
         "pauli_rank": weyl.pauli_rank(table),
         "is_msps": ok,
+        "mean_vector": list(group.phases),
+        "mean_state_generators": [list(g) for g in group.generators],
     }
-    group = magic.mean_vector(table)
-    out["mean_vector"] = list(group.phases)
-    out["mean_state_generators"] = [list(g) for g in group.generators]
+    if args.emit_char:
+        _emit(json.dumps(states.char_to_json(table), sort_keys=True), args.emit_char)
     if args.json:
-        print(json.dumps(out, sort_keys=True, default=str))
+        print(json.dumps(out, sort_keys=True))
     else:
         print(f"MG        {fmt(out['magic_gap'])}")
         print(f"LMG       {fmt(out['log_magic_gap'])}")
@@ -202,8 +203,9 @@ def cmd_convolve(args) -> int:
         dual = conv.convolve_characteristic(
             weyl.char_function(a), weyl.char_function(b), spec)
         dev = float(np.max(np.abs(weyl.char_function(out).values - dual.values)))
-        print(f"duality-deviation {fmt(dev)}")
     _emit(json.dumps(states.state_to_json(out), sort_keys=True), args.out)
+    if args.check_duality:
+        print(f"duality-deviation {fmt(dev)}")
     return EXIT_PASS
 
 
@@ -223,7 +225,7 @@ def cmd_clt(args) -> int:
                        "entropies": {a: h[N] for a, h in hs.items()}}
                       for N, (norm, bound) in enumerate(zip(norms, bounds))],
         }
-        text = json.dumps(payload, sort_keys=True, default=float, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = ["N,norm,bound," + ",".join(f"H_{a}" for a in hs)]
         for N, row in enumerate(zip(norms, bounds, *hs.values())):
@@ -272,13 +274,12 @@ def cmd_capacity_bounds(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
     rng = _rng(args)
     sigma = _load(args.sigma, args.d, args.n, rng)[0]
+    rho0 = _load(args.rho0, args.d, args.n, rng)[0] if args.rho0 else None
     lower, upper = conv.holevo_bounds(spec, sigma)
-    print(f"lower {fmt(lower)}")
-    print(f"upper {fmt(upper)}")
-    if args.rho0:
-        rho0 = _load(args.rho0, args.d, args.n, rng)[0]
-        val = conv.holevo_weyl_ensemble(spec, sigma, rho0)
-        print(f"weyl-ensemble {fmt(val)}")
+    lines = [f"lower {fmt(lower)}", f"upper {fmt(upper)}"]
+    if rho0 is not None:
+        lines.append(f"weyl-ensemble {fmt(conv.holevo_weyl_ensemble(spec, sigma, rho0))}")
+    print("\n".join(lines))
     return EXIT_PASS
 
 
@@ -287,12 +288,19 @@ def cmd_capacity_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as ParseErrors, which ``main`` prints as one line; subparsers too."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of a process, built on first use and shared by every
     ``main`` call, so it is never changed: argparse spends about a
     millisecond on its ~40 arguments, more than a small command's work."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dvconv",
         description="Discrete-variable quantum convolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,8 +364,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag, low in COUNT_FLOORS.items():
             value = getattr(args, flag, None)
             if value is not None and value < low:
@@ -366,12 +374,15 @@ def main(argv=None) -> int:
             with _usage_errors():
                 check_system(args.d, args.n)
         # an output target that is not a regular file (a FIFO, a device, a
-        # directory) is refused before the command runs
+        # directory, a symlink loop) or whose directory does not exist is
+        # refused before the command runs
         for path in (getattr(args, "out", None), getattr(args, "emit_char", None)):
-            real = path and os.path.realpath(path)
-            if real and os.path.exists(real) and not os.path.isfile(real):
+            real = path is not None and os.path.realpath(path)
+            if real and os.path.lexists(real) and not os.path.isfile(real):
                 raise ParseError(f"cannot write {path!r}: " + (
                     "Is a directory" if os.path.isdir(real) else "Not a regular file"))
+            if real and not os.path.isdir(os.path.dirname(real)):
+                raise ParseError(f"cannot write {path!r}: No such file or directory")
         return COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import RankDeficient
 from .linalg import SUPPORT_TOL, herm_eig
 from .states import DensityMatrix, hermitian_part
+from .weyl import dft
 
 #: below this minimum eigenvalue a state counts as rank deficient
 FULL_RANK_TOL = 1e-12
@@ -165,8 +166,7 @@ def total_fisher(rho: DensityMatrix) -> float | np.ndarray:
     D = d**n
     vals, vecs = _full_rank_eig(rho)
     lead = vals.shape[:-1]
-    r = np.arange(d)
-    fourier = np.exp(2j * np.pi * (np.outer(r, r) % d) / d) / np.sqrt(d)
+    fourier = dft(d) / np.sqrt(d)
     weights = np.zeros(lead + (D, D))
     for k in range(n):
         z = vecs.reshape(lead + (d**k, d, d ** (n - k - 1) * D))

@@ -82,7 +82,7 @@ class ExperimentReport:
             "max_violation": self.max_violation,
             "records": self.records,
         }
-        return json.dumps(out, sort_keys=True, default=_json_default, indent=2)
+        return json.dumps(out, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -96,12 +96,6 @@ class ExperimentReport:
 def fmt(x: float) -> str:
     """17 significant digits: every float output round-trips exactly."""
     return format(float(x), ".17g")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _spec_for(d: int, n: int) -> conv.ConvolutionSpec:

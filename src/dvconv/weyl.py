@@ -8,7 +8,9 @@ tables are dense over all d^{2n} points in row-major (p, q) order.
 The transform and its inverse run qudit by qudit: a gather of the D^2
 entries that Weyl operators touch, one d x d DFT per qudit and one phase
 multiply, in O(n d D^2) time and O(D^2) memory (D = d^n).  weyl_basis, the
-stacked d^{2n} x D x D operators, is kept only as the dense oracle.
+stacked d^{2n} x D x D operators, is kept only as the dense oracle.  One phase
+rule: every root of unity of the package is xi(d, k), with k reduced mod d
+first, and every d x d DFT is dft(d), here and in states, magic and entropy.
 """
 
 from __future__ import annotations
@@ -22,31 +24,30 @@ from .linalg import SUPPORT_TOL
 from .zmod import check_system, mod_inverse
 
 
-def xi(d: int) -> complex:
-    return np.exp(2j * np.pi / d)
+def xi(d: int, k=1):
+    """xi^k, xi = e^{2 pi i/d}, of an integer or integer array k: the one root of
+    unity rule.  k is reduced mod d first, so the angle keeps its accuracy."""
+    return np.exp(2j * np.pi * (k % d) / d)
 
 
 @lru_cache(maxsize=None)
-def _clock_shift(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, X) for a single qudit: Z|k> = xi^k |k>, X|k> = |k+1>."""
-    Z = np.diag(xi(d) ** np.arange(d))
-    X = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    Z.flags.writeable = False
-    X.flags.writeable = False
-    return Z, X
+def dft(d: int) -> np.ndarray:
+    """F[j, k] = xi^{jk}, the read-only d x d DFT matrix without its 1/sqrt(d)."""
+    r = np.arange(d)
+    F = xi(d, np.outer(r, r))
+    F.flags.writeable = False
+    return F
 
 
 def _weyl_phase(d: int, pq) -> np.ndarray:
     """The Weyl phase phi of w(p, q) = phi Z^p X^q, from pq = p . q.
 
-    phi = (-i)^{pq mod 4} at d = 2 and xi^{-2^{-1} pq mod d} otherwise.
-    The exponent is reduced first, so the angle stays below 2 pi and keeps
-    its accuracy at large d.
+    phi = (-i)^{pq mod 4} at d = 2 and xi^{-2^{-1} pq} otherwise.
     """
     pq = np.asarray(pq, dtype=np.int64)
     if d == 2:
         return np.array([1, -1j, -1, 1j])[pq % 4]
-    return np.exp(2j * np.pi * ((-mod_inverse(2, d) * (pq % d)) % d) / d)
+    return xi(d, -mod_inverse(2, d) * (pq % d))
 
 
 def product_phase(d: int, x, y) -> np.ndarray:
@@ -59,14 +60,15 @@ def product_phase(d: int, x, y) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _single_weyl_table(d: int) -> np.ndarray:
-    """All d^2 single-qudit Weyl operators, indexed by p*d + q."""
-    Z, X = _clock_shift(d)
+def single_weyl_table(d: int) -> np.ndarray:
+    """All d^2 single-qudit Weyl operators w(p, q) = phi Z^p X^q, read-only
+    and indexed by p*d + q: Z^p|k> = xi^{pk}|k> and X^q|k> = |k+q>."""
+    k, eye = np.arange(d), np.eye(d, dtype=complex)
     out = np.empty((d * d, d, d), dtype=complex)
     for p in range(d):
-        Zp = np.linalg.matrix_power(Z, p)
+        Zp = np.diag(xi(d, p * k))
         for q in range(d):
-            out[p * d + q] = _weyl_phase(d, p * q) * (Zp @ np.linalg.matrix_power(X, q))
+            out[p * d + q] = _weyl_phase(d, p * q) * (Zp @ np.roll(eye, q, axis=0))
     out.flags.writeable = False
     return out
 
@@ -75,7 +77,7 @@ def weyl_op(d: int, n: int, p, q) -> np.ndarray:
     """w(p, q) = w(p_1, q_1) (x) ... (x) w(p_n, q_n)."""
     p = np.asarray(p, dtype=np.int64).reshape(n) % d
     q = np.asarray(q, dtype=np.int64).reshape(n) % d
-    table = _single_weyl_table(d)
+    table = single_weyl_table(d)
     out = table[p[0] * d + q[0]]
     for k in range(1, n):
         out = np.kron(out, table[p[k] * d + q[k]])
@@ -133,8 +135,7 @@ def _transform_tables(d: int, n: int) -> tuple[np.ndarray, ...]:
     (as phi^2 = xi^{-p.q}) at (c + q, c) for every basis digit vector c, and
     no other.  index[c*D + q] is the flat position of (c + q, c) in a D x D
     matrix, a permutation of the D^2 positions whose inverse is unindex,
-    phases[x] = phi(x) over the phase points, and F[p, c] = xi^{pc mod d} is
-    the d x d DFT matrix.
+    phases[x] = phi(x) over the phase points, and F = dft(d).
     """
     D = d**n
     pts = phase_points(d, n)
@@ -142,11 +143,9 @@ def _transform_tables(d: int, n: int) -> tuple[np.ndarray, ...]:
     index = point_index(c + q, d) * D + point_index(c, d)
     unindex = np.argsort(index)
     phases = _weyl_phase(d, np.einsum("ij,ij->i", c, q))
-    r = np.arange(d)
-    F = np.exp(2j * np.pi * (np.outer(r, r) % d) / d)
-    for table in (index, unindex, phases, F):
+    for table in (index, unindex, phases):
         table.flags.writeable = False
-    return index, unindex, phases, F
+    return index, unindex, phases, dft(d)
 
 
 def _per_digit(F: np.ndarray, T: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -241,5 +240,4 @@ def displace(table: CharFunction, x) -> CharFunction:
     """
     d, n = table.d, table.n
     x = np.asarray(x)[..., None, :]
-    phases = np.exp(2j * np.pi * symplectic_form(x, phase_points(d, n), d) / d)
-    return CharFunction(d, n, table.values * phases)
+    return CharFunction(d, n, table.values * xi(d, symplectic_form(x, phase_points(d, n), d)))

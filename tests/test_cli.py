@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dvconv
-from dvconv import cli, magic, states, weyl
+from dvconv import cli, experiments, magic, states, weyl
 from dvconv.cli import EXIT_CLOSED_PIPE, RECORD_BUDGET, main
-from dvconv.conv import convolve, default_spec
+from dvconv.conv import amplifier_spec, convolve, default_spec
 from dvconv.entropy import renyi_entropy
-from dvconv.errors import InvalidState
+from dvconv.errors import InvalidState, NoSolution
 from dvconv.experiments import DUALITY_TOL, RECORD_COUNTS, record_bound
 from dvconv.states import (DensityMatrix, char_to_json, random_density,
                            state_from_json, state_to_json)
@@ -97,6 +97,34 @@ def test_named_spec_rejected_at_small_d(tmp_path, capsys):
                      "--b", "zero-ket", "--spec", "beam-splitter",
                      "--out", str(tmp_path / "x.json"))
     assert code == 2
+
+
+def test_amplifier_spec_passes_duality_at_d7_and_is_refused_at_d3(tmp_path, capsys):
+    """The paper's DV amplifier: its (l, m) exist at d = 7, and none at d = 3."""
+    out_file = tmp_path / "x.json"
+    flags = ("--a", "zero-ket", "--b", "random-mixed", "--seed", "1",
+             "--spec", "amplifier", "--check-duality", "--out", str(out_file))
+    code, out, err = run(capsys, "convolve", "--d", "7", *flags)
+    assert code == 0, err
+    name, dev = out.split()
+    assert name == "duality-deviation" and float(dev) <= DUALITY_TOL
+    out_file.unlink()
+    code, out, err = run(capsys, "convolve", "--d", "3", *flags)
+    _assert_usage_error(code, err, "no amplifier parameters at d=3")
+    assert out == "" and not out_file.exists()
+    with pytest.raises(NoSolution):
+        amplifier_spec(3, 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gap", "--d", "3", "--preset", "no-such-state"),
+     "state descriptor 'no-such-state' is neither a preset"),
+    (("gap", "--d", "3", "--preset", "t-state"), "t-state preset requires d=2, n=1"),
+], ids=["unknown-descriptor", "t-state-at-d3"])
+def test_state_descriptor_that_names_no_state_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, err, message)
+    assert out == ""
 
 
 def test_random_preset_needs_seed(tmp_path, capsys):
@@ -544,6 +572,120 @@ def test_fuzzed_state_file_ends_in_a_documented_exit(tmp_path_factory, case):
         assert err.getvalue().startswith("error: ")
 
 
+#: each value flag's draws: (accepted values, the edges of each check and
+#: malformed text); (d, n) stay at D <= 49 so an example is cheap
+ARGV_VALUES = {
+    "--d": (["3", "7"], ["2", "5", "4", "1", "0", "-3", "343", "x", ""]),
+    "--n": (["1", "2"], ["0", "-1", "x"]),
+    "--seed": (["0", "7"], ["-1", str(2**64), "x"]),
+    "--steps": (["0", "2"], ["-1", "50000", "x"]),
+    "--trials": (["1", "2"], ["0", "3572", "x"]),
+    "--G": (["1,1,1,2", "1,1,1,6"], ["1,2", "0,1,1,1", "a,b,c,d", "1,1,1,1"]),
+    "--spec": (["beam-splitter", "amplifier"], ["bogus"]),
+    "--format": (["csv", "json"], ["xml"]),
+    # state descriptors: presets and files under the work directory (a
+    # file that parses but whose matrix is not a state is accepted here)
+    "state": (["zero-ket", "negative.json", "maximally-mixed", "random-pure", "random-mixed",
+               "good.json"],
+              ["t-state", "bogus", "other.json", "bad.json", "deep.json", "dir", "loop",
+               "missing.json"]),
+    # output targets under the work directory; the edges but the first are
+    # never a regular file
+    "target": (["out.json", "link-out"],
+               ["missing/x.json", "dir", "fifo", "link-dir", "link-fifo", "loop", ""]),
+}
+ARGV_NON_REGULAR = ARGV_VALUES["target"][1][1:]
+#: the drawn values that name a path under the work directory
+ARGV_FILES = {"good.json", "other.json", "bad.json", "deep.json", "negative.json",
+              "missing.json", *ARGV_VALUES["target"][0], *ARGV_VALUES["target"][1]} - {""}
+#: each command's flags, the ones it needs to run first
+ARGV_FLAGS = {
+    "gap": (["--d", "--preset"], ["--n", "--input", "--seed", "--emit-char", "--json"]),
+    "convolve": (["--d", "--a", "--b", "--out"],
+                 ["--n", "--seed", "--check-duality", "--G", "--spec"]),
+    "clt": (["--d", "--seed"], ["--n", "--steps", "--preset", "--input", "--out", "--format"]),
+    "suite": ([], ["--seed", "--trials", "--steps", "--out", "--format"]),
+    "enumerate": (["--d"], ["--n", "--out"]),
+    "capacity-bounds": (["--d", "--sigma"], ["--n", "--rho0", "--seed", "--G", "--spec"]),
+}
+ARGV_POSITIONAL = {"suite": sorted(experiments.SUITES) + ["bogus"],
+                   "enumerate": ["msps", "stabilizers", "bogus"]}
+ARGV_KIND = {"--preset": "state", "--input": "state", "--a": "state", "--b": "state",
+             "--sigma": "state", "--rho0": "state", "--out": "target", "--emit-char": "target"}
+ARGV_SWITCHES = {"--json", "--check-duality"}
+
+
+def _argv_workdir(work):
+    """The files the fuzzed descriptors and targets name, made once."""
+    if work.exists():
+        return
+    work.mkdir()
+    (work / "dir").mkdir()
+    os.mkfifo(work / "fifo")
+    for link, target in [("link-dir", "dir"), ("link-fifo", "fifo"), ("loop", "loop"),
+                         ("link-out", "out.json")]:
+        (work / link).symlink_to(target)
+    _write(work / "good.json", state_to_json(states.ket_state(3, 1, [1])))
+    _write(work / "other.json", D5_STATE)
+    _write(work / "bad.json", '{"d": 3, "n": 1, "kind": "dense", "re": [[1')
+    _write(work / "deep.json", "[" * 100_000)
+    _write(work / "negative.json", {"d": 3, "n": 1, "kind": "dense",
+                                    "re": np.diag([2.0, -1.0, 0.0]).tolist(),
+                                    "im": np.zeros((3, 3)).tolist()})
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command line of known commands and flags: each flag given or not, a
+    value from its list, now and then a flag of another command."""
+    command = draw(st.sampled_from([*ARGV_FLAGS, "frobnicate"]))
+    argv = [command]
+    if command in ARGV_POSITIONAL:
+        argv.append(draw(st.sampled_from(ARGV_POSITIONAL[command])))
+    needed, optional = ARGV_FLAGS.get(command, ([], []))
+    flags = [flag for flag in needed if draw(st.sampled_from([True] * 7 + [False]))]
+    flags += [flag for flag in optional if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(sorted(ARGV_KIND)), max_size=1))
+    for flag in flags:
+        argv.append(flag)
+        if flag not in ARGV_SWITCHES:
+            accepted, edges = ARGV_VALUES[ARGV_KIND.get(flag, flag)]
+            argv.append(draw(st.one_of(st.sampled_from(accepted),
+                                       st.sampled_from(accepted + edges))))
+    return argv
+
+
+def _tree(work):
+    """Every path under ``work`` with its kind, size and modification time."""
+    return sorted((str(path.relative_to(work)), path.lstat().st_mode, path.lstat().st_size,
+                   path.lstat().st_mtime_ns) for path in work.rglob("*"))
+
+
+@given(_fuzz_argv())
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+def test_fuzzed_argv_ends_in_a_documented_exit(tmp_path_factory, argv):
+    """Any command line gives 0, 1 (a suite only), or 2 or 3 with one
+    ``error:`` line, no stdout and no file written; never an internal error.
+    A target that is not a regular file is refused with 2."""
+    work = tmp_path_factory.getbasetemp() / "fuzzed-argv"
+    _argv_workdir(work)
+    targets = [value for flag, value in zip(argv, argv[1:]) if ARGV_KIND.get(flag) == "target"]
+    argv = [str(work / arg) if arg in ARGV_FILES else arg for arg in argv]
+    before = _tree(work)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert code != 1 or argv[0] == "suite"
+    if code in (2, 3):
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+        assert _tree(work) == before
+    if set(targets) & set(ARGV_NON_REGULAR):
+        assert code == 2, err.getvalue()
+
+
 def test_msps_file_with_non_commuting_generators_is_not_a_valid_state(tmp_path, capsys):
     """A well-formed group file whose generators, Z_1 and X_1, do not commute."""
     path = _write(tmp_path / "state.json", {"d": 3, "n": 2, "kind": "msps",
@@ -618,12 +760,15 @@ def test_directory_as_state_file_is_usage_error(tmp_path, capsys):
     ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out"),
     ("gap", "--d", "3", "--preset", "zero-ket", "--emit-char"),
     ("clt", "--d", "7", "--steps", "1", "--seed", "1", "--out"),
-], ids=["convolve-out", "gap-emit-char", "clt-out"])
+    ("convolve", "--d", "7", "--a", "zero-ket", "--b", "zero-ket", "--check-duality", "--out"),
+], ids=["convolve-out", "gap-emit-char", "clt-out", "convolve-check-duality"])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    """Refused before the command runs: nothing printed, nothing written."""
     target = str(tmp_path / "missing" / "x.json")
-    code, _, err = run(capsys, *argv, target)
+    code, out, err = run(capsys, *argv, target)
     _assert_usage_error(code, err, "No such file or directory")
-    assert not (tmp_path / "missing").exists()
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):

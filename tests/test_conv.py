@@ -22,6 +22,7 @@ from dvconv.entropy import renyi_entropy
 from dvconv.errors import (
     CovarianceViolation,
     DimensionMismatch,
+    InvalidGroup,
     NoSolution,
     UnsupportedDimension,
 )
@@ -224,6 +225,17 @@ def test_partner_group_example():
     s1 = partner_stabilizer_group(s2, spec)
     # -g10^{-1} g11 = -2 = 1 mod 3: again a Z-type label
     assert s1.generators == ((1, 0),)
+
+
+def test_partner_group_needs_a_maximal_group():
+    group = StabilizerGroup(3, 2, ((1, 0, 0, 0),), (0,))
+    with pytest.raises(InvalidGroup, match=r"r = n"):
+        partner_stabilizer_group(group, default_spec(3, 2))
+
+
+def test_spec_refuses_a_parameter_matrix_of_another_modulus():
+    with pytest.raises(DimensionMismatch, match="G modulus differs"):
+        ConvolutionSpec(3, 1, gmatrix_new([1, 1, 1, 6], 7))
 
 
 def test_partner_pairs_give_pure_output():

@@ -263,6 +263,13 @@ def test_log_slope_keeps_only_norms_above_the_floor():
     assert experiments.log_slope(norms) == pytest.approx(math.log(norms[1]), rel=1e-12)
 
 
+def test_log_slope_needs_two_norms_above_the_floor():
+    """No fit, and no slope record, from fewer than two steps above the floor."""
+    floor = experiments.SLOPE_NORM_FLOOR
+    assert experiments.log_slope(np.array([1.0, floor, 0.0])) is None
+    assert experiments.log_slope(np.array([floor / 2])) is None
+
+
 @pytest.mark.parametrize("name, trials", [
     ("duality", 6), ("entropy", 6), ("fisher", 6), ("monotonicity", 6),
     ("duality", 2),  # fewer trials than configs: one config's stack is empty

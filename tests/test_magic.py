@@ -24,7 +24,7 @@ from dvconv.states import (
     random_density,
     t_state,
 )
-from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
+from dvconv.weyl import (CharFunction, char_function, dft, inverse_char, phase_points,
                          point_index, weyl_op)
 from oracles import enumerate_msps, is_clifford, msps_from_group
 
@@ -180,6 +180,18 @@ def test_clifford_t_circuit():
         clifford_t_circuit(0, 3, 1)
 
 
+@pytest.mark.parametrize("d", [19, 23])
+def test_one_qudit_gates_keep_their_group_laws_at_large_d(d):
+    """Each root of unity of a gate is xi^k with k reduced mod d, so the
+    Fourier and Weyl gates stay unitary and the phase gate keeps S^d = I
+    at large d; powers of a rounded xi drift by 1e-14 and 1e-11 here."""
+    (fourier, phase, weyl, _, _), gates = magic._gates(d, 1)
+    eye = np.eye(d)
+    for U in (gates[fourier], *gates[weyl:weyl + d * d]):
+        assert np.max(np.abs(U @ U.conj().T - eye)) < 1e-15
+    assert np.max(np.abs(np.linalg.matrix_power(gates[phase], d) - eye)) < 1e-13
+
+
 def _on_wire(gate, n, wire, d=2):
     ops = [gate if k == wire else np.eye(d, dtype=complex) for k in range(n)]
     return reduce(np.kron, ops, np.eye(1, dtype=complex))
@@ -220,7 +232,7 @@ def _kron_words(rng, n, d=2, count=1):
         word = []
         for kind, wire, offset in zip(kinds[c], wires[c], offsets[c]):
             if kind == 0:
-                word.append(_on_wire(magic._fourier_gate(d), n, wire, d))
+                word.append(_on_wire(dft(d) / np.sqrt(d), n, wire, d))
             elif kind == 1:
                 word.append(_on_wire(magic._phase_gate(d), n, wire, d))
             else:

@@ -100,15 +100,19 @@ def _halved(node: ast.AST) -> ast.AST:
     return node
 
 
+def _nodes_of(tree: ast.AST, name: str) -> set[int]:
+    """The ids of the nodes inside the top-level function ``name`` of ``tree``."""
+    return {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and fn.name == name for node in ast.walk(fn)}
+
+
 def test_one_hermitian_part_in_src():
     """``(X + X^dag) / 2``, halved before or after the sum, is written only in
     ``states.hermitian_part``; everything else calls it."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        skip = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                and path.stem == "states" and fn.name == "hermitian_part"
-                for node in ast.walk(fn)}
+        skip = _nodes_of(tree, "hermitian_part") if path.stem == "states" else set()
         for node in ast.walk(tree):
             if id(node) in skip or not (isinstance(node, ast.BinOp)
                                         and isinstance(node.op, ast.Add)):
@@ -119,6 +123,25 @@ def test_one_hermitian_part_in_src():
                 if of is not None and ast.dump(of) == ast.dump(x):
                     found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"Hermitian parts outside states.hermitian_part: {found}"
+
+
+def test_one_root_of_unity_rule_in_src():
+    """``np.exp(2j * np.pi ...)`` is written only in ``weyl.xi``, which reduces
+    its exponent mod d first, and no expression raises ``xi(...)`` to a
+    power: a rounded root raised to a large power drifts off the unit circle."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = _nodes_of(tree, "xi") if path.stem == "weyl" else set()
+        for node in ast.walk(tree):
+            angle = (isinstance(node, ast.Call) and id(node) not in skip
+                     and ast.unparse(node).startswith("np.exp(2j * np.pi"))
+            power = (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                     and isinstance(node.left, ast.Call)
+                     and ast.unparse(node.left.func).split(".")[-1] == "xi")
+            if angle or power:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, f"roots of unity written outside weyl.xi: {found}"
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
