@@ -29,7 +29,7 @@ import numpy as np
 from . import conv, experiments, magic, states, weyl
 from .errors import DvconvError, ParseError
 from .experiments import fmt
-from .zmod import check_system, gmatrix_new
+from .zmod import check_system
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -142,12 +142,12 @@ def _spec_from_args(spec: str | None, G: str | None, d: int,
         if G is None:
             return conv.default_spec(d, n)
         try:
-            entries = [int(v) for v in G.split(",")]
+            entries = tuple(int(v) for v in G.split(","))
         except ValueError:
-            entries = []
+            entries = ()
         if len(entries) != 4:
             raise ParseError("--G expects four comma-separated integers")
-        return conv.ConvolutionSpec(d, n, gmatrix_new(entries, d))
+        return conv.ConvolutionSpec(d, n, entries)
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:

@@ -2,10 +2,12 @@
 beam-splitter/amplifier specializations, minimal-output-entropy partners,
 and Holevo capacity bounds.
 
-The matrix path gathers entries through the key permutation, one j at a
-time: O(D^3) time, O(D^2) memory per state and no D^2 x D^2 operand; the
-characteristic-side product is an independent cross-check.  ``key_unitary``
-is the dense permutation, kept as an oracle.
+Every operation takes a ``ConvolutionSpec``, which validates its own
+parameter matrix G: a positive invertible 2 x 2 matrix over Z_d, of which
+none exists mod 2.  The matrix path gathers entries through the key
+permutation, one j at a time: O(D^3) time, O(D^2) memory per state and no
+D^2 x D^2 operand; the characteristic-side product is an independent
+cross-check.  ``key_unitary`` is the dense permutation, kept as an oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .errors import (
     CovarianceViolation,
     DimensionMismatch,
     InvalidGroup,
+    NotInvertible,
+    NotPositive,
     UnsupportedDimension,
 )
 from .entropy import renyi_spectra
@@ -26,52 +30,63 @@ from .magic import mean_state
 from .states import DensityMatrix, StabilizerGroup, hermitian_part
 from .weyl import CharFunction, char_function, displace, phase_points, point_index
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
-from .zmod import GMatrix, check_system, find_amplifier_params, \
-    find_beam_splitter_params, gmatrix_new, mod_inverse
+from .zmod import check_system, find_amplifier_params, find_beam_splitter_params, \
+    mod_inverse
 
 COVARIANCE_TOL = 1e-9
 
 
-def _require_odd_prime(d: int, n: int) -> None:
-    """A supported system with d != 2: the convolution's domain."""
-    check_system(d, n)
-    if d == 2:
-        raise UnsupportedDimension(
-            "convolution needs an odd prime d; no positive invertible "
-            "parameter matrix exists mod 2"
-        )
-
-
 @dataclass(frozen=True)
 class ConvolutionSpec:
-    """A (d, n) system together with a positive invertible parameter matrix."""
+    """A (d, n) system with a positive invertible parameter matrix
+    G = [g00, g01; g10, g11] over Z_d, held as the residues (g00, g01, g10, g11).
+
+    Positive means no entry is 0 mod d.  G may be any four integers; they
+    are reduced mod d, so equal specs hash equal.  d = 2 is refused before
+    G is read: no positive invertible matrix exists mod 2.
+    """
 
     d: int
     n: int
-    G: GMatrix
+    G: tuple[int, int, int, int]
 
     def __post_init__(self):
-        _require_odd_prime(self.d, self.n)
-        if self.G.d != self.d:
-            raise DimensionMismatch("G modulus differs from spec d")
+        check_system(self.d, self.n)
+        d = self.d
+        if d == 2:
+            raise UnsupportedDimension(
+                "convolution needs an odd prime d; no positive invertible "
+                "parameter matrix exists mod 2"
+            )
+        g00, g01, g10, g11 = G = tuple(int(g) % d for g in self.G)
+        object.__setattr__(self, "G", G)
+        if 0 in G:
+            raise NotPositive(f"G has a zero entry mod {d}")
+        if (g00 * g11 - g01 * g10) % d == 0:
+            raise NotInvertible(f"det G = 0 mod {d}")
+
+    def inverse(self) -> tuple[int, int, int, int]:
+        """G^{-1} = (det G)^{-1} [g11, -g01; -g10, g00] mod d."""
+        d, (g00, g01, g10, g11) = self.d, self.G
+        N = mod_inverse(g00 * g11 - g01 * g10, d)
+        return (N * g11 % d, -N * g01 % d, -N * g10 % d, N * g00 % d)
 
 
 def default_spec(d: int, n: int) -> ConvolutionSpec:
     """The canonical positive invertible choice G = [1, 1; 1, d-1]."""
-    _require_odd_prime(d, n)
-    return ConvolutionSpec(d, n, gmatrix_new((1, 1, 1, d - 1), d))
+    return ConvolutionSpec(d, n, (1, 1, 1, d - 1))
 
 
 def beam_splitter_spec(d: int, n: int) -> ConvolutionSpec:
     """G = [s, t; t, -s] with the smallest s^2 + t^2 = 1 mod d pair."""
     s, t = find_beam_splitter_params(d)
-    return ConvolutionSpec(d, n, gmatrix_new((s, t, t, -s), d))
+    return ConvolutionSpec(d, n, (s, t, t, -s))
 
 
 def amplifier_spec(d: int, n: int) -> ConvolutionSpec:
     """G = [l, -m; -m, l] with the smallest l^2 - m^2 = 1 mod d pair."""
     l, m = find_amplifier_params(d)
-    return ConvolutionSpec(d, n, gmatrix_new((l, -m, -m, l), d))
+    return ConvolutionSpec(d, n, (l, -m, -m, l))
 
 
 @lru_cache(maxsize=None)
@@ -80,13 +95,13 @@ def _key_sources(spec: ConvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
 
     U applies (G^-1)^T to (i, j) on each wire, so (a, b) is G^T (i, j) there.
     """
-    d, n, g = spec.d, spec.n, spec.G
+    d, n, (g00, g01, g10, g11) = spec.d, spec.n, spec.G
     D = d**n
     # row i*D + j of the phase points holds the digits of i, then those of j
     digits = phase_points(d, n)
     i_dig, j_dig = digits[:, :n], digits[:, n:]
-    a = point_index(g.g00 * i_dig + g.g10 * j_dig, d).reshape(D, D)
-    b = point_index(g.g01 * i_dig + g.g11 * j_dig, d).reshape(D, D)
+    a = point_index(g00 * i_dig + g10 * j_dig, d).reshape(D, D)
+    b = point_index(g01 * i_dig + g11 * j_dig, d).reshape(D, D)
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
@@ -127,12 +142,12 @@ def convolve(rho: DensityMatrix, sigma: DensityMatrix,
 def _char_sources(spec: ConvolutionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Phase-point indices (h00 p, g00 q) and (h10 p, g01 q) of every (p, q),
     with G^-1 = [h00, h01; h10, h11]."""
-    d, n, g = spec.d, spec.n, spec.G
-    h00, _, h10, _ = g.inverse_entries()
+    d, n, (g00, g01, _, _) = spec.d, spec.n, spec.G
+    h00, _, h10, _ = spec.inverse()
     pts = phase_points(d, n)
     p, q = pts[:, :n], pts[:, n:]
-    a = point_index(np.concatenate([h00 * p, g.g00 * q], axis=1), d)
-    b = point_index(np.concatenate([h10 * p, g.g01 * q], axis=1), d)
+    a = point_index(np.concatenate([h00 * p, g00 * q], axis=1), d)
+    b = point_index(np.concatenate([h10 * p, g01 * q], axis=1), d)
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
@@ -154,11 +169,11 @@ def partner_stabilizer_group(s2: StabilizerGroup,
     This is the input group pairing that makes the convolution of the two
     pure stabilizer states pure again.
     """
-    d, n, g = spec.d, spec.n, spec.G
+    d, n, (g00, g01, g10, g11) = spec.d, spec.n, spec.G
     if s2.r != n:
         raise InvalidGroup("partner construction needs a maximal group (r = n)")
-    cp = (-mod_inverse(g.g10, d) * g.g11) % d
-    cq = (mod_inverse(g.g01, d) * g.g00) % d
+    cp = (-mod_inverse(g10, d) * g11) % d
+    cq = (mod_inverse(g01, d) * g00) % d
     gens = np.array(s2.generators, dtype=np.int64)
     gens = np.hstack([cp * gens[:, :n], cq * gens[:, n:]]) % d
     return StabilizerGroup(d, n, tuple(map(tuple, gens.tolist())), (0,) * n)
@@ -184,20 +199,21 @@ def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
     w(g00 p, h00 q) with h00 = (G^-1)_00, is a group property, so it is
     checked at the 2n unit labels only, on characteristic tables against
     out = rho0 boxtimes sigma, the one matrix-side convolution.  No average
-    check: G is positive (``gmatrix_new``), so g00 and h00 are nonzero and
-    x -> (g00 x_p, h00 x_q) is a bijection of phase space.  Every orbit
-    output is then unitarily equivalent to out and the orbit average is the
-    full Weyl twirl, I/d^n for every state.  Returns n log2 d - H(out), of
-    the shape that stacks broadcast to as in ``convolve``, checked as a whole.
+    check: ``ConvolutionSpec`` refuses a G with a zero entry, so g00 and
+    h00 = g11 / det G are nonzero and x -> (g00 x_p, h00 x_q) is a
+    bijection of phase space.  Every orbit output is then unitarily
+    equivalent to out and the orbit average is the full Weyl twirl, I/d^n
+    for every state.  Returns n log2 d - H(out), of the shape that stacks
+    broadcast to as in ``convolve``, checked as a whole.
     """
     _check_pair(rho0, sigma, spec)
-    d, n, g = spec.d, spec.n, spec.G
-    h00 = g.inverse_entries()[0]
+    d, n, g00 = spec.d, spec.n, spec.G[0]
+    h00 = spec.inverse()[0]
     out = convolve(rho0, sigma, spec)
     t_rho0, t_sigma, t_out = (char_function(s) for s in (rho0, sigma, out))
     for k, label in enumerate(np.eye(2 * n, dtype=np.int64)):
         lhs = convolve_characteristic(displace(t_rho0, label), t_sigma, spec)
-        rhs = displace(t_out, np.concatenate([g.g00 * label[:n], h00 * label[n:]]))
+        rhs = displace(t_out, np.concatenate([g00 * label[:n], h00 * label[n:]]))
         dev = np.max(np.abs(lhs.values - rhs.values), initial=0.0)
         if dev > COVARIANCE_TOL:
             raise CovarianceViolation(

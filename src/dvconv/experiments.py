@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conv, entropy, linalg, magic, states, weyl
-from .zmod import find_beam_splitter_params, rref_mod
+from .zmod import rref_mod
 
 INF = math.inf
 
@@ -449,7 +449,7 @@ def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> Experi
     spec = conv.beam_splitter_spec(d, n)
     report = ExperimentReport("clt", seed, {
         "d": d, "n": n, "steps": steps, "trials": trials,
-        "s_t": list(find_beam_splitter_params(d)),
+        "s_t": list(spec.G[:2]),
         "alphas": [0.5, 1, 2, "inf"]})
     rngs = np.random.default_rng(seed).spawn(trials)
     # even trials are pure; odd ones draw their rank first

@@ -6,13 +6,11 @@ eagerly so outputs are bit-exact across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NoSolution, NotInvertible, NotPositive,
-                     UnsupportedDimension, UnsupportedScale, ZeroElement)
+from .errors import NoSolution, UnsupportedDimension, UnsupportedScale, ZeroElement
 
 
 def is_prime(d: int) -> bool:
@@ -133,39 +131,3 @@ def find_beam_splitter_params(d: int) -> tuple[int, int]:
 def find_amplifier_params(d: int) -> tuple[int, int]:
     """Smallest (l, m) with l^2-m^2 = 1 mod d."""
     return _smallest_pair(d, -1, "amplifier", "l", "m")
-
-
-@dataclass(frozen=True)
-class GMatrix:
-    """Positive invertible 2x2 convolution parameter matrix over Z_d.
-
-    Positive means no entry is 0 mod d.  N caches (det G)^{-1}.
-    """
-
-    d: int
-    g00: int
-    g01: int
-    g10: int
-    g11: int
-    N: int
-
-    def inverse_entries(self) -> tuple[int, int, int, int]:
-        """Entries of G^{-1} = N [g11, -g01; -g10, g00] mod d."""
-        d, N = self.d, self.N
-        return (
-            (N * self.g11) % d,
-            (-N * self.g01) % d,
-            (-N * self.g10) % d,
-            (N * self.g00) % d,
-        )
-
-
-def gmatrix_new(entries, d: int) -> GMatrix:
-    """Validate a positive invertible G = [g00, g01; g10, g11] over Z_d."""
-    g00, g01, g10, g11 = (int(g) % d for g in entries)
-    if any(g == 0 for g in (g00, g01, g10, g11)):
-        raise NotPositive(f"G has a zero entry mod {d}")
-    det = (g00 * g11 - g01 * g10) % d
-    if det == 0:
-        raise NotInvertible(f"det G = 0 mod {d}")
-    return GMatrix(d=d, g00=g00, g01=g01, g10=g10, g11=g11, N=mod_inverse(det, d))

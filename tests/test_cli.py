@@ -427,10 +427,15 @@ def test_unsupported_enumeration_is_usage_error(capsys):
      f"d^n = {10**30 + 57}^1 exceeds the limit MAX_DIM = 343"),
     (("convolve", "--d", "7", "--n", "4", "--a", "zero-ket", "--b", "zero-ket"),
      "d^n = 7^4 exceeds"),
+    (("convolve", "--d", "2", "--a", "zero-ket", "--b", "zero-ket", "--G", "1,1,1,2"),
+     "odd prime"),
+    (("capacity-bounds", "--d", "2", "--sigma", "maximally-mixed", "--G", "1,1,1,1"),
+     "odd prime"),
 ], ids=["gap-d4", "gap-d9", "gap-d-3", "gap-n0", "convolve-n0", "convolve-d9",
         "convolve-G-letters", "convolve-G-zero-entry", "convolve-G-with-spec",
         "capacity-bounds-G-with-spec", "gap-d347", "gap-2^9",
-        "gap-n-huge", "gap-d-huge-prime", "convolve-7^4"])
+        "gap-n-huge", "gap-d-huge-prime", "convolve-7^4",
+        "convolve-d2-G-zero-entry-mod-2", "capacity-bounds-d2-G-singular-mod-2"])
 def test_bad_system_is_usage_error(tmp_path, capsys, argv, message):
     out_file = tmp_path / "x.json"
     if argv[0] == "convolve":

@@ -24,8 +24,12 @@ from dvconv.errors import (
     DimensionMismatch,
     InvalidGroup,
     NoSolution,
+    NotInvertible,
+    NotPositive,
     UnsupportedDimension,
+    UnsupportedScale,
 )
+from dvconv.experiments import DUALITY_TOL
 from dvconv.linalg import partial_trace_B
 from dvconv.states import (
     DensityMatrix,
@@ -36,7 +40,6 @@ from dvconv.states import (
     random_density,
 )
 from dvconv.weyl import CharFunction, char_function, point_index
-from dvconv.zmod import gmatrix_new
 from oracles import enumerate_msps, is_clifford, msps_from_group, weyl_orbit_holevo
 
 def _ensemble_with_covariance_off_by(delta):
@@ -65,7 +68,7 @@ def test_covariance_check_outside_covariance_tol(delta):
 
 #: every named spec has a symmetric G; these do not, so a key map that used
 #: G where it needs G^T would show
-SKEW_SPECS = [ConvolutionSpec(d, n, gmatrix_new(g, d)) for d, n, g in (
+SKEW_SPECS = [ConvolutionSpec(d, n, g) for d, n, g in (
     (3, 1, (1, 2, 1, 1)), (3, 2, (1, 2, 1, 1)), (7, 1, (1, 2, 3, 4)))]
 NAMED_SPECS = [default_spec(3, 1), default_spec(3, 2), beam_splitter_spec(7, 1),
                amplifier_spec(7, 1)]
@@ -78,12 +81,113 @@ def test_spec_rejects_d2():
 
 def test_named_specs():
     bs = beam_splitter_spec(7, 1)
-    assert (bs.G.g00, bs.G.g01, bs.G.g10, bs.G.g11) == (2, 2, 2, 5)
-    amp = amplifier_spec(7, 1)
-    assert (amp.G.g00, amp.G.g01, amp.G.g10, amp.G.g11) == (3, 6, 6, 3)
+    assert bs.G == (2, 2, 2, 5)
+    assert amplifier_spec(7, 1).G == (3, 6, 6, 3)
     for d in (3, 5):
         with pytest.raises(NoSolution):
             beam_splitter_spec(d, 1)
+
+
+def test_spec_default_d3():
+    spec = ConvolutionSpec(3, 1, (1, 1, 1, 2))
+    assert spec.G == (1, 1, 1, 2)
+    assert spec.inverse() == (2, 2, 2, 1)
+
+
+def test_spec_beam_splitter_d7():
+    spec = ConvolutionSpec(7, 1, (2, 2, 2, -2))
+    assert spec.G == (2, 2, 2, 5)
+    # G^2 = I: the beam splitter is its own inverse at d = 7
+    assert spec.inverse() == spec.G
+
+
+def test_spec_rejections():
+    """check_system, then d = 2, then a zero entry, then det G: a G that
+    breaks several checks is refused by the first of them in that order."""
+    for (d, n, G), error, message in [
+        ((4, 1, (0, 0, 0, 0)), UnsupportedDimension, "d=4 is not prime"),
+        ((2, 9, (0, 0, 0, 0)), UnsupportedScale, r"d\^n = 2\^9"),
+        ((2, 1, (1, 1, 1, 1)), UnsupportedDimension, "odd prime"),
+        ((2, 1, (1, 0, 1, 1)), UnsupportedDimension, "odd prime"),
+        ((3, 1, (0, 1, 1, 1)), NotPositive, "zero entry mod 3"),
+        ((3, 1, (1, 3, 1, 1)), NotPositive, "zero entry mod 3"),
+        ((3, 1, (0, 0, 0, 0)), NotPositive, "zero entry mod 3"),
+        ((3, 1, (1, 1, 1, 1)), NotInvertible, "det G = 0 mod 3"),
+        ((7, 1, (1, 2, 3, 6)), NotInvertible, "det G = 0 mod 7"),
+    ]:
+        with pytest.raises(error, match=message):
+            ConvolutionSpec(d, n, G)
+
+
+@given(st.sampled_from([3, 5, 7]), st.tuples(*[st.integers(-50, 50)] * 4))
+def test_spec_inverse(d, entries):
+    try:
+        spec = ConvolutionSpec(d, 1, entries)
+    except (NotInvertible, NotPositive):
+        return
+    G = np.array(spec.G).reshape(2, 2)
+    Ginv = np.array(spec.inverse()).reshape(2, 2)
+    assert np.array_equal((G @ Ginv) % d, np.eye(2, dtype=np.int64))
+
+
+def test_spec_reduces_G_to_python_int_residues():
+    """Equal specs built from any integer sequence share one cache entry."""
+    conv._key_sources.cache_clear()
+    for G in ((1, 1, 1, -1), [1, 1, 1, -1], np.array([1, 1, 1, -1])):
+        spec = ConvolutionSpec(3, 1, G)
+        assert spec == default_spec(3, 1) and hash(spec) == hash(default_spec(3, 1))
+        assert [type(g) for g in spec.G] == [int] * 4
+        conv._key_sources(spec)
+    assert conv._key_sources.cache_info().currsize == 1
+
+
+def _transposed(spec):
+    g00, g01, g10, g11 = spec.G
+    return ConvolutionSpec(spec.d, spec.n, (g00, g10, g01, g11))
+
+
+_KEY_SOURCES, _CHAR_SOURCES = conv._key_sources, conv._char_sources
+SPEC_IDS = ["default-3-1", "default-3-2", "beam-splitter-7-1", "amplifier-7-1",
+            "skew-3-1", "skew-3-2", "skew-7-1"]
+
+#: one fault of the spec layer per row, with the specs whose duality check
+#: it slips past; the gate's duality suite runs only default (3, 1),
+#: default (3, 2) and beam splitter (7, 1), so it misses the last two rows
+SPEC_FAULTS = {
+    # G^2 = I for the beam splitter at d = 7, so G^-1 = G there
+    "inverse-returns-G": (ConvolutionSpec, "inverse", lambda spec: spec.G,
+                          {"beam-splitter-7-1"}),
+    # every named G is symmetric, so G^T = G
+    "key-sources-read-G-transposed": (
+        conv, "_key_sources", lambda spec: _KEY_SOURCES(_transposed(spec)),
+        {"default-3-1", "default-3-2", "beam-splitter-7-1", "amplifier-7-1"}),
+    # h00 = h10 and g00 = g01 at these specs, so the two sources coincide
+    "char-sources-swapped": (
+        conv, "_char_sources", lambda spec: _CHAR_SOURCES(spec)[::-1],
+        {"default-3-1", "default-3-2", "beam-splitter-7-1"}),
+}
+
+
+@pytest.mark.parametrize("fault", SPEC_FAULTS)
+def test_duality_catches_each_spec_fault_on_some_spec(fault):
+    target, name, patched, blind = SPEC_FAULTS[fault]
+    devs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(target, name, patched)
+        _KEY_SOURCES.cache_clear()
+        _CHAR_SOURCES.cache_clear()
+        try:
+            for spec_id, spec in zip(SPEC_IDS, NAMED_SPECS + SKEW_SPECS):
+                a = random_density([0, 1], spec.d, spec.n)
+                b = random_density([2, 3], spec.d, spec.n, 1)
+                lhs = char_function(convolve(a, b, spec)).values
+                rhs = convolve_characteristic(char_function(a), char_function(b),
+                                              spec).values
+                devs[spec_id] = np.max(np.abs(lhs - rhs))
+        finally:
+            _KEY_SOURCES.cache_clear()
+            _CHAR_SOURCES.cache_clear()
+    assert {k for k, dev in devs.items() if dev > DUALITY_TOL} == set(SPEC_IDS) - blind, devs
 
 
 def test_key_unitary_is_permutation_and_clifford():
@@ -233,11 +337,6 @@ def test_partner_group_needs_a_maximal_group():
         partner_stabilizer_group(group, default_spec(3, 2))
 
 
-def test_spec_refuses_a_parameter_matrix_of_another_modulus():
-    with pytest.raises(DimensionMismatch, match="G modulus differs"):
-        ConvolutionSpec(3, 1, gmatrix_new([1, 1, 1, 6], 7))
-
-
 def test_partner_pairs_give_pure_output():
     spec = default_spec(3, 1)
     for line in [(1, 0), (1, 1), (1, 2), (0, 1)]:
@@ -289,7 +388,7 @@ def test_holevo_weyl_ensemble():
 
 
 @pytest.mark.parametrize("spec", NAMED_SPECS + SKEW_SPECS,
-                         ids=lambda s: f"{s.d}-{s.n}-G{s.G.g00}{s.G.g01}{s.G.g10}{s.G.g11}")
+                         ids=lambda s: f"{s.d}-{s.n}-G{''.join(map(str, s.G))}")
 def test_holevo_weyl_ensemble_matches_full_orbit_oracle(spec):
     """The generator check against the dense sweep of all d^{2n} displacements."""
     D = spec.d**spec.n

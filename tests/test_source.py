@@ -144,6 +144,26 @@ def test_one_root_of_unity_rule_in_src():
     assert not found, f"roots of unity written outside weyl.xi: {found}"
 
 
+def _is_frozen_dataclass(decorator: ast.AST) -> bool:
+    return (isinstance(decorator, ast.Call) and ast.unparse(decorator.func) == "dataclass"
+            and any(kw.arg == "frozen" and ast.unparse(kw.value) == "True"
+                    for kw in decorator.keywords))
+
+
+def test_every_frozen_dataclass_in_src_checks_its_own_invariant():
+    """A ``@dataclass(frozen=True)`` value type defines ``__post_init__``: the
+    invariant is checked where the value is made, not left to its callers."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(cls, ast.ClassDef)
+                    and any(map(_is_frozen_dataclass, cls.decorator_list))
+                    and not any(isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                                for fn in cls.body)):
+                found.append(f"{path.name}:{cls.lineno} {cls.name}")
+    assert not found, f"frozen dataclasses without __post_init__: {found}"
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

@@ -4,19 +4,15 @@ from hypothesis import given, strategies as st
 
 from dvconv.errors import (
     NoSolution,
-    NotInvertible,
-    NotPositive,
     UnsupportedDimension,
     UnsupportedScale,
     ZeroElement,
 )
 from dvconv.zmod import (
     MAX_DIM,
-    GMatrix,
     check_system,
     find_amplifier_params,
     find_beam_splitter_params,
-    gmatrix_new,
     is_prime,
     mod_inverse,
     rank_mod,
@@ -149,39 +145,6 @@ def test_parameter_search_is_the_smallest_nonzero_pair(search, sign, message):
             with pytest.raises(NoSolution) as exc:
                 search(d)
             assert str(exc.value) == message.format(d=d)
-
-
-def test_gmatrix_default_d3():
-    g = gmatrix_new((1, 1, 1, 2), 3)
-    assert (g.g00, g.g01, g.g10, g.g11) == (1, 1, 1, 2)
-    assert g.N == 1
-
-
-def test_gmatrix_beam_splitter_d7():
-    g = gmatrix_new((2, 2, 2, -2), 7)
-    assert (g.g00, g.g01, g.g10, g.g11) == (2, 2, 2, 5)
-    assert g.N == 6
-
-
-def test_gmatrix_rejections():
-    with pytest.raises(NotInvertible):
-        gmatrix_new((1, 1, 1, 1), 2)
-    with pytest.raises(NotPositive):
-        gmatrix_new((1, 0, 1, 2), 3)
-
-
-@given(st.sampled_from([3, 5, 7]), st.integers(0, 10**6))
-def test_gmatrix_inverse(d, seed):
-    rng = np.random.default_rng(seed)
-    entries = tuple(int(v) for v in rng.integers(1, d, size=4))
-    try:
-        g = gmatrix_new(entries, d)
-    except (NotInvertible, NotPositive):
-        return
-    i00, i01, i10, i11 = g.inverse_entries()
-    G = np.array([[g.g00, g.g01], [g.g10, g.g11]])
-    Ginv = np.array([[i00, i01], [i10, i11]])
-    assert np.array_equal((G @ Ginv) % d, np.eye(2, dtype=np.int64))
 
 
 def test_rank_mod():
