@@ -50,14 +50,17 @@ class ConvolutionSpec:
     n: int
     G: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        check_system(self.d, self.n)
-        d = self.d
+    @staticmethod
+    def validate_system(d: int, n: int) -> None:
+        """zmod.check_system, then d = 2 refused: run before any search for G."""
+        check_system(d, n)
         if d == 2:
-            raise UnsupportedDimension(
-                "convolution needs an odd prime d; no positive invertible "
-                "parameter matrix exists mod 2"
-            )
+            raise UnsupportedDimension("convolution needs an odd prime d; no positive "
+                                       "invertible parameter matrix exists mod 2")
+
+    def __post_init__(self):
+        self.validate_system(self.d, self.n)
+        d = self.d
         g00, g01, g10, g11 = G = tuple(int(g) % d for g in self.G)
         object.__setattr__(self, "G", G)
         if 0 in G:
@@ -79,12 +82,14 @@ def default_spec(d: int, n: int) -> ConvolutionSpec:
 
 def beam_splitter_spec(d: int, n: int) -> ConvolutionSpec:
     """G = [s, t; t, -s] with the smallest s^2 + t^2 = 1 mod d pair."""
+    ConvolutionSpec.validate_system(d, n)
     s, t = find_beam_splitter_params(d)
     return ConvolutionSpec(d, n, (s, t, t, -s))
 
 
 def amplifier_spec(d: int, n: int) -> ConvolutionSpec:
     """G = [l, -m; -m, l] with the smallest l^2 - m^2 = 1 mod d pair."""
+    ConvolutionSpec.validate_system(d, n)
     l, m = find_amplifier_params(d)
     return ConvolutionSpec(d, n, (l, -m, -m, l))
 

@@ -8,15 +8,15 @@ tables are dense over all d^{2n} points in row-major (p, q) order.
 The transform and its inverse run qudit by qudit: a gather of the D^2
 entries that Weyl operators touch, one d x d DFT per qudit and one phase
 multiply, in O(n d D^2) time and O(D^2) memory (D = d^n).  weyl_basis, the
-stacked d^{2n} x D x D operators, is kept only as the dense oracle.  One phase
-rule: every root of unity of the package is xi(d, k), with k reduced mod d
+d^{2n} x D x D operators as one broadcast of single_weyl_table, is only the
+dense oracle.  One phase rule: every root of unity is xi(d, k), k reduced mod d
 first, and every d x d DFT is dft(d), here and in states, magic and entropy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -75,13 +75,8 @@ def single_weyl_table(d: int) -> np.ndarray:
 
 def weyl_op(d: int, n: int, p, q) -> np.ndarray:
     """w(p, q) = w(p_1, q_1) (x) ... (x) w(p_n, q_n)."""
-    p = np.asarray(p, dtype=np.int64).reshape(n) % d
-    q = np.asarray(q, dtype=np.int64).reshape(n) % d
-    table = single_weyl_table(d)
-    out = table[p[0] * d + q[0]]
-    for k in range(1, n):
-        out = np.kron(out, table[p[k] * d + q[k]])
-    return out
+    p, q = (np.asarray(v, dtype=np.int64).reshape(n) % d for v in (p, q))
+    return reduce(np.kron, single_weyl_table(d)[p * d + q])
 
 
 @lru_cache(maxsize=None)
@@ -113,16 +108,16 @@ def neg_perm(d: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def weyl_basis(d: int, n: int) -> np.ndarray:
-    """Stacked w(x) for all phase points x, aligned with phase_points.
-
-    The dense oracle of the transform: d^{2n} x D x D values, so tests use
-    it at small D only and no transform calls it.
-    """
-    pts = phase_points(d, n)
-    D = d**n
-    out = np.empty((len(pts), D, D), dtype=complex)
-    for i, label in enumerate(pts):
-        out[i] = weyl_op(d, n, label[:n], label[n:])
+    """Stacked w(x) for all phase points x, aligned with phase_points: the
+    transform's dense oracle, d^{2n} x D x D values, so tests use it at small D
+    only and no transform calls it.  One broadcast product of single_weyl_table
+    per further qudit, in kron order: the bits of a stack of weyl_op products."""
+    t = out = single_weyl_table(d).reshape(d, d, d, d)
+    for _ in range(1, n):
+        # (P, Q, R, C) times (p, q, r, c) laid out as (P, p, Q, q, R, r, C, c)
+        out = out[:, None, :, None, :, None, :, None] * t[:, None, :, None, :, None, :]
+        out = out.reshape([size * d for size in out.shape[::2]])
+    out = out.reshape(d ** (2 * n), d**n, d**n)
     out.flags.writeable = False
     return out
 

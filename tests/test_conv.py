@@ -79,6 +79,24 @@ def test_spec_rejects_d2():
         default_spec(2, 1)
 
 
+@pytest.mark.parametrize("factory, finder", [(beam_splitter_spec, "find_beam_splitter_params"),
+                                             (amplifier_spec, "find_amplifier_params")])
+def test_named_specs_check_the_system_before_searching_for_G(monkeypatch, factory, finder):
+    """d = 2 is the odd-prime refusal of default_spec, and a d past the scale
+    limit fails at once, never reaching the O(d^2) search for G's pair."""
+    with pytest.raises(UnsupportedDimension, match="odd prime"):
+        factory(2, 1)
+
+    def search(d):
+        raise AssertionError(f"searched for G at d={d}")
+
+    monkeypatch.setattr(conv, finder, search)
+    for d, error in [(2, UnsupportedDimension), (4, UnsupportedDimension),
+                     (10**30 + 57, UnsupportedScale), (7, AssertionError)]:
+        with pytest.raises(error):
+            factory(d, 1)
+
+
 def test_named_specs():
     bs = beam_splitter_spec(7, 1)
     assert bs.G == (2, 2, 2, 5)

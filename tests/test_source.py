@@ -164,6 +164,22 @@ def test_every_frozen_dataclass_in_src_checks_its_own_invariant():
     assert not found, f"frozen dataclasses without __post_init__: {found}"
 
 
+def test_dense_weyl_basis_is_built_apart_from_the_transform():
+    """weyl.weyl_basis is the dense oracle of the transform, so neither it nor
+    any function of weyl.py that it reaches reads the transform's tables or
+    kernels: a fast path must never be used to verify itself."""
+    functions = {node.name: node for node in ast.parse((SRC / "weyl.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["weyl_basis"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted((_used(functions[name]) & set(functions)) - reached)
+    fast = {"_transform_tables", "char_table", "inverse_char", "_per_digit"}
+    assert reached >= {"weyl_basis", "single_weyl_table"}
+    assert not reached & fast, f"weyl_basis reaches the transform: {sorted(reached & fast)}"
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

@@ -161,6 +161,32 @@ def test_transform_matches_dense_oracle(seed):
         assert np.max(np.abs(inverse_char(CharFunction(d, n, values)) - expected)) < 1e-11
 
 
+# with (7, 1), every cell that the benchmark's gate and scale workloads warm up
+@pytest.mark.parametrize("d, n", ORACLE_SHAPES + [(7, 1)])
+def test_weyl_basis_is_the_stack_of_weyl_op_to_the_bit(d, n):
+    """The broadcast basis equals one kron product per label, signed zeros too."""
+    expected = np.stack([weyl_op(d, n, x[:n], x[n:]) for x in phase_points(d, n)])
+    W = weyl_basis(d, n)
+    assert (W.shape, W.dtype) == (expected.shape, expected.dtype)
+    assert W.tobytes() == expected.tobytes()
+    assert not W.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0, 0] = 0
+
+
+def test_weyl_basis_allocates_little_beyond_its_output():
+    """Building the (7, 2) basis holds no second copy of it: the benchmark's
+    scale warm-up builds it, so a copy would show in its peak RSS."""
+    weyl_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        W = weyl_basis(7, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= W.nbytes + 2**20
+
+
 def test_char_table_rejects_a_matrix_of_another_size():
     for shape in ((4, 4), (9, 9), (3, 4)):
         with pytest.raises(ValueError, match="expected"):
