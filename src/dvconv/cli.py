@@ -20,7 +20,6 @@ import contextlib
 import functools
 import json
 import os
-import secrets
 import sys
 import traceback
 
@@ -73,7 +72,7 @@ def _emit(text: str, path: str | None) -> None:
     if path:
         real = os.path.realpath(path)
         try:
-            tmp = os.path.join(os.path.dirname(real), f".dvconv-{secrets.token_hex(8)}")
+            tmp = os.path.join(os.path.dirname(real), f".dvconv-{os.urandom(8).hex()}")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
@@ -167,15 +166,16 @@ def cmd_gap(args) -> int:
     rho, table = _load(args.state, args.d, args.n, _rng(args))
     if table is None:
         table = weyl.char_function(rho)
-    ok, _ = states.is_msps(table)
     group = magic.mean_vector(table)
+    mg = magic.magic_gap(table)
     out = {
         "d": rho.d,
         "n": rho.n,
-        "magic_gap": magic.magic_gap(table),
+        "magic_gap": mg,
         "log_magic_gap": magic.log_magic_gap(table),
         "pauli_rank": weyl.pauli_rank(table),
-        "is_msps": ok,
+        # mean_vector has checked that the mean table is an MSPS's, so rho is one iff MG = 0
+        "is_msps": bool(mg == 0),
         "mean_vector": list(group.phases),
         "mean_state_generators": [list(g) for g in group.generators],
     }

@@ -211,7 +211,6 @@ def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,
     for every state.  Returns n log2 d - H(out), of the shape that stacks
     broadcast to as in ``convolve``, checked as a whole.
     """
-    _check_pair(rho0, sigma, spec)
     d, n, g00 = spec.d, spec.n, spec.G[0]
     h00 = spec.inverse()[0]
     out = convolve(rho0, sigma, spec)

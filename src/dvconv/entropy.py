@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .errors import RankDeficient
-from .linalg import SUPPORT_TOL, herm_eig
+from .linalg import herm_eig
 from .states import DensityMatrix, hermitian_part
-from .weyl import dft
+from .weyl import SUPPORT_TOL, dft
 
 #: below this minimum eigenvalue a state counts as rank deficient
 FULL_RANK_TOL = 1e-12

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conv, entropy, linalg, magic, states, weyl
+from . import conv, entropy, magic, states, weyl
 from .zmod import rref_mod
 
 INF = math.inf
@@ -151,7 +151,8 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     d, n = spec.d, spec.n
     displacement, table0 = magic.make_zero_mean(weyl.char_function(rho))
-    mean = weyl.char_function(magic.mean_state(table0)).values
+    # M(rho_0)'s table, read directly: make_zero_mean has checked that it is an MSPS's
+    mean = states.unit_phases(table0.values)
     mg = magic.magic_gap(table0)
 
     def norm(table: weyl.CharFunction) -> np.ndarray:
@@ -294,7 +295,9 @@ def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     tau = states.random_density(rngs, d, n, tau_ranks)
     rc = conv.convolve(rho, tau, spec)
     sc = conv.convolve(sigma, tau, spec)
-    tn_gaps = linalg.trace_norm(rc.mat - sc.mat) - linalg.trace_norm(rho.mat - sigma.mat)
+    diffs = np.stack([rc.mat - sc.mat, rho.mat - sigma.mat])  # of validated, Hermitian states
+    after, before = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)  # trace norms
+    tn_gaps = after - before
     re_gaps = entropy.relative_entropy(rc, sc) - entropy.relative_entropy(rho, sigma)
     report.add(np.arange(trials)[:, None], ["trace_norm_gap", "rel_entropy_gap"],
                np.stack([tn_gaps, re_gaps], axis=-1), [TRACE_MONO_TOL, RELENT_MONO_TOL])

@@ -1,7 +1,9 @@
-"""Dense complex linear algebra on d^n-dimensional operators.
+"""Dense Hermitian eigensolves on d^n-dimensional operators, and the
+partial trace.
 
-Everything goes through eigendecompositions; dimensions stay <= ~350 at
-desk scale so exactness beats speed.
+``check_hermitian`` is the one Hermitian check, and ``herm_eig`` runs it
+before it solves.  The support cut SUPPORT_TOL lives in weyl, the lowest
+module that reads it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import numpy as np
 from .errors import DimensionMismatch, NotHermitian
 
 HERM_TOL = 1e-10
-#: eigenvalues below this are treated as exact zeros for rank/support work
-SUPPORT_TOL = 1e-10
 
 
 def check_hermitian(A: np.ndarray) -> None:
@@ -39,9 +39,3 @@ def partial_trace_B(M: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
         )
     return np.trace(M.reshape(dimA, dimB, dimA, dimB), axis1=1, axis2=3)
 
-
-def trace_norm(A: np.ndarray) -> float | np.ndarray:
-    """Sum of |eigenvalues| for Hermitian A (the only case used here), or
-    for each matrix of a (..., N, N) stack."""
-    check_hermitian(A)
-    return np.abs(np.linalg.eigvalsh(A)).sum(axis=-1)

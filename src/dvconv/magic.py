@@ -17,9 +17,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import PhaseNotRoot
-from .linalg import SUPPORT_TOL
 from .states import DensityMatrix, hermitian_part, is_msps, unit_phases
-from .weyl import CharFunction, dft, displace, inverse_char, point_index, single_weyl_table, xi
+from .weyl import (SUPPORT_TOL, CharFunction, dft, displace, inverse_char, point_index,
+                   single_weyl_table, xi)
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import mod_inverse, solve_mod_linear
 

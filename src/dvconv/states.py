@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import (InvalidGroup, InvalidState, MalformedGroup, ParseError,
                      UnsupportedScale)
-from .linalg import SUPPORT_TOL
 from .linalg import herm_eig  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .weyl import (
+    SUPPORT_TOL,
     CharFunction,
     inverse_char,
     phase_points,

@@ -20,8 +20,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL
 from .zmod import check_system, mod_inverse
+
+#: |Xi| and eigenvalues at most this count as exact zeros for rank and support work
+SUPPORT_TOL = 1e-10
 
 
 def xi(d: int, k=1):

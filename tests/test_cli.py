@@ -992,6 +992,52 @@ def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
     assert (len(forward), len(inverse)) == (1, 2)
 
 
+def _gap_tables() -> dict[str, weyl.CharFunction]:
+    """Tables on both sides of the MSPS rule: every MSPS at d = 3 and 5,
+    Ginibre states, the qubit T state, a Bell state, the maximally mixed
+    qutrit with Xi(+-x) at 0.99 and 1.01 SUPPORT_TOL, and |0><0| at d = 3
+    mixed toward I/3 until its unit values sit at 1 - 0.5 and 1 - 2 UNIT_TOL."""
+    tables = {f"msps-d{d}-{k}": states.msps_table(group) for d in (3, 5)
+              for k, group in enumerate(states.enumerate_groups(d, 1))}
+    for seed, (d, n) in enumerate([(3, 1), (5, 1), (7, 1), (3, 2)]):
+        tables[f"ginibre-d{d}n{n}"] = weyl.char_function(random_density(seed, d, n))
+    tables["t-state"] = weyl.char_function(states.t_state())
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    tables["bell"] = weyl.char_function(DensityMatrix(2, 2, bell))
+    mixed = weyl.char_function(states.maximally_mixed(3, 1)).values
+    for factor in (0.99, 1.01):
+        values = mixed.copy()
+        values[weyl.point_index([[1, 2], [2, 1]], 3)] = factor * weyl.SUPPORT_TOL
+        tables[f"support-tol-x{factor}"] = weyl.CharFunction(3, 1, values)
+    pure = weyl.char_function(states.ket_state(3, 1, [0])).values
+    for k in (0.5, 2):
+        values = pure.copy()
+        values[1:] *= 1 - k * states.UNIT_TOL
+        tables[f"unit-tol-x{k}"] = weyl.CharFunction(3, 1, values)
+    return tables
+
+
+GAP_TABLES = _gap_tables()
+
+
+@pytest.mark.parametrize("name", sorted(GAP_TABLES))
+def test_gap_detects_an_msps_in_one_pass(tmp_path, monkeypatch, capsys, name):
+    """gap reports is_msps as MG = 0 once the mean table has passed
+    is_msps: the one call agrees with is_msps on the table itself."""
+    table = GAP_TABLES[name]
+    path = _write(tmp_path / "char.json", char_to_json(table))
+    _, read = states.load_state_json(json.loads(Path(path).read_text()))
+    expected = states.is_msps(read)[0]
+    calls = _count_calls(monkeypatch, states.is_msps)
+    assert magic.is_msps is states.is_msps  # the by-name import is counted too
+    code, out, err = run(capsys, "gap", "--d", str(table.d), "--n", str(table.n),
+                         "--input", path, "--json")
+    assert code == 0, err
+    assert json.loads(out)["is_msps"] is expected
+    assert len(calls) == 1
+
+
 def test_convolve_at_d343(tmp_path, capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "convolve", "--d", "7", "--n", "3", "--a", "random-pure",
@@ -1050,6 +1096,15 @@ def test_a_closed_stdout_ends_quietly(argv, unbuffered):
         proc.kill()
         proc.stderr.close()
     assert (code, err) == (EXIT_CLOSED_PIPE, b"")
+
+
+def test_importing_the_cli_loads_neither_secrets_nor_hmac():
+    """The temporary file of an atomic write is named from os.urandom, so no
+    CLI process pays for importing ``secrets`` and the ``hmac`` it loads."""
+    code = "import sys, dvconv.cli; print(sorted({'secrets', 'hmac'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_second_main_call_builds_no_parser(monkeypatch, capsys):

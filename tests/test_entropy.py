@@ -18,7 +18,6 @@ from dvconv.entropy import (
 )
 from dvconv.errors import RankDeficient
 from dvconv.experiments import ALPHAS_NEG, ALPHAS_NONNEG
-from dvconv.linalg import SUPPORT_TOL
 from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
@@ -26,7 +25,7 @@ from dvconv.states import (
     maximally_mixed,
     random_density,
 )
-from dvconv.weyl import char_function, xi
+from dvconv.weyl import SUPPORT_TOL, char_function, xi
 from oracles import (scalar_relative_entropy, scalar_renyi,
                      scalar_sandwiched_relative_entropy)
 

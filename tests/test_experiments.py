@@ -179,8 +179,8 @@ def test_clt_run_chunks_count_values_over_the_whole_stack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     clt_run(rho, spec, 30)
-    # one solve of all 10 members per step, after the mean states' solve
-    assert calls[1:] == [(10, 7, 7)] * 30
+    # one solve of all 10 members per step, and none for the mean states
+    assert calls == [(10, 7, 7)] * 30
 
 
 def test_clt_run_memory_at_d343():

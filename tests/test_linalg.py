@@ -8,7 +8,6 @@ from dvconv.linalg import (
     check_hermitian,
     herm_eig,
     partial_trace_B,
-    trace_norm,
 )
 from dvconv.states import random_density
 from dvconv.weyl import char_function
@@ -106,9 +105,6 @@ def test_norms():
     assert np.isclose(schatten2_norm(np.eye(7)), np.sqrt(7))
     rho = random_density(0, 3, 1)
     assert schatten2_norm(rho.mat - rho.mat) == 0.0
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    assert np.isclose(trace_norm(a - b), 2.0)
 
 
 @given(st.integers(0, 10**6))

@@ -180,6 +180,27 @@ def test_dense_weyl_basis_is_built_apart_from_the_transform():
     assert not reached & fast, f"weyl_basis reaches the transform: {sorted(reached & fast)}"
 
 
+def _imported_modules(node: ast.AST) -> set[str]:
+    """The dotted names an import statement reads: each module, and each
+    module.name of a from-import; a relative one inside the dvconv package."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["dvconv" if node.level else None, node.module]))
+        return {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return set()
+
+
+def test_only_entropy_and_states_import_from_linalg():
+    """SUPPORT_TOL lives in weyl and suite monotonicity takes its trace norms
+    inline, so only entropy (for herm_eig) and states (the by-name import
+    that perfbench/test_tracer.py checks) import from linalg."""
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if "dvconv.linalg" in _imported_modules(node)}
+    assert importers <= {"entropy.py", "states.py"}, f"modules importing linalg: {importers}"
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

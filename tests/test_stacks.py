@@ -138,15 +138,12 @@ def test_char_function_and_its_inverse_per_member(d, n):
 
 
 @pytest.mark.parametrize("d, n", SHAPES)
-def test_total_fisher_and_trace_norm_per_member(d, n):
+def test_total_fisher_per_member(d, n):
     _, _, rho = _stack(d, n, full_rank=True)
-    _, _, sigma = _stack(d, n, first=T)
     fisher = entropy.total_fisher(rho)
-    norms = linalg.trace_norm(rho.mat - sigma.mat)
-    assert fisher.shape == norms.shape == (T,)
+    assert fisher.shape == (T,)
     for i in range(T):
         assert fisher[i] == entropy.total_fisher(rho[i])
-        assert norms[i] == linalg.trace_norm(rho.mat[i] - sigma.mat[i])
 
 
 @pytest.mark.parametrize("d", [3, 7])

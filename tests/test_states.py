@@ -11,7 +11,6 @@ from dvconv.errors import (
     UnsupportedDimension,
     UnsupportedScale,
 )
-from dvconv.linalg import SUPPORT_TOL
 from dvconv.magic import magic_gap, mean_state
 from dvconv.states import (
     ENUMERATION_BUDGET,
@@ -30,7 +29,7 @@ from dvconv.states import (
     state_to_json,
     t_state,
 )
-from dvconv.weyl import (CharFunction, char_function, inverse_char, phase_points,
+from dvconv.weyl import (SUPPORT_TOL, CharFunction, char_function, inverse_char, phase_points,
                          point_index, symplectic_form)
 from dvconv.zmod import rank_mod, rref_mod
 from oracles import enumerate_msps, ginibre_state, msps_from_group, scalar_is_msps
