@@ -167,12 +167,12 @@ def cmd_gap(args) -> int:
     if table is None:
         table = weyl.char_function(rho)
     group = magic.mean_vector(table)
-    mg = magic.magic_gap(table)
+    mg, lmg = magic.magic_gaps(table)
     out = {
         "d": rho.d,
         "n": rho.n,
         "magic_gap": mg,
-        "log_magic_gap": magic.log_magic_gap(table),
+        "log_magic_gap": lmg,
         "pauli_rank": weyl.pauli_rank(table),
         # mean_vector has checked that the mean table is an MSPS's, so rho is one iff MG = 0
         "is_msps": bool(mg == 0),

@@ -45,27 +45,26 @@ def mean_state(table: CharFunction) -> DensityMatrix:
     return DensityMatrix(table.d, table.n, hermitian_part(M))
 
 
-def _top_gap_modulus(table: CharFunction) -> np.ndarray:
-    """The largest |Xi| over support points that are not unit modulus, of
-    each table of a stack; 0 where there is none (an MSPS)."""
+def magic_gaps(table: CharFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(MG, LMG) from one pass over the table: with t the largest |Xi| over
+    support points that are not unit modulus, MG = 1 - t and LMG = -log2 t,
+    both 0 for an MSPS (no such point).  Arrays of a stack's shape (np.float64
+    for one table)."""
     mags = np.abs(table.values)
     cand = (mags > SUPPORT_TOL) & (unit_phases(table.values) == 0)
-    return np.where(cand, mags, 0.0).max(axis=-1)
+    top = np.where(cand, mags, 0.0).max(axis=-1)
+    # 0.0 - log2(1) is 0.0 where -log2(1) would be -0.0
+    return ((1.0 - top) * (top > 0))[()], (0.0 - np.log2(np.where(top > 0, top, 1.0)))[()]
 
 
 def magic_gap(table: CharFunction) -> np.ndarray:
-    """1 - second-largest characteristic modulus on the support; 0 for MSPS.
-    An array of a stack's shape (an np.float64 for one table)."""
-    top = _top_gap_modulus(table)
-    return ((1.0 - top) * (top > 0))[()]
+    """1 - second-largest characteristic modulus on the support; 0 for MSPS."""
+    return magic_gaps(table)[0]
 
 
 def log_magic_gap(table: CharFunction) -> np.ndarray:
-    """-log2 of the second-largest characteristic modulus; 0 for MSPS.
-    An array of a stack's shape (an np.float64 for one table)."""
-    top = _top_gap_modulus(table)
-    # 0.0 - log2(1) is 0.0 where -log2(1) would be -0.0
-    return (0.0 - np.log2(np.where(top > 0, top, 1.0)))[()]
+    """-log2 of the second-largest characteristic modulus; 0 for MSPS."""
+    return magic_gaps(table)[1]
 
 
 def mean_vector(table: CharFunction):

@@ -9,7 +9,8 @@ The transform and its inverse run qudit by qudit: a gather of the D^2
 entries that Weyl operators touch, one d x d DFT per qudit and one phase
 multiply, in O(n d D^2) time and O(D^2) memory (D = d^n).  weyl_basis, the
 d^{2n} x D x D operators as one broadcast of single_weyl_table, is only the
-dense oracle.  One phase rule: every root of unity is xi(d, k), k reduced mod d
+dense oracle: built on demand and kept nowhere, so the caller's reference is
+the only one.  One phase rule: every root of unity is xi(d, k), k reduced mod d
 first, and every d x d DFT is dft(d), here and in states, magic and entropy.
 """
 
@@ -108,12 +109,15 @@ def neg_perm(d: int, n: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=8)
+# maxsize=0 caches nothing but keeps cache_info, which perfbench/workload.py reads
+@lru_cache(maxsize=0)
 def weyl_basis(d: int, n: int) -> np.ndarray:
     """Stacked w(x) for all phase points x, aligned with phase_points: the
     transform's dense oracle, d^{2n} x D x D values, so tests use it at small D
-    only and no transform calls it.  One broadcast product of single_weyl_table
-    per further qudit, in kron order: the bits of a stack of weyl_op products."""
+    only and no transform calls it.  Built on each call and kept nowhere: the
+    caller's reference is the only one, and dropping it frees the basis.  One
+    broadcast product of single_weyl_table per further qudit, in kron order:
+    the bits of a stack of weyl_op products."""
     t = out = single_weyl_table(d).reshape(d, d, d, d)
     for _ in range(1, n):
         # (P, Q, R, C) times (p, q, r, c) laid out as (P, p, Q, q, R, r, C, c)

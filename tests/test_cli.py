@@ -992,6 +992,24 @@ def test_gap_transforms_a_dense_state_once(tmp_path, monkeypatch, capsys):
     assert (len(forward), len(inverse)) == (1, 2)
 
 
+def test_gap_normalises_the_unit_phases_at_most_three_times(tmp_path, monkeypatch, capsys):
+    """One gap takes the unit phases of the table for the mean table and for
+    MG and LMG together, and of the mean table in is_msps."""
+    rho = random_density(0, 7, 2)
+    dense = _write(tmp_path / "rho.json", state_to_json(rho))
+    char = _write(tmp_path / "char.json", char_to_json(weyl.char_function(rho)))
+    calls = _count_calls(monkeypatch, states.unit_phases)
+    assert magic.unit_phases is states.unit_phases  # the by-name import is counted too
+    outs = []
+    for path in (dense, char):
+        calls.clear()
+        code, out, err = run(capsys, "gap", "--d", "7", "--n", "2", "--input", path, "--json")
+        assert code == 0, err
+        assert len(calls) <= 3
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def _gap_tables() -> dict[str, weyl.CharFunction]:
     """Tables on both sides of the MSPS rule: every MSPS at d = 3 and 5,
     Ginibre states, the qubit T state, a Bell state, the maximally mixed

@@ -1,4 +1,6 @@
+import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,13 @@ from oracles import is_clifford
 ORACLE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
 #: shapes at the edge of d^n <= 343, where the dense oracle cannot be allocated
 LARGE_SHAPES = [(5, 3), (7, 3), (3, 5), (2, 8), (17, 2), (337, 1)]
+
+#: the cells of the benchmark's scale workload, in its warm-up order
+SCALE_SHAPES = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+#: the dense oracle kept per shape for the transform test's examples;
+#: weyl_basis itself caches nothing
+_oracle_basis = functools.cache(weyl_basis)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -152,7 +161,7 @@ def test_transform_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     for d, n in ORACLE_SHAPES:
         D = d**n
-        W = weyl_basis(d, n)
+        W = _oracle_basis(d, n)
         M = _complex_gaussian(rng, D)
         expected = np.einsum("xab,ba->x", W, M)[neg_perm(d, n)]
         assert np.max(np.abs(char_table(M, d, n) - expected)) < 1e-11
@@ -177,7 +186,6 @@ def test_weyl_basis_is_the_stack_of_weyl_op_to_the_bit(d, n):
 def test_weyl_basis_allocates_little_beyond_its_output():
     """Building the (7, 2) basis holds no second copy of it: the benchmark's
     scale warm-up builds it, so a copy would show in its peak RSS."""
-    weyl_basis.cache_clear()
     tracemalloc.start()
     try:
         W = weyl_basis(7, 2)
@@ -185,6 +193,35 @@ def test_weyl_basis_allocates_little_beyond_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= W.nbytes + 2**20
+
+
+def test_weyl_basis_holds_one_basis_at_a_time():
+    """Building the scale cells' bases in turn, each dropped before the
+    next, peaks at the largest one and leaves nothing behind."""
+    weyl_basis.cache_clear()  # so that bases a cache kept from earlier tests count here
+    tracemalloc.start()
+    try:
+        largest = 0
+        for d, n in SCALE_SHAPES:
+            largest = max(largest, weyl_basis(d, n).nbytes)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= largest + 2**20
+    assert current <= 2**20
+
+
+def test_weyl_basis_caches_nothing():
+    W = weyl_basis(3, 2)
+    assert weyl_basis.cache_info().currsize == 0
+    assert weyl_basis(3, 2) is not W
+
+
+def test_a_dropped_weyl_basis_is_freed():
+    W = weyl_basis(3, 2)
+    ref = weakref.ref(W)
+    del W
+    assert ref() is None
 
 
 def test_char_table_rejects_a_matrix_of_another_size():
