@@ -262,8 +262,8 @@ def cmd_suite(args) -> int:
 def cmd_enumerate(args) -> int:
     mixed = args.kind == "msps"
     with _usage_errors():
-        states.enumeration_count(args.d, args.n, mixed)
-    stack = states.msps_states(states.enumerate_groups(args.d, args.n, mixed))
+        groups = states.enumerate_groups(args.d, args.n, mixed)
+    stack = states.msps_states(groups)
     payload = [states.state_to_json(stack[i]) for i in range(len(stack.mat))]
     text = json.dumps(payload, sort_keys=True)
     _emit(text if args.out else text + "\n", args.out)

@@ -26,8 +26,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .entropy import renyi_spectra
-from .magic import mean_state
-from .states import DensityMatrix, StabilizerGroup, hermitian_part
+from .states import DensityMatrix, StabilizerGroup, hermitian_part, unit_phases
 from .weyl import CharFunction, char_function, displace, phase_points, point_index
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import check_system, find_amplifier_params, find_beam_splitter_params, \
@@ -187,12 +186,13 @@ def partner_stabilizer_group(s2: StabilizerGroup,
 def holevo_bounds(spec: ConvolutionSpec, sigma: DensityMatrix
                   ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(n log2 d - H(M(sigma)), n log2 d - H(sigma)) sandwiching the capacity
-    of the channel rho -> rho boxtimes sigma, each of sigma's stack shape."""
+    of the channel rho -> rho boxtimes sigma, each of sigma's stack shape.
+    M(sigma) is the MSPS on the unit points S of sigma's table, flat on
+    d^n / |S| levels, so the lower bound is log2 |S|: a count, no state."""
     _check_pair(sigma, sigma, spec)
-    cap = spec.n * np.log2(spec.d)
-    lower = cap - renyi_spectra(mean_state(char_function(sigma)).eigenvalues(), 1)
-    upper = cap - renyi_spectra(sigma.eigenvalues(), 1)
-    return lower, upper
+    unit = np.count_nonzero(unit_phases(char_function(sigma).values), axis=-1)
+    upper = spec.n * np.log2(spec.d) - renyi_spectra(sigma.eigenvalues(), 1)
+    return np.log2(unit), upper
 
 
 def holevo_weyl_ensemble(spec: ConvolutionSpec, sigma: DensityMatrix,

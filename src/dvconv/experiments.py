@@ -183,8 +183,6 @@ FISHER_FD_TOL = 1e-4
 TRACE_MONO_TOL = 1e-9
 RELENT_MONO_TOL = 1e-8
 EXTREMALITY_TOL = 1e-8
-#: an MSPS this close to M(rho), entrywise, is M(rho) and gets no margin
-MEAN_MATCH_TOL = 1e-9
 PURE_OUT_TOL = 1e-9
 HOLEVO_TOL = 1e-9
 SYNTH_TOL = 1e-9
@@ -374,7 +372,7 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     d = MSPS_D
     spec = conv.default_spec(d, 1)
     candidates = states.msps_states(states.enumerate_groups(d))
-    _, upper = conv.holevo_bounds(spec, candidates)
+    lower, upper = conv.holevo_bounds(spec, candidates)
     # sigma along axis 0, rho0 along axis 1
     best = conv.holevo_weyl_ensemble(
         spec, states.DensityMatrix(d, 1, candidates.mat[:, None]),
@@ -382,8 +380,7 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     report.add(np.arange(len(best)), "msps_equality_gap", upper - best, HOLEVO_TOL)
     # pure stabilizer sigma (all but the last, mixed, member): bounds collapse to log2 d
     cap = float(np.log2(d))
-    lower, upper = conv.holevo_bounds(spec, candidates[:-1])
-    collapse = np.maximum(np.abs(lower - cap), np.abs(upper - cap))
+    collapse = np.maximum(np.abs(lower[:-1] - cap), np.abs(upper[:-1] - cap))
     report.add(np.arange(len(collapse)), "stab_bounds_collapse", collapse, HOLEVO_TOL)
     return report
 
@@ -425,20 +422,21 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
     mats[drawn] = states.random_density([rngs[i] for i in drawn], d, 1, ranks).mat
     # (trials, 1) against the (count,) MSPS stack: one grid per alpha
     rho = states.DensityMatrix(d, 1, mats[:, None])
-    M = magic.mean_state(weyl.char_function(rho))
-    # an MSPS this close to M(rho) is M(rho) and gets no margin
-    skip = np.abs(msps.mat - M.mat).max(axis=(-2, -1)) < MEAN_MATCH_TOL
+    # M(rho), which gets no margin: the MSPS whose table is nearest rho's unit phases
+    tables = weyl.char_function(msps).values
+    unit = states.unit_phases(weyl.char_function(rho).values)
+    mean = np.argmin(np.abs(tables - unit).max(axis=-1), axis=-1, keepdims=True)
     # (trials, alphas, 1 + count): per alpha the identity, then a margin per MSPS
     values, keep = [], []
     for alpha in ALPHAS_EXTREMALITY:
-        to_mean = entropy.sandwiched_relative_entropy(rho, M, alpha)
-        gap = (entropy.renyi_spectra(M.eigenvalues(), alpha)
+        divs = entropy.sandwiched_relative_entropy(rho, msps, alpha)
+        to_mean = np.take_along_axis(divs, mean, axis=-1)
+        gap = (entropy.renyi_spectra(msps.eigenvalues(), alpha)[mean]
                - entropy.renyi_spectra(rho.eigenvalues(), alpha))
-        other = entropy.sandwiched_relative_entropy(rho, msps, alpha)
         # strict uniqueness: every other finite MSPS exceeds the minimum
         values.append(np.concatenate([np.abs(to_mean - gap),
-                                      to_mean + EXTREMALITY_TOL - other], axis=-1))
-        keep.append(np.insert(~skip & (other != INF), 0, True, axis=-1))
+                                      to_mean + EXTREMALITY_TOL - divs], axis=-1))
+        keep.append(np.insert((np.arange(count) != mean) & (divs != INF), 0, True, axis=-1))
     names = [[f"identity_dev_a{a}"] + [f"uniqueness_margin_a{a}_s{j}" for j in range(count)]
              for a in ALPHAS_EXTREMALITY]
     report.add(np.arange(trials)[:, None, None], names, np.stack(values, axis=1),

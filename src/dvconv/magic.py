@@ -39,8 +39,8 @@ def _mean_table(table: CharFunction) -> CharFunction:
 
 
 def mean_state(table: CharFunction) -> DensityMatrix:
-    """M(rho) from rho's table: _mean_table, inverted and symmetrized; a
-    stack of states for a stack of tables."""
+    """M(rho) from rho's table, inverted and symmetrized (a stack for a stack):
+    the tests' dense oracle, as nothing in the package builds M(rho) densely."""
     M = inverse_char(_mean_table(table))
     return DensityMatrix(table.d, table.n, hermitian_part(M))
 

@@ -427,16 +427,17 @@ def _extremality(seed, trials):
         else:
             rank = int(rng.integers(1, d + 1))
             rho = random_density(rng, d, 1, rank)
+        # M(rho) built densely, then found among the enumeration by its matrix
         M = mean_state(char_function(rho))
+        k = int(np.argmin([np.max(np.abs(sigma.mat - M.mat)) for sigma in msps_set]))
         for alpha in experiments.ALPHAS_EXTREMALITY:
-            d_mean = sandwiched_relative_entropy(rho, M, alpha)
+            d_mean = sandwiched_relative_entropy(rho, msps_set[k], alpha)
+            h_mean = renyi_entropy(msps_set[k], alpha)
             out.append((i, f"identity_dev_a{alpha}",
-                        abs(d_mean - (renyi_entropy(M, alpha) - renyi_entropy(rho, alpha)))))
+                        abs(d_mean - (h_mean - renyi_entropy(rho, alpha)))))
             for j, sigma in enumerate(msps_set):
-                if np.max(np.abs(sigma.mat - M.mat)) < experiments.MEAN_MATCH_TOL:
-                    continue
                 d_other = sandwiched_relative_entropy(rho, sigma, alpha)
-                if d_other != math.inf:
+                if j != k and d_other != math.inf:
                     out.append((i, f"uniqueness_margin_a{alpha}_s{j}",
                                 d_mean + experiments.EXTREMALITY_TOL - d_other))
     return out

@@ -18,7 +18,7 @@ from dvconv.conv import (
     key_unitary,
     partner_stabilizer_group,
 )
-from dvconv.entropy import renyi_entropy
+from dvconv.entropy import renyi_entropy, renyi_spectra
 from dvconv.errors import (
     CovarianceViolation,
     DimensionMismatch,
@@ -31,12 +31,15 @@ from dvconv.errors import (
 )
 from dvconv.experiments import DUALITY_TOL
 from dvconv.linalg import partial_trace_B
+from dvconv.magic import mean_state
 from dvconv.states import (
     DensityMatrix,
     StabilizerGroup,
+    enumerate_groups,
     is_msps,
     ket_state,
     maximally_mixed,
+    msps_states,
     random_density,
 )
 from dvconv.weyl import CharFunction, char_function, point_index
@@ -384,6 +387,42 @@ def test_holevo_bounds_cases():
     sigma = random_density(11, 7, 1, rank=1)
     lo, hi = holevo_bounds(beam_splitter_spec(7, 1), sigma)
     assert lo < hi - 1e-6
+
+
+def _assert_lower_bound_is_the_dense_mean_state_entropy(sigma):
+    """holevo_bounds' lower bound, read off the unit points of sigma's table,
+    is n log2 d - H(M(sigma)) with M built densely by magic.mean_state, and
+    log2 of a power of d.  Returns that power per member."""
+    d, n = sigma.d, sigma.n
+    lower, _ = holevo_bounds(default_spec(d, n), sigma)
+    dense = n * np.log2(d) - renyi_spectra(mean_state(char_function(sigma)).eigenvalues(), 1)
+    assert np.max(np.abs(lower - dense)) < 1e-12
+    r = lower / np.log2(d)
+    assert np.max(np.abs(r - np.round(r))) < 1e-12
+    return np.round(r)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3), (7, 3)])
+def test_holevo_lower_bound_matches_the_dense_mean_state(d, n):
+    """A Ginibre stack of every rank (at D = 343 ranks 1, 2, d, d^2, D - 1
+    and D: every rank there, 686 eigensolves at D = 343, would double the
+    run time of the whole suite), and an MSPS of every group rank r, X-type
+    generators on the first r wires, whose bound is r log2 d."""
+    D = d**n
+    ranks = list(range(1, D + 1)) if D < 343 else [1, 2, d, d * d, D - 1, D]
+    _assert_lower_bound_is_the_dense_mean_state_entropy(
+        random_density(list(range(len(ranks))), d, n, ranks))
+    labels = np.eye(n, 2 * n, dtype=np.int64)
+    groups = [StabilizerGroup(d, n, tuple(map(tuple, labels[:r].tolist())),
+                              tuple(k % d for k in range(1, r + 1))) for r in range(n + 1)]
+    r = _assert_lower_bound_is_the_dense_mean_state_entropy(msps_states(groups))
+    assert r.tolist() == list(range(n + 1))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_holevo_lower_bound_matches_the_dense_mean_state_on_every_msps(d):
+    r = _assert_lower_bound_is_the_dense_mean_state_entropy(msps_states(enumerate_groups(d)))
+    assert r.tolist() == [1] * d * (d + 1) + [0]
 
 
 def test_holevo_bounds_dimension_mismatch():

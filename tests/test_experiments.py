@@ -243,8 +243,9 @@ def test_extremality_covers_msps_inputs():
 
 
 def test_extremality_msps_input_has_no_margin_against_itself():
-    """Trial 4 is the pure MSPS msps_set[4]: its mean state is itself, within
-    MEAN_MATCH_TOL, and of the others only I/3 gives a finite divergence."""
+    """Trial 4 is the pure MSPS msps_set[4]: its mean state is itself, the
+    enumerated MSPS whose table is nearest its unit phases, so it gets no
+    margin, and of the others only I/3 gives a finite divergence."""
     msps_set = enumerate_msps(experiments.MSPS_D)
     mixed = [j for j, s in enumerate(msps_set) if np.linalg.matrix_rank(s.mat) > 1]
     assert mixed == [12]
@@ -253,6 +254,22 @@ def test_extremality_msps_input_has_no_margin_against_itself():
                if r["index"] == 4 and r["metric"].startswith("uniqueness_margin")]
     assert margins == [f"uniqueness_margin_a{alpha}_s12"
                        for alpha in experiments.ALPHAS_EXTREMALITY]
+
+
+def test_extremality_that_takes_the_next_nearest_msps_as_the_mean_fails(monkeypatch):
+    """The suite finds M(rho) as the enumerated MSPS nearest rho's unit
+    phases.  Taking the next-nearest instead breaks the identity
+    D_alpha(rho || M) = H_alpha(M) - H_alpha(rho) at seed 0."""
+    assert experiments.suite_extremality(seed=0, trials=5).passed
+
+    def next_nearest(a, axis, keepdims):
+        return np.argsort(a, axis=axis, kind="stable")[..., 1:2]
+
+    monkeypatch.setattr(np, "argmin", next_nearest)
+    with np.errstate(invalid="ignore"):  # inf - inf margins against a wrong M
+        report = experiments.suite_extremality(seed=0, trials=5)
+    failed = {r["metric"].split("_a")[0] for r in report.records if not r["pass"]}
+    assert not report.passed and "identity_dev" in failed
 
 
 def test_log_slope_keeps_only_norms_above_the_floor():
@@ -438,16 +455,17 @@ def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
 
         monkeypatch.setattr(conv, name, counted)
     assert experiments.suite_holevo(seed=0, trials=trials).passed
-    # one per d for both, the MSPS grid for both, and the pure members' bounds
-    assert calls == {"holevo_bounds": 4, "holevo_weyl_ensemble": 3}
+    # one per d for both, and the MSPS grid for both: the pure members'
+    # bounds are the grid's first 12
+    assert calls == {"holevo_bounds": 3, "holevo_weyl_ensemble": 3}
 
 
 @pytest.mark.parametrize("name, trials, most", [
     ("entropy", 100, 6),  # 2 configs x (a, b, out)
     ("duality", 200, 9),  # 3 configs x (a, b, out)
     ("monotonicity", 100, 5),  # rho, sigma, tau and the two outputs
-    # the MSPS stack, the draw, the input stack and its mean states
-    ("extremality", 50, 4), ("extremality", 200, 4),
+    # the MSPS stack, the draw and the input stack
+    ("extremality", 50, 3), ("extremality", 200, 3),
     ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, outputs): 4
     # the draw, the mean states and one stack per step
     ("clt", 50, 2 + experiments.CLT_STEPS), ("clt", 200, 2 + experiments.CLT_STEPS),
@@ -480,7 +498,8 @@ def test_suite_clt_convolves_once_per_step(monkeypatch, trials):
 
 
 @pytest.mark.parametrize("trials", [1, 4, 50])
-def test_suite_extremality_makes_two_divergence_calls_per_alpha(monkeypatch, trials):
+def test_suite_extremality_makes_one_divergence_call_per_alpha(monkeypatch, trials):
+    """D_alpha(rho || M(rho)) is read off the grid against every MSPS."""
     calls = []
     divergence = entropy.sandwiched_relative_entropy
 
@@ -490,7 +509,7 @@ def test_suite_extremality_makes_two_divergence_calls_per_alpha(monkeypatch, tri
 
     monkeypatch.setattr(entropy, "sandwiched_relative_entropy", counted)
     assert experiments.suite_extremality(seed=0, trials=trials).passed
-    assert calls == [alpha for alpha in experiments.ALPHAS_EXTREMALITY for _ in range(2)]
+    assert calls == list(experiments.ALPHAS_EXTREMALITY)
 
 
 def test_suite_stability_recovers_each_distinct_support_once(monkeypatch):

@@ -192,13 +192,29 @@ def _imported_modules(node: ast.AST) -> set[str]:
 
 
 def test_only_entropy_and_states_import_from_linalg():
-    """SUPPORT_TOL lives in weyl and suite monotonicity takes its trace norms
-    inline, so only entropy (for herm_eig) and states (the by-name import
-    that perfbench/test_tracer.py checks) import from linalg."""
-    importers = {path.name for path in sorted(SRC.glob("*.py"))
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if "dvconv.linalg" in _imported_modules(node)}
-    assert importers <= {"entropy.py", "states.py"}, f"modules importing linalg: {importers}"
+    """SUPPORT_TOL lives in weyl, suite monotonicity takes its trace norms
+    inline and the sandwiched divergence runs its own eigvalsh, so no module
+    reads a name from linalg.  Only entropy and states import from it: the
+    by-name herm_eig that perfbench/test_tracer.py checks, never called."""
+    importers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = _used(tree)
+        for node in ast.walk(tree):
+            if "dvconv.linalg" in _imported_modules(node):
+                names = {alias.asname or alias.name for alias in node.names}
+                importers[path.name] = names
+                assert not names & read, f"{path.name} reads {sorted(names & read)} from linalg"
+    assert importers == {"entropy.py": {"herm_eig"}, "states.py": {"herm_eig"}}, importers
+
+
+def test_conv_imports_nothing_from_magic():
+    """holevo_bounds reads H(M(sigma)) off the count of sigma's unit points,
+    so conv builds no mean state and imports nothing from magic."""
+    tree = ast.parse((SRC / "conv.py").read_text())
+    found = sorted(name for node in ast.walk(tree) for name in _imported_modules(node)
+                   if name == "dvconv.magic" or name.startswith("dvconv.magic."))
+    assert not found, f"conv.py imports from magic: {found}"
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
