@@ -65,10 +65,10 @@ def _check_records(count: int) -> None:
 
 def _emit(text: str, path: str | None) -> None:
     """Write ``text`` atomically to the file at ``path``, through a symlink,
-    with mode 0o666 less the umask, as ``open(path, "w")`` gives (``main``
-    has refused a target that is not a regular file).  Else write to stdout,
-    as bytes until every byte is taken: a short write through an unbuffered
-    text layer would lose the rest, and a closed reader's BrokenPipeError."""
+    keeping its mode as ``open(path, "w")`` does (0o666 less the umask for a
+    new file; ``main`` has refused a target that is not a regular file).  Else
+    write to stdout, as bytes until every byte is taken: a short write through
+    an unbuffered text layer would lose the rest, and a closed reader's BrokenPipeError."""
     if path:
         real = os.path.realpath(path)
         try:
@@ -76,6 +76,8 @@ def _emit(text: str, path: str | None) -> None:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w") as fh:
+                    with contextlib.suppress(FileNotFoundError):  # a new file
+                        os.fchmod(fd, os.stat(real).st_mode & 0o7777)
                     fh.write(text)
                 os.replace(tmp, real)
             except BaseException:

@@ -306,10 +306,8 @@ def _stabilizer_pairs(spec: conv.ConvolutionSpec):
     """The single-qudit pure stabilizer groups, and a boxtimes b for every ordered
     pair (a, b) of their states as one (count, count) stack, a along axis 0."""
     groups = states.enumerate_groups(spec.d, mixed=False)
-    mats = states.msps_states(groups).mat
-    outs = conv.convolve(states.DensityMatrix(spec.d, 1, mats[:, None]),
-                         states.DensityMatrix(spec.d, 1, mats[None]), spec)
-    return groups, outs
+    pure = states.msps_states(groups)
+    return groups, conv.convolve(pure[:, None], pure[None], spec)
 
 
 def suite_stability() -> ExperimentReport:
@@ -329,7 +327,7 @@ def suite_min_output() -> ExperimentReport:
     spec = conv.default_spec(d, 1)
     report = ExperimentReport("min_output", None, {"d": d})
     groups, outs = _stabilizer_pairs(spec)
-    partners = [conv.partner_stabilizer_group(g, spec) for g in groups]
+    partners = tuple(conv.partner_stabilizer_group(g, spec) for g in groups)
     # groups[::d] holds phase 0 on each line
     out = conv.convolve(states.msps_states(partners[::d]),
                         states.msps_states(groups[::d]), spec)
@@ -374,9 +372,7 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     candidates = states.msps_states(states.enumerate_groups(d))
     lower, upper = conv.holevo_bounds(spec, candidates)
     # sigma along axis 0, rho0 along axis 1
-    best = conv.holevo_weyl_ensemble(
-        spec, states.DensityMatrix(d, 1, candidates.mat[:, None]),
-        states.DensityMatrix(d, 1, candidates.mat[None])).max(axis=1)
+    best = conv.holevo_weyl_ensemble(spec, candidates[:, None], candidates[None]).max(axis=1)
     report.add(np.arange(len(best)), "msps_equality_gap", upper - best, HOLEVO_TOL)
     # pure stabilizer sigma (all but the last, mixed, member): bounds collapse to log2 d
     cap = float(np.log2(d))

@@ -2,15 +2,15 @@
 
 An MSPS is a stabilizer group with a phase per generator; ``msps_table``,
 its characteristic table, is its one working form.  The enumerations invert
-those tables as one stack, and ``is_msps`` recovers a group from a table's
-unit support and compares the table with the group's own, once per
-distinct support and group of a stack.
+those tables as one stack, built once per process and shared read-only, and
+``is_msps`` recovers a group from a table's unit support and compares the
+table with the group's own, once per distinct support and group of a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,10 +90,10 @@ class DensityMatrix:
     ``mat`` may be one (D, D) matrix or a (..., D, D) stack, checked as a
     whole by one validation.  Validation computes the spectrum and the
     state keeps it; the eigenvectors are solved on first use, as one
-    batched eigh for a stack, and kept too.  ``rho[i]`` is member i of a
-    stack: it shares the stack's checked arrays, and its eigenvectors once
-    the stack has solved them, and is not validated again.  Every entropy
-    reads these, so a state runs one eigvalsh and at most one eigh.
+    batched eigh for a stack, and kept too.  ``rho[i]`` (member i) and
+    ``rho[:, None]`` (a broadcast view) share the stack's checked arrays,
+    and its eigenvectors once solved, and are not validated again.  Every
+    entropy reads these, so a state runs one eigvalsh and at most one eigh.
     """
 
     d: int
@@ -109,17 +109,16 @@ class DensityMatrix:
         object.__setattr__(self, "_spectrum", _read_only(spectrum))
 
     def __getitem__(self, index) -> DensityMatrix:
-        """Member ``index`` of a stack, indexed over the leading axes."""
+        """Member ``index`` of a stack over its leading axes; a None adds an axis."""
         key = index if isinstance(index, tuple) else (index,)
-        if len(key) > self.mat.ndim - 2:
-            raise IndexError(f"{len(key)} indices for a stack of shape {self.mat.shape[:-2]}")
+        real = sum(k is not None for k in key)
+        if real > self.mat.ndim - 2:
+            raise IndexError(f"{real} indices for a stack of shape {self.mat.shape[:-2]}")
         key += (Ellipsis,)
         member = object.__new__(DensityMatrix)
-        for name, value in (("d", self.d), ("n", self.n), ("mat", self.mat[key]),
-                            ("_spectrum", self._spectrum[key])):
-            object.__setattr__(member, name, value)
-        if "eigenvectors" in self.__dict__:
-            object.__setattr__(member, "eigenvectors", self.eigenvectors[key])
+        # d and n, then the checked arrays and any solved eigenvectors, indexed
+        member.__dict__.update({name: value if name in ("d", "n") else value[key]
+                                for name, value in self.__dict__.items()})
         return member
 
     def eigenvalues(self) -> np.ndarray:
@@ -249,8 +248,10 @@ def msps_table(group: StabilizerGroup) -> CharFunction:
     return CharFunction(d, n, values)
 
 
-def msps_states(groups) -> DensityMatrix:
-    """The MSPS of each group of one (d, n), inverted as one stack and validated once."""
+@lru_cache(maxsize=None)
+def msps_states(groups: tuple[StabilizerGroup, ...]) -> DensityMatrix:
+    """The MSPS of each group of one (d, n), inverted as one stack and validated
+    once per process: equal tuples of groups share one read-only state."""
     d, n = groups[0].d, groups[0].n
     values = np.stack([msps_table(g).values for g in groups])
     return DensityMatrix(d, n, inverse_char(CharFunction(d, n, values)))
@@ -328,13 +329,14 @@ def enumeration_count(d: int, n: int = 1, mixed: bool = True) -> int:
     return count
 
 
-def enumerate_groups(d: int, n: int = 1, mixed: bool = True) -> list[StabilizerGroup]:
+@lru_cache(maxsize=None)
+def enumerate_groups(d: int, n: int = 1, mixed: bool = True) -> tuple[StabilizerGroup, ...]:
     """Lines (1, 0..d-1) then (0, 1), phases 0..d-1 on each, then the empty
-    group when ``mixed``: the order of every enumeration."""
+    group when ``mixed``: the order of every enumeration, built once per process."""
     enumeration_count(d, n, mixed)
     lines = [(1, b) for b in range(d)] + [(0, 1)]
     groups = [StabilizerGroup(d, 1, (label,), (x,)) for label in lines for x in range(d)]
-    return groups + [StabilizerGroup(d, 1, (), ())] * mixed
+    return tuple(groups + [StabilizerGroup(d, 1, (), ())] * mixed)
 
 
 # ---------------------------------------------------------------------------

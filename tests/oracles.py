@@ -397,7 +397,7 @@ def _min_output(seed, trials):
     spec = default_spec(d, 1)
     groups = enumerate_groups(d, mixed=False)
     pure = enumerate_msps(d, mixed=False)
-    partners = [partner_stabilizer_group(g, spec) for g in groups]
+    partners = tuple(partner_stabilizer_group(g, spec) for g in groups)
     partner_states = msps_states(partners)
     out = []
     # one line per phase-0 group: its partner's state convolved with its own

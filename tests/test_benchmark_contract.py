@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dvconv import conv, experiments, weyl
+from dvconv import conv, experiments, states, weyl
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -67,3 +67,31 @@ def test_gate_suites_report_a_record_count_in_their_range(name, kwargs, expected
     report = experiments.SUITES[name](**({} if kwargs is None else dict(kwargs, seed=0)))
     assert report.passed
     assert low <= len(report.records) <= high
+
+
+def test_a_second_gate_pass_builds_no_enumeration(monkeypatch):
+    """In one process, from cleared caches, the second pass over the gate's
+    suites at seed 0 validates at most 81 states and builds at most 22 MSPS
+    tables: the enumerations are built and validated on the first pass only,
+    and broadcast as views.  The counts read 79 and 14 (91 and 72 on every
+    pass while each suite built its own enumeration and re-validated it)."""
+    counts = {"validations": 0, "msps_table": 0}
+    post_init, build = states.DensityMatrix.__post_init__, states.msps_table
+
+    def counted_check(self):
+        counts["validations"] += 1
+        post_init(self)
+
+    def counted_build(group):
+        counts["msps_table"] += 1
+        return build(group)
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted_check)
+    monkeypatch.setattr(states, "msps_table", counted_build)
+    states.enumerate_groups.cache_clear()
+    states.msps_states.cache_clear()
+    for _ in range(2):
+        counts.update(validations=0, msps_table=0)
+        for name, kwargs, _ in _gate_suites():
+            experiments.SUITES[name](**({} if kwargs is None else dict(kwargs, seed=0)))
+    assert counts["validations"] <= 81 and counts["msps_table"] <= 22, counts

@@ -347,6 +347,17 @@ def test_enumerate(capsys):
     assert len(json.loads(out)) == 132
 
 
+@pytest.mark.parametrize("argv", [("--d", "3", "--n", "2"), ("--d", "337")],
+                         ids=["n2", "budget"])
+def test_a_refused_enumeration_caches_nothing(capsys, argv):
+    states.enumerate_groups.cache_clear()
+    states.msps_states.cache_clear()
+    code, out, err = run(capsys, "enumerate", "msps", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert states.enumerate_groups.cache_info().currsize == 0
+    assert states.msps_states.cache_info().currsize == 0
+
+
 def test_capacity_bounds(capsys):
     code, out, _ = run(capsys, "capacity-bounds", "--d", "3", "--sigma",
                        "zero-ket", "--rho0", "zero-ket")
@@ -808,14 +819,35 @@ WRITER_ARGV = {"convolve-out": ("convolve", "--d", "3", "--a", "zero-ket", "--b"
 WRITERS = pytest.mark.parametrize("argv", list(WRITER_ARGV.values()), ids=list(WRITER_ARGV))
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=["mode-600", "mode-640"])
+@WRITERS
+def test_overwritten_file_keeps_its_mode(tmp_path, capsys, argv, mode, umask):
+    """As ``open(path, "w")`` keeps it, whatever the umask."""
+    target = tmp_path / "x.json"
+    target.write_text("old")
+    target.chmod(mode)
+    old = os.umask(umask)
+    try:
+        code, _, err = run(capsys, *argv, str(target))
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert json.loads(target.read_text())["d"] == 3
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert list(tmp_path.iterdir()) == [target]
+
+
 @WRITERS
 def test_output_through_a_symlink_replaces_its_target(tmp_path, capsys, argv):
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     target.write_text("old")
+    target.chmod(0o600)
     link.symlink_to(target)
     code, _, err = run(capsys, *argv, str(link))
     assert code == 0, err
     assert link.is_symlink() and link.resolve() == target
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600  # the target's mode is kept
     assert json.loads(target.read_text())["d"] == 3
     assert sorted(tmp_path.iterdir()) == [link, target]
 

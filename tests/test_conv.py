@@ -413,8 +413,8 @@ def test_holevo_lower_bound_matches_the_dense_mean_state(d, n):
     _assert_lower_bound_is_the_dense_mean_state_entropy(
         random_density(list(range(len(ranks))), d, n, ranks))
     labels = np.eye(n, 2 * n, dtype=np.int64)
-    groups = [StabilizerGroup(d, n, tuple(map(tuple, labels[:r].tolist())),
-                              tuple(k % d for k in range(1, r + 1))) for r in range(n + 1)]
+    groups = tuple(StabilizerGroup(d, n, tuple(map(tuple, labels[:r].tolist())),
+                                   tuple(k % d for k in range(1, r + 1))) for r in range(n + 1))
     r = _assert_lower_bound_is_the_dense_mean_state_entropy(msps_states(groups))
     assert r.tolist() == list(range(n + 1))
 

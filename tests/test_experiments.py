@@ -460,11 +460,18 @@ def test_suite_holevo_calls_each_bound_once_per_stack(monkeypatch, trials):
     assert calls == {"holevo_bounds": 3, "holevo_weyl_ensemble": 3}
 
 
+def _clear_enumeration_caches():
+    """Drop the process's enumerations, so that a count starts from the
+    first call whatever tests ran before."""
+    states.enumerate_groups.cache_clear()
+    states.msps_states.cache_clear()
+
+
 @pytest.mark.parametrize("name, trials, most", [
     ("entropy", 100, 6),  # 2 configs x (a, b, out)
     ("duality", 200, 9),  # 3 configs x (a, b, out)
     ("monotonicity", 100, 5),  # rho, sigma, tau and the two outputs
-    # the MSPS stack, the draw and the input stack
+    # the MSPS stack (on a process's first call), the draw and the input stack
     ("extremality", 50, 3), ("extremality", 200, 3),
     ("synthesis", 100, 6), ("synthesis", 300, 6),  # 2 n x (|0..0>, outputs): 4
     # the draw, the mean states and one stack per step
@@ -479,8 +486,50 @@ def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most)
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    _clear_enumeration_caches()
     assert experiments.SUITES[name](seed=0, trials=trials).passed
     assert len(checks) <= most, checks
+
+
+#: per suite, the stacks it builds and the MSPS tables they hold.  Min-output
+#: adds the phase-0 groups of each line and their partners, which the d = 3
+#: default G maps to themselves: one stack of 4
+ENUMERATIONS = {"stability": (1, 12), "min-output": (2, 12 + 4),
+                "holevo": (1, 13), "extremality": (1, 13)}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_suites_build_each_enumeration_once_per_process(monkeypatch, name):
+    """A second call gets the groups and their validated states from the
+    cache: it makes no msps_table call but those of is_msps (stability's
+    detection of its outputs), and it validates fewer states."""
+    enumerations, tables = ENUMERATIONS[name]
+    calls, checks = [], []
+    build, post_init = states.msps_table, DensityMatrix.__post_init__
+
+    def counted_build(group):
+        calls.append(group)
+        return build(group)
+
+    def counted_check(self):
+        checks.append(self.mat.shape)
+        post_init(self)
+
+    monkeypatch.setattr(states, "msps_table", counted_build)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_check)
+    _clear_enumeration_caches()
+    kwargs = {"seed": 0, "trials": 4} if name in experiments.RECORD_COUNTS else {}
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        checks.clear()
+        assert experiments.SUITES[name](**kwargs).passed
+        counts.append((len(calls), len(checks)))
+    assert states.msps_states.cache_info().misses == enumerations
+    assert counts[0][0] - counts[1][0] == tables
+    assert counts[0][1] - counts[1][1] == enumerations
+    if name != "stability":
+        assert counts[1][0] == 0
 
 
 @pytest.mark.parametrize("trials", [1, 3, 50])

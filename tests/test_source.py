@@ -265,3 +265,32 @@ def test_report_records_change_only_in_add():
                 if isinstance(target, ast.Attribute) and target.attr == "records":
                     found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, f"report records changed outside ExperimentReport.add: {found}"
+
+
+def _revalidated_stacks(tree: ast.AST) -> list[tuple[str, int]]:
+    """(top-level function, line) of each ``DensityMatrix(...)`` call that is
+    passed a subscript of a ``.mat`` or of ``mats``: a validated stack
+    wrapped again, as a new state, to index or broadcast it."""
+    found = []
+    for fn in tree.body:
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call)
+                    and ast.unparse(call.func).split(".")[-1] == "DensityMatrix"):
+                continue
+            args = call.args + [kw.value for kw in call.keywords]
+            if any(isinstance(node, ast.Subscript)
+                   and (isinstance(node.value, ast.Attribute) and node.value.attr == "mat"
+                        or isinstance(node.value, ast.Name) and node.value.id == "mats")
+                   for arg in args for node in ast.walk(arg)):
+                found.append((getattr(fn, "name", ""), call.lineno))
+    return found
+
+
+def test_experiments_broadcasts_validated_stacks_as_views():
+    """``rho[:, None]`` is a view of a validated stack; only suite extremality
+    validates a subscripted stack, its input rows: MSPS rows and drawn rows
+    joined into a new array."""
+    parent = "def f(d, mats):\n    return states.DensityMatrix(d, 1, mats[:, None])\n"
+    assert _revalidated_stacks(ast.parse(parent)) == [("f", 2)]
+    found = _revalidated_stacks(ast.parse((SRC / "experiments.py").read_text()))
+    assert {name for name, _ in found} <= {"suite_extremality"}, found

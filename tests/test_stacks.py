@@ -75,7 +75,21 @@ def test_members_share_the_checked_arrays(monkeypatch, d, n):
         assert np.array_equal(member.eigenvalues(), alone[i].eigenvalues())
         assert np.array_equal(member.eigenvectors, alone[i].eigenvectors)
     assert np.array_equal(early.eigenvectors, alone[0].eigenvectors)
-    assert not checks  # no member was validated again
+    # a None adds a broadcast axis and is no index: views, not new states
+    D = d**n
+    for view, lead in ((rho[:, None], (T, 1)), (rho[None], (1, T)), (rho[None, 2], (1,))):
+        assert view.mat.shape == lead + (D, D)
+        assert view.eigenvalues().shape == lead + (D,)
+        assert view.eigenvectors.shape == lead + (D, D)
+        assert np.shares_memory(view.mat, rho.mat)
+        assert np.shares_memory(view.eigenvalues(), rho.eigenvalues())
+        assert np.shares_memory(view.eigenvectors, vecs)
+    assert np.array_equal(rho[None, 2].mat[0], rho.mat[2])
+    assert np.array_equal(rho[:, None].eigenvectors[:, 0], vecs)
+    assert not checks  # no member or view was validated again
+    for index in ((0, 1), (None, 0, 1), (0, None, 1)):
+        with pytest.raises(IndexError, match="2 indices for a stack of shape"):
+            rho[index]
 
 
 def test_members_index_the_leading_axes_only():

@@ -23,6 +23,7 @@ from dvconv.states import (
     is_msps,
     ket_state,
     maximally_mixed,
+    msps_states,
     msps_table,
     random_density,
     state_from_json,
@@ -224,6 +225,22 @@ def test_enumerate_counts():
         enumerate_groups(337, mixed=False)
     with pytest.raises(UnsupportedScale):
         enumeration_count(337)
+
+
+@pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "pure"])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_an_enumeration_is_built_once_read_only_with_the_bits_of_a_fresh_build(d, mixed):
+    groups = enumerate_groups(d, 1, mixed)
+    stack = msps_states(groups)
+    assert isinstance(groups, tuple) and enumerate_groups(d, 1, mixed) is groups
+    # equal groups in another tuple are one entry
+    assert msps_states(groups) is msps_states(tuple(list(groups))) is stack
+    fresh = msps_states.__wrapped__(enumerate_groups.__wrapped__(d, 1, mixed))
+    assert fresh is not stack
+    for cached, built in ((stack.mat, fresh.mat), (stack.eigenvalues(), fresh.eigenvalues()),
+                          (stack.eigenvectors, fresh.eigenvectors)):
+        assert not cached.flags.writeable
+        assert cached.tobytes() == built.tobytes()
 
 
 def _random_group(rng, d, n, r):
