@@ -202,9 +202,7 @@ def cmd_convolve(args) -> int:
     b = _load(args.b, args.d, args.n, rng)[0]
     out = conv.convolve(a, b, spec)
     if args.check_duality:
-        dual = conv.convolve_characteristic(
-            weyl.char_function(a), weyl.char_function(b), spec)
-        dev = float(np.max(np.abs(weyl.char_function(out).values - dual.values)))
+        dev = conv.duality_deviation(a, b, out, spec)
     _emit(json.dumps(states.state_to_json(out), sort_keys=True), args.out)
     if args.check_duality:
         print(f"duality-deviation {fmt(dev)}")

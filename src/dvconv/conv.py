@@ -30,7 +30,7 @@ from .states import DensityMatrix, StabilizerGroup, hermitian_part, unit_phases
 from .weyl import CharFunction, char_function, displace, phase_points, point_index
 from .weyl import weyl_op  # noqa: F401  not called; perfbench/test_tracer.py checks the name
 from .zmod import check_system, find_amplifier_params, find_beam_splitter_params, \
-    mod_inverse
+    mod_inverse, rref_mod
 
 COVARIANCE_TOL = 1e-9
 
@@ -166,20 +166,29 @@ def convolve_characteristic(t_rho: CharFunction, t_sigma: CharFunction,
                         t_rho.values.take(a, axis=-1) * t_sigma.values.take(b, axis=-1))
 
 
+def duality_deviation(rho: DensityMatrix, sigma: DensityMatrix, out: DensityMatrix,
+                      spec: ConvolutionSpec) -> float | np.ndarray:
+    """max |Xi_out - convolve_characteristic(Xi_rho, Xi_sigma)| over the
+    table, per stack member, for out = rho boxtimes sigma: the one duality check."""
+    t_out = char_function(out).values
+    del out  # frees a caller's temporary output before the other tables are built
+    dual = convolve_characteristic(char_function(rho), char_function(sigma), spec)
+    return np.abs(t_out - dual.values).max(axis=-1)
+
+
 def partner_stabilizer_group(s2: StabilizerGroup,
                              spec: ConvolutionSpec) -> StabilizerGroup:
-    """Labels (x, y) -> (-g10^-1 g11 x, g01^-1 g00 y), zero phases.
-
-    This is the input group pairing that makes the convolution of the two
-    pure stabilizer states pure again.
-    """
+    """Labels (x, y) -> (-g10^-1 g11 x, g01^-1 g00 y), zero phases: the input
+    group pairing that makes the convolution of two pure stabilizer states
+    pure.  Generators come back in rref_mod form, as enumerate_groups holds
+    them; they commute, so row operations keep every phase 0."""
     d, n, (g00, g01, g10, g11) = spec.d, spec.n, spec.G
     if s2.r != n:
         raise InvalidGroup("partner construction needs a maximal group (r = n)")
     cp = (-mod_inverse(g10, d) * g11) % d
     cq = (mod_inverse(g01, d) * g00) % d
     gens = np.array(s2.generators, dtype=np.int64)
-    gens = np.hstack([cp * gens[:, :n], cq * gens[:, n:]]) % d
+    gens = rref_mod(np.hstack([cp * gens[:, :n], cq * gens[:, n:]]), d)[0]
     return StabilizerGroup(d, n, tuple(map(tuple, gens.tolist())), (0,) * n)
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conv, entropy, magic, states, weyl
-from .zmod import rref_mod
 
 INF = math.inf
 
@@ -153,7 +152,7 @@ def clt_run(rho: states.DensityMatrix, spec: conv.ConvolutionSpec,
     displacement, table0 = magic.make_zero_mean(weyl.char_function(rho))
     # M(rho_0)'s table, read directly: make_zero_mean has checked that it is an MSPS's
     mean = states.unit_phases(table0.values)
-    mg = magic.magic_gap(table0)
+    mg = magic.magic_gaps(table0)[0]
 
     def norm(table: weyl.CharFunction) -> np.ndarray:
         return np.sqrt((np.abs(table.values - mean) ** 2).sum(axis=-1) / d**n)
@@ -205,10 +204,7 @@ def suite_duality(seed: int = 0, trials: int = 200) -> ExperimentReport:
                           for rng in trial_rngs]).reshape(-1, 2)
         a = states.random_density(trial_rngs, d, n, ranks[:, 0])
         b = states.random_density(trial_rngs, d, n, ranks[:, 1])
-        lhs = weyl.char_function(conv.convolve(a, b, spec)).values
-        rhs = conv.convolve_characteristic(
-            weyl.char_function(a), weyl.char_function(b), spec).values
-        devs[c::len(configs)] = np.abs(lhs - rhs).max(axis=-1)
+        devs[c::len(configs)] = conv.duality_deviation(a, b, conv.convolve(a, b, spec), spec)
     report.add(np.arange(trials), np.resize([f"duality_dev_d{d}n{n}" for d, n in configs],
                                             trials), devs, DUALITY_TOL)
     return report
@@ -284,7 +280,7 @@ def suite_fisher(seed: int = 0, trials: int = 100,
 def suite_monotonicity(seed: int = 0, trials: int = 100) -> ExperimentReport:
     """Trace-norm and relative-entropy contraction under (.) box tau."""
     d, n = 3, 1
-    spec = conv.default_spec(d, n)
+    spec = _spec_for(d, n)
     report = ExperimentReport("monotonicity", seed, {"d": d, "n": n, "trials": trials})
     rngs = np.random.default_rng(seed).spawn(trials)
     tau_ranks = [rng.integers(1, d**n + 1) for rng in rngs]
@@ -313,7 +309,7 @@ def _stabilizer_pairs(spec: conv.ConvolutionSpec):
 def suite_stability() -> ExperimentReport:
     """All 144 ordered pure-stabilizer pairs at d=3 convolve to MSPS."""
     d = 3
-    spec = conv.default_spec(d, 1)
+    spec = _spec_for(d, 1)
     groups, outs = _stabilizer_pairs(spec)
     report = ExperimentReport("stability", None, {"d": d, "pairs": len(groups) ** 2})
     ok, _ = states.is_msps(weyl.char_function(outs))
@@ -322,22 +318,21 @@ def suite_stability() -> ExperimentReport:
 
 
 def suite_min_output() -> ExperimentReport:
-    """Zero output entropy occurs exactly at partner-related label pairs (d=3)."""
+    """Zero output entropy occurs exactly at partner-related label pairs (d=3),
+    all read off the one grid of ordered pure pairs, partners by grid index."""
     d = 3
-    spec = conv.default_spec(d, 1)
+    spec = _spec_for(d, 1)
     report = ExperimentReport("min_output", None, {"d": d})
     groups, outs = _stabilizer_pairs(spec)
-    partners = tuple(conv.partner_stabilizer_group(g, spec) for g in groups)
-    # groups[::d] holds phase 0 on each line
-    out = conv.convolve(states.msps_states(partners[::d]),
-                        states.msps_states(groups[::d]), spec)
-    h = entropy.renyi_spectra(out.eigenvalues(), 1)
-    report.add(np.arange(len(h)), "partner_output_entropy", h, PURE_OUT_TOL)
     h_outs = entropy.renyi_spectra(outs.eigenvalues(), 1)
-    # the enumerated generators are in RREF; bring each partner's to that form
-    partner_gens = [tuple(map(tuple, rref_mod(np.array(s.generators), d)[0].tolist()))
-                    for s in partners]
-    is_partner = np.array([[a.generators == gens for gens in partner_gens] for a in groups])
+    # groups[::d] holds phase 0 on each line, as does every partner
+    lines = np.arange(0, len(groups), d)
+    partners = np.array([groups.index(conv.partner_stabilizer_group(groups[b], spec))
+                         for b in lines])
+    report.add(np.arange(len(lines)), "partner_output_entropy", h_outs[partners, lines],
+               PURE_OUT_TOL)
+    # a is b's partner when a lies on the line of the partner of b's line
+    is_partner = np.arange(len(groups))[:, None] // d == np.repeat(partners // d, d)
     consistent = (h_outs < PURE_OUT_TOL) == is_partner
     # per pair its consistency, then, when mismatched, its entropy floor:
     # mismatched pairs must sit well above zero entropy
@@ -368,7 +363,7 @@ def suite_holevo(seed: int = 0, trials: int = 50) -> ExperimentReport:
     report.add(np.arange(trials)[:, None], np.resize(names, (trials, 2)), gaps, HOLEVO_TOL)
     # equality branch: sigma an MSPS at d=3; some enumerated rho0 meets the bound
     d = MSPS_D
-    spec = conv.default_spec(d, 1)
+    spec = _spec_for(d, 1)
     candidates = states.msps_states(states.enumerate_groups(d))
     lower, upper = conv.holevo_bounds(spec, candidates)
     # sigma along axis 0, rho0 along axis 1
@@ -396,7 +391,7 @@ def suite_synthesis(seed: int = 0, trials: int = 100) -> ExperimentReport:
         U = magic.clifford_words(np.array(circuits[n - 1::2]), 2, n)
         base = states.ket_state(2, n, [0] * n).mat
         out = states.DensityMatrix(2, n, U @ base @ U.conj().swapaxes(-1, -2))
-        lmg[n - 1::2] = magic.log_magic_gap(weyl.char_function(out)) - n_t[n - 1::2] / 2
+        lmg[n - 1::2] = magic.magic_gaps(weyl.char_function(out))[1] - n_t[n - 1::2] / 2
     report.add(np.arange(trials), np.resize(["lmg_minus_halfN_n1", "lmg_minus_halfN_n2"], trials),
                lmg, SYNTH_TOL)
     return report
@@ -443,7 +438,7 @@ def suite_extremality(seed: int = 0, trials: int = 50) -> ExperimentReport:
 def suite_clt(seed: int = 0, trials: int = 50, steps: int = CLT_STEPS) -> ExperimentReport:
     """Norm decay bound, fitted slope, and second law along CLT trajectories."""
     d, n = 7, 1
-    spec = conv.beam_splitter_spec(d, n)
+    spec = _spec_for(d, n)
     report = ExperimentReport("clt", seed, {
         "d": d, "n": n, "steps": steps, "trials": trials,
         "s_t": list(spec.G[:2]),

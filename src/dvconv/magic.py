@@ -57,16 +57,6 @@ def magic_gaps(table: CharFunction) -> tuple[np.ndarray, np.ndarray]:
     return ((1.0 - top) * (top > 0))[()], (0.0 - np.log2(np.where(top > 0, top, 1.0)))[()]
 
 
-def magic_gap(table: CharFunction) -> np.ndarray:
-    """1 - second-largest characteristic modulus on the support; 0 for MSPS."""
-    return magic_gaps(table)[0]
-
-
-def log_magic_gap(table: CharFunction) -> np.ndarray:
-    """-log2 of the second-largest characteristic modulus; 0 for MSPS."""
-    return magic_gaps(table)[1]
-
-
 def mean_vector(table: CharFunction):
     """The mean state's group: generators g_i and phases k_i, with Xi(g_i)
     within 2 UNIT_TOL of xi^{k_i}, as is_msps compares the unit phases with

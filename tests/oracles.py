@@ -18,7 +18,7 @@ from dvconv.entropy import (FULL_RANK_TOL, fisher_fd_oracle, fisher_information,
 from dvconv.errors import InvalidGroup
 from dvconv.experiments import clt_run
 from dvconv.linalg import herm_eig
-from dvconv.magic import (clifford_words, draw_clifford_t, log_magic_gap, make_zero_mean,
+from dvconv.magic import (clifford_words, draw_clifford_t, magic_gaps, make_zero_mean,
                           mean_state)
 from dvconv.states import (UNIT_TOL, DensityMatrix, StabilizerGroup, enumerate_groups,
                            ket_state, msps_states, msps_table, random_density,
@@ -376,7 +376,7 @@ def _synthesis(seed, trials):
         V = clifford_words(draw_clifford_t(rng, n, n_t), 2, n)
         ket = ket_state(2, n, [0] * n)
         rho = DensityMatrix(2, n, V @ ket.mat @ V.conj().T)
-        out.append((i, f"lmg_minus_halfN_n{n}", log_magic_gap(char_function(rho)) - n_t / 2))
+        out.append((i, f"lmg_minus_halfN_n{n}", magic_gaps(char_function(rho))[1] - n_t / 2))
     return out
 
 
@@ -407,8 +407,7 @@ def _min_output(seed, trials):
     for ia, a in enumerate(pure):
         for ib, b in enumerate(pure):
             h = renyi_entropy(convolve(a, b, spec), 1)
-            gens = rref_mod(np.array(partners[ib].generators), d)[0]
-            is_partner = groups[ia].generators == tuple(map(tuple, gens.tolist()))
+            is_partner = groups[ia].generators == partners[ib].generators
             idx = ia * len(pure) + ib
             out.append((idx, "zero_entropy_iff_partner",
                         0.0 if (h < experiments.PURE_OUT_TOL) == is_partner else 1.0))

@@ -73,7 +73,7 @@ def test_a_second_gate_pass_builds_no_enumeration(monkeypatch):
     """In one process, from cleared caches, the second pass over the gate's
     suites at seed 0 validates at most 81 states and builds at most 22 MSPS
     tables: the enumerations are built and validated on the first pass only,
-    and broadcast as views.  The counts read 79 and 14 (91 and 72 on every
+    and broadcast as views.  The counts read 78 and 14 (91 and 72 on every
     pass while each suite built its own enumeration and re-validated it)."""
     counts = {"validations": 0, "msps_table": 0}
     post_init, build = states.DensityMatrix.__post_init__, states.msps_table

@@ -29,7 +29,7 @@ from dvconv.errors import (
     UnsupportedDimension,
     UnsupportedScale,
 )
-from dvconv.experiments import DUALITY_TOL
+from dvconv.experiments import DUALITY_TOL, PURE_OUT_TOL
 from dvconv.linalg import partial_trace_B
 from dvconv.magic import mean_state
 from dvconv.states import (
@@ -373,6 +373,44 @@ def test_mismatched_pair_has_entropy():
     a = msps_from_group(StabilizerGroup(3, 1, ((0, 1),), (0,)))
     b = msps_from_group(StabilizerGroup(3, 1, ((1, 0),), (0,)))
     assert renyi_entropy(convolve(a, b, spec), 1) > 0.1
+
+
+#: a G's partner map (x, y) -> (cp x, cq y) fixes every line exactly when
+#: cp = cq: so at every G at d = 3 and at every named G but the amplifier.
+#: These move lines: (cp, cq) = (2, 1) and (3, 4)
+LINE_MOVING_SPECS = [ConvolutionSpec(5, 1, (1, 1, 2, 1)), amplifier_spec(7, 1)]
+
+
+def _partner_rule_holds(spec: ConvolutionSpec) -> bool:
+    """Over every ordered pair (a, b) of pure stabilizer states, a boxtimes b
+    has entropy below PURE_OUT_TOL exactly when a's group lies on the line
+    of b's partner, and at least 0.1 bits otherwise."""
+    groups = enumerate_groups(spec.d, mixed=False)
+    pure = msps_states(groups)
+    h = renyi_spectra(convolve(pure[:, None], pure[None], spec).eigenvalues(), 1)
+    partners = [conv.partner_stabilizer_group(b, spec).generators for b in groups]
+    is_partner = np.array([[a.generators == p for p in partners] for a in groups])
+    return bool(np.all(np.where(is_partner, h < PURE_OUT_TOL, h >= 0.1)))
+
+
+@pytest.mark.parametrize("spec", LINE_MOVING_SPECS, ids=str)
+def test_partner_rule_holds_where_partners_move_lines(spec):
+    assert _partner_rule_holds(spec)
+
+
+@pytest.mark.parametrize("spec", LINE_MOVING_SPECS, ids=str)
+def test_partner_rule_fails_for_a_partner_map_that_fixes_lines(monkeypatch, spec):
+    monkeypatch.setattr(conv, "partner_stabilizer_group", lambda group, spec: group)
+    assert not _partner_rule_holds(spec)
+
+
+@pytest.mark.parametrize("spec", [default_spec(d, 1) for d in (3, 5, 7)]
+                         + [spec for spec in SKEW_SPECS if spec.n == 1]
+                         + LINE_MOVING_SPECS, ids=str)
+def test_partner_group_is_an_enumerated_group(spec):
+    """Partners come back in the canonical form the enumeration holds."""
+    groups = enumerate_groups(spec.d, mixed=False)
+    assert all(partner_stabilizer_group(g, spec) in groups for g in groups)
 
 
 def test_holevo_bounds_cases():

@@ -492,9 +492,8 @@ def test_stacked_suites_validate_once_per_stack(monkeypatch, name, trials, most)
 
 
 #: per suite, the stacks it builds and the MSPS tables they hold.  Min-output
-#: adds the phase-0 groups of each line and their partners, which the d = 3
-#: default G maps to themselves: one stack of 4
-ENUMERATIONS = {"stability": (1, 12), "min-output": (2, 12 + 4),
+#: reads its partner pairs off stability's grid of ordered pure pairs
+ENUMERATIONS = {"stability": (1, 12), "min-output": (1, 12),
                 "holevo": (1, 13), "extremality": (1, 13)}
 
 

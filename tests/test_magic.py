@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dvconv import magic
 from dvconv.magic import (
     clifford_t_circuit,
-    log_magic_gap,
-    magic_gap,
+    magic_gaps,
     make_zero_mean,
     mean_state,
     mean_vector,
@@ -67,7 +66,7 @@ def test_unit_modulus_cliff_inside(x, delta):
     table = _cliff_table(x, delta)
     ok, _ = is_msps(table)
     assert ok
-    assert magic_gap(table) == 0.0
+    assert magic_gaps(table)[0] == 0.0
     expected = msps_from_group(StabilizerGroup(3, 1, (x,), (0,)))
     assert np.max(np.abs(mean_state(table).mat - expected.mat)) < 1e-12
 
@@ -79,29 +78,29 @@ def test_unit_modulus_cliff_outside(x, delta):
     table = _cliff_table(x, delta)
     ok, _ = is_msps(table)
     assert not ok
-    assert abs(magic_gap(table) + delta) <= 1e-15
+    assert abs(magic_gaps(table)[0] + delta) <= 1e-15
     assert np.max(np.abs(mean_state(table).mat - np.eye(3) / 3)) < 1e-12
 
 
 def test_magic_gap_values():
     for sigma in enumerate_msps(3):
-        assert magic_gap(char_function(sigma)) == 0.0
+        assert magic_gaps(char_function(sigma))[0] == 0.0
     t = char_function(t_state())
-    assert abs(magic_gap(t) - (1 - 1 / np.sqrt(2))) < 1e-12
-    assert abs(log_magic_gap(t) - 0.5) < 1e-12
+    assert abs(magic_gaps(t)[0] - (1 - 1 / np.sqrt(2))) < 1e-12
+    assert abs(magic_gaps(t)[1] - 0.5) < 1e-12
 
 
 def test_magic_gap_tensor_min_rule():
     rho = t_state()
     sigma = random_density(3, 2, 1)
     prod = DensityMatrix(2, 2, np.kron(rho.mat, sigma.mat))
-    mg_prod, mg_rho, mg_sigma = (magic_gap(char_function(s)) for s in (prod, rho, sigma))
+    mg_prod, mg_rho, mg_sigma = (magic_gaps(char_function(s))[0] for s in (prod, rho, sigma))
     assert abs(mg_prod - min(mg_rho, mg_sigma)) < 1e-9
 
 
 def test_lmg_mg_identity_single_gap():
     t = char_function(t_state())
-    assert abs(log_magic_gap(t) + np.log2(1 - magic_gap(t))) < 1e-12
+    assert abs(magic_gaps(t)[1] + np.log2(1 - magic_gaps(t)[0])) < 1e-12
 
 
 def test_magic_gap_clifford_invariance():
@@ -111,8 +110,8 @@ def test_magic_gap_clifford_invariance():
             rng = np.random.default_rng(seed)
             U = random_clifford(rng, d, 1)
             rotated = DensityMatrix(d, 1, U @ rho.mat @ U.conj().T)
-            assert abs(magic_gap(char_function(rotated))
-                       - magic_gap(char_function(rho))) < 1e-9
+            assert abs(magic_gaps(char_function(rotated))[0]
+                       - magic_gaps(char_function(rho))[0]) < 1e-9
 
 
 def test_mean_vector_examples():
@@ -175,7 +174,7 @@ def test_clifford_t_circuit():
         V = clifford_t_circuit(seed, 1, 1)
         ket = ket_state(2, 1, [0])
         out = DensityMatrix(2, 1, V @ ket.mat @ V.conj().T)
-        assert log_magic_gap(char_function(out)) <= 0.5 + 1e-9
+        assert magic_gaps(char_function(out))[1] <= 0.5 + 1e-9
     with pytest.raises(ValueError, match=r"n in \{1, 2\}"):
         clifford_t_circuit(0, 3, 1)
 

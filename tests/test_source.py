@@ -22,6 +22,16 @@ def _used(tree: ast.AST) -> set[str]:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
+def _pinned() -> set[str]:
+    """The names the benchmark reads: BENCHMARK.json's per-layer metrics and
+    every name ``perfbench/*.py`` uses."""
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    pinned = {metric["name"].split(".")[1] for metric in per_layer}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        pinned |= _used(ast.parse(path.read_text()))
+    return pinned
+
+
 def test_every_public_name_in_src_is_used_by_src_or_by_the_benchmark():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     public, used = {}, set()
@@ -34,15 +44,39 @@ def test_every_public_name_in_src_is_used_by_src_or_by_the_benchmark():
                 used |= _used(node) - {node.name}
             else:
                 used |= _used(node)
-    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    pinned = {metric["name"].split(".")[1] for metric in per_layer}
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        pinned |= _used(ast.parse(path.read_text()))
+    pinned = _pinned()
     unused = sorted(f"{public[name]}.{name}" for name in set(public) - used - pinned)
     pinned_only = sorted(f"{public[name]}.{name}" for name in (set(public) - used) & pinned)
     assert not unused, (f"public names that neither src/ nor the benchmark uses: {unused}; "
                         f"used only because the benchmark names them, the backlog of "
                         f"ROADMAP item 1: {pinned_only}")
+
+
+def _forwarded_call(fn: ast.FunctionDef) -> str | None:
+    """f for a body, past its docstring, of one ``return f(...)`` or
+    ``return f(...)[k]``, k a constant; else None."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None
+    value = body[0].value
+    if isinstance(value, ast.Subscript) and isinstance(value.slice, ast.Constant):
+        value = value.value
+    if not isinstance(value, ast.Call):
+        return None
+    return ast.unparse(value.func).split(".")[-1]
+
+
+def test_no_public_function_in_src_forwards_to_another():
+    """A public function whose body is ``return f(...)`` or ``return
+    f(...)[k]`` of another public function of src/ is a second name for one
+    rule: callers call f.  Only names the benchmark reads may stay so."""
+    functions = [node for path in sorted(SRC.glob("*.py"))
+                 for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    public, pinned = {fn.name for fn in functions}, _pinned()
+    found = sorted(fn.name for fn in functions if _forwarded_call(fn) in public - {fn.name}
+                   and fn.name not in pinned)
+    assert not found, f"public functions that only forward to another: {found}"
 
 
 def test_every_import_in_src_is_used_by_its_module():
