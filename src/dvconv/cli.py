@@ -95,8 +95,11 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.buffer.flush()
 
 
-def _rng(args) -> np.random.Generator | None:
-    """The one generator a seeded command draws its operands from, in order."""
+def _rng(args, *operands: str | None) -> np.random.Generator | None:
+    """The one generator a seeded command draws its random operands from, in
+    order; a --seed that none of its operands would read is refused."""
+    if args.seed is not None and not set(operands) & set(RANDOM_PRESETS):
+        raise ParseError("--seed is read only by a random-pure or random-mixed operand")
     return None if args.seed is None else np.random.default_rng(args.seed)
 
 
@@ -151,12 +154,6 @@ def _spec_from_args(spec: str | None, G: str | None, d: int,
         return conv.ConvolutionSpec(d, n, entries)
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--G", help="comma-separated g00,g01,g10,g11 over Z_d")
-    p.add_argument("--spec", choices=["beam-splitter", "amplifier"],
-                   help="named parameter matrix")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -165,7 +162,7 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 def cmd_gap(args) -> int:
     if args.state is None:
         raise ParseError("gap needs --preset or --input")
-    rho, table = _load(args.state, args.d, args.n, _rng(args))
+    rho, table = _load(args.state, args.d, args.n, _rng(args, args.state))
     if table is None:
         table = weyl.char_function(rho)
     group = magic.mean_vector(table)
@@ -197,7 +194,7 @@ def cmd_gap(args) -> int:
 
 def cmd_convolve(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    rng = _rng(args)
+    rng = _rng(args, args.a, args.b)
     a = _load(args.a, args.d, args.n, rng)[0]
     b = _load(args.b, args.d, args.n, rng)[0]
     out = conv.convolve(a, b, spec)
@@ -212,7 +209,7 @@ def cmd_convolve(args) -> int:
 def cmd_clt(args) -> int:
     _check_records(args.steps + 1)
     spec = _spec_from_args("beam-splitter", None, args.d, args.n)
-    rho = _load(args.state, args.d, args.n, _rng(args))[0]
+    rho = _load(args.state, args.d, args.n, _rng(args, args.state))[0]
     series = experiments.clt_run(rho, spec, args.steps)
     norms, bounds = series.norms.tolist(), series.bounds.tolist()
     hs = {a: h.tolist() for a, h in series.entropies.items()}
@@ -272,7 +269,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_capacity_bounds(args) -> int:
     spec = _spec_from_args(args.spec, args.G, args.d, args.n)
-    rng = _rng(args)
+    rng = _rng(args, args.sigma, args.rho0)
     sigma = _load(args.sigma, args.d, args.n, rng)[0]
     rho0 = _load(args.rho0, args.d, args.n, rng)[0] if args.rho0 else None
     lower, upper = conv.holevo_bounds(spec, sigma)
@@ -307,33 +304,35 @@ def build_parser() -> argparse.ArgumentParser:
     size = argparse.ArgumentParser(add_help=False)
     size.add_argument("--d", type=int, required=True)
     size.add_argument("--n", type=int, default=1)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="read only by random-pure and random-mixed "
+                      "operands, refused without one; a sampled suite's seed (default 0)")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--G", help="comma-separated g00,g01,g10,g11 over Z_d")
+    spec.add_argument("--spec", choices=["beam-splitter", "amplifier"],
+                      help="named parameter matrix")
 
-    p = sub.add_parser("gap", parents=[size], help="magic gap, LMG, Pauli rank, mean vector")
-    p.add_argument("--preset", dest="state")
-    p.add_argument("--input", dest="state")
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("gap", parents=[size, seed], help="magic gap, LMG, Pauli rank, mean vector")
+    p.add_argument("--preset", "--input", dest="state")
     p.add_argument("--emit-char", help="write the characteristic table to a file")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("convolve", parents=[size], help="write rho boxtimes sigma as a JSON state")
+    p = sub.add_parser("convolve", parents=[size, seed, spec],
+                       help="write rho boxtimes sigma as a JSON state")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--check-duality", action="store_true")
-    _add_spec_args(p)
 
-    p = sub.add_parser("clt", parents=[size], help="iterated beam-splitter convolution series")
+    p = sub.add_parser("clt", parents=[size, seed],
+                       help="iterated beam-splitter convolution series")
     p.add_argument("--steps", type=int, default=experiments.CLT_STEPS)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--preset", dest="state", default="random-pure")
-    p.add_argument("--input", dest="state")
+    p.add_argument("--preset", "--input", dest="state", default="random-pure")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("suite", help="run a named verification suite")
+    p = sub.add_parser("suite", parents=[seed], help="run a named verification suite")
     p.add_argument("name", choices=sorted(experiments.SUITES))
-    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--steps", type=int, help=f"clt only (default {experiments.CLT_STEPS})")
     p.add_argument("--out")
@@ -343,11 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["msps", "stabilizers"])
     p.add_argument("--out")
 
-    p = sub.add_parser("capacity-bounds", parents=[size], help="Holevo capacity sandwich")
+    p = sub.add_parser("capacity-bounds", parents=[size, seed, spec],
+                       help="Holevo capacity sandwich")
     p.add_argument("--sigma", required=True)
     p.add_argument("--rho0")
-    p.add_argument("--seed", type=int)
-    _add_spec_args(p)
 
     return parser
 

@@ -271,9 +271,9 @@ def is_msps(table: CharFunction):
     the recovered group of each MSPS.
 
     Every |Xi| must be 1 or at most SUPPORT_TOL, the magic gap's zero.  The
-    unit support must hold d^r points, r the rank of its labels, whose
-    row-echelon generators commute; with the phases read off them, the
-    table must be their msps_table within UNIT_TOL.  Group recovery runs
+    row-echelon generators of the unit support must commute; with the phases
+    read off them, the table must be their msps_table within UNIT_TOL, which
+    refuses a support that is not their span.  Group recovery runs
     once per distinct support and msps_table once per distinct group.  One
     table gives (ok, group or None); a stack gives a bool array and an
     object array of groups, both of its leading shape.  Never raises.
@@ -289,9 +289,6 @@ def is_msps(table: CharFunction):
     for rows in (members[i] for i in _equal_rows(unit[members])):
         support = unit[rows[0]]
         R, pivots = rref_mod(phase_points(d, n)[support], d)
-        if np.count_nonzero(support) != d ** len(pivots):
-            ok[rows] = False
-            continue
         gens = R[:len(pivots)]
         angles = np.angle(phases[rows[:, None], point_index(gens, d)])
         ks = np.round(d * angles / (2 * np.pi)).astype(np.int64) % d

@@ -133,6 +133,48 @@ def test_random_preset_needs_seed(tmp_path, capsys):
     assert code == 2
 
 
+#: a command line of each seeded command with no random operand; STATE is a
+#: d = 7 state file and OUT a path in the test's directory
+UNSEEDED = {
+    "gap": ("gap", "--d", "3", "--preset", "zero-ket"),
+    "convolve": ("convolve", "--d", "3", "--a", "zero-ket", "--b", "maximally-mixed",
+                 "--out", "OUT"),
+    "clt": ("clt", "--d", "7", "--input", "STATE"),
+    "capacity-bounds": ("capacity-bounds", "--d", "7", "--sigma", "maximally-mixed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSEEDED))
+def test_a_seed_no_operand_reads_is_refused(tmp_path, capsys, name):
+    """--seed is read only by a random operand: without one it is refused
+    with one error line before anything is written, and the line runs
+    without it."""
+    state = _write(tmp_path / "state.json", state_to_json(states.ket_state(7, 1, [1])))
+    paths = {"STATE": state, "OUT": str(tmp_path / "out.json")}
+    argv = [paths.get(arg, arg) for arg in UNSEEDED[name]]
+    code, out, err = run(capsys, *argv, "--seed", "1")
+    _assert_usage_error(code, err, "--seed is read only by a random-pure or random-mixed operand")
+    assert out == "" and os.listdir(tmp_path) == ["state.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [("clt", "--d", "7", "--steps", "2"), ("gap", "--d", "7")],
+                         ids=["clt", "gap"])
+def test_input_and_preset_are_one_option_that_needs_no_seed_for_a_file(tmp_path, capsys, argv):
+    state = _write(tmp_path / "state.json", state_to_json(random_density(3, 7, 1)))
+    code, by_input, err = run(capsys, *argv, "--input", state)
+    assert code == 0, err
+    code, by_preset, err = run(capsys, *argv, "--preset", state)
+    assert code == 0 and by_preset == by_input, err
+
+
+def test_clt_default_operand_needs_a_seed(capsys):
+    code, out, err = run(capsys, "clt", "--d", "7", "--steps", "2")
+    _assert_usage_error(code, err, "preset 'random-pure' requires --seed")
+    assert out == ""
+
+
 def test_convolve_operands_of_two_seeds_share_no_state(tmp_path, monkeypatch, capsys):
     """One generator per command: b continues a's stream, so no operand of
     --seed 0 is an operand of --seed 1, and a is the state of its seed alone."""
@@ -619,7 +661,7 @@ ARGV_FLAGS = {
     "gap": (["--d", "--preset"], ["--n", "--input", "--seed", "--emit-char", "--json"]),
     "convolve": (["--d", "--a", "--b", "--out"],
                  ["--n", "--seed", "--check-duality", "--G", "--spec"]),
-    "clt": (["--d", "--seed"], ["--n", "--steps", "--preset", "--input", "--out", "--format"]),
+    "clt": (["--d"], ["--n", "--steps", "--seed", "--preset", "--input", "--out", "--format"]),
     "suite": ([], ["--seed", "--trials", "--steps", "--out", "--format"]),
     "enumerate": (["--d"], ["--n", "--out"]),
     "capacity-bounds": (["--d", "--sigma"], ["--n", "--rho0", "--seed", "--G", "--spec"]),
@@ -700,6 +742,93 @@ def test_fuzzed_argv_ends_in_a_documented_exit(tmp_path_factory, argv):
         assert _tree(work) == before
     if set(targets) & set(ARGV_NON_REGULAR):
         assert code == 2, err.getvalue()
+
+
+GAP = ("gap", "--d", "3", "--preset", "zero-ket")
+CONVOLVE = ("convolve", "--d", "3", "--a", "zero-ket", "--b", "zero-ket", "--out", "OUT")
+RANDOM_CONVOLVE = ("convolve", "--d", "7", "--a", "random-pure", "--b", "random-mixed",
+                   "--seed", "1", "--out", "OUT")
+CLT = ("clt", "--d", "7", "--steps", "2", "--seed", "1")
+SUITE = ("suite", "holevo", "--trials", "2")
+ENUMERATE = ("enumerate", "stabilizers", "--d", "3")
+BOUNDS = ("capacity-bounds", "--d", "7", "--sigma", "zero-ket")
+# the bounds do not depend on G; the Weyl-ensemble quantity does
+ENSEMBLE = ("capacity-bounds", "--d", "7", "--sigma", "random-mixed", "--rho0", "random-mixed",
+            "--seed", "1")
+#: one row per option that a subcommand does not require (argparse refuses a
+#: line without a required one): a base command line that runs, and the
+#: option's value (None for a switch); OUT is a file in the run's directory
+OPTION_ROWS = {
+    ("gap", "--n"): (GAP, "2"),
+    ("gap", "--seed"): (GAP, "1"),
+    ("gap", "--preset"): (("gap", "--d", "3", "--preset", "maximally-mixed"), "zero-ket"),
+    ("gap", "--emit-char"): (GAP, "OUT"),
+    ("gap", "--json"): (GAP, None),
+    ("convolve", "--n"): (CONVOLVE, "2"),
+    ("convolve", "--seed"): (CONVOLVE, "1"),
+    ("convolve", "--check-duality"): (CONVOLVE, None),
+    ("convolve", "--G"): (RANDOM_CONVOLVE, "1,2,3,1"),
+    ("convolve", "--spec"): (RANDOM_CONVOLVE, "amplifier"),
+    ("clt", "--n"): (CLT, "2"),
+    ("clt", "--seed"): (("clt", "--d", "7", "--steps", "2", "--preset", "zero-ket"), "1"),
+    ("clt", "--steps"): (("clt", "--d", "7", "--seed", "1"), "2"),
+    ("clt", "--preset"): (CLT, "random-mixed"),
+    ("clt", "--out"): (CLT, "OUT"),
+    ("clt", "--format"): (CLT, "json"),
+    ("suite", "--seed"): (SUITE, "1"),
+    ("suite", "--trials"): (("suite", "holevo"), "2"),
+    ("suite", "--steps"): (("suite", "clt", "--trials", "1"), "2"),
+    ("suite", "--out"): (SUITE, "OUT"),
+    ("suite", "--format"): (SUITE, "json"),
+    ("enumerate", "--n"): (ENUMERATE, "2"),
+    ("enumerate", "--out"): (ENUMERATE, "OUT"),
+    ("capacity-bounds", "--n"): (BOUNDS, "2"),
+    ("capacity-bounds", "--rho0"): (BOUNDS, "zero-ket"),
+    ("capacity-bounds", "--seed"): (BOUNDS, "1"),
+    ("capacity-bounds", "--G"): (ENSEMBLE, "1,2,3,1"),
+    ("capacity-bounds", "--spec"): (ENSEMBLE, "amplifier"),
+}
+
+
+def _optional_actions():
+    """Each subcommand's actions that it does not require, but help, by
+    (command, first option string)."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {(command, action.option_strings[0]): action
+            for command, parser in sub.choices.items() for action in parser._actions
+            if action.option_strings and not action.required
+            and not isinstance(action, argparse._HelpAction)}
+
+
+def test_every_optional_action_has_a_row():
+    assert set(_optional_actions()) == set(OPTION_ROWS)
+
+
+def _outcome(capsys, work, argv):
+    """Exit code, stdout and written files of ``argv`` run in its own directory."""
+    work.mkdir()
+    code, out, err = run(capsys, *[str(work / "out") if arg == "OUT" else arg for arg in argv])
+    return code, out, err, {path.name: path.read_bytes() for path in work.iterdir()}
+
+
+@pytest.mark.parametrize("row", sorted(OPTION_ROWS), ids=lambda row: "".join(row))
+def test_every_option_is_read(tmp_path, capsys, row):
+    """Adding an option to a line that runs, under each of its names, changes
+    stdout or a written file, or is refused with one error line: no option is
+    accepted and then ignored."""
+    base, value = OPTION_ROWS[row]
+    code, out, err, files = _outcome(capsys, tmp_path / "base", base)
+    assert code == 0, err
+    for name in _optional_actions()[row].option_strings:
+        argv = (*base, name) + (() if value is None else (value,))
+        code, new_out, err, new_files = _outcome(capsys, tmp_path / name, argv)
+        if code == 2:
+            _assert_usage_error(code, err, "")
+            assert new_out == "" and new_files == {}
+        else:
+            assert code == 0, err
+            assert (new_out, new_files) != (out, files), argv
 
 
 def test_msps_file_with_non_commuting_generators_is_not_a_valid_state(tmp_path, capsys):

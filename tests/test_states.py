@@ -317,6 +317,19 @@ def test_is_msps_refuses_without_raising():
         assert is_msps(CharFunction(2, 2, values)) == (False, None)
 
 
+def test_is_msps_refuses_a_unit_support_that_is_not_a_subgroup():
+    """Units at 0 and at one x != 0 only: x's row-echelon line commutes, and
+    its msps_table reads 1 at 2x, where the table reads 0."""
+    tables = []
+    for x in ((1, 0), (0, 1), (1, 2), (2, 2)):
+        values = np.zeros(9, dtype=complex)
+        values[[point_index((0, 0), 3), point_index(x, 3)]] = 1.0
+        assert is_msps(CharFunction(3, 1, values)) == (False, None), x
+        tables.append(values)
+    ok, groups = is_msps(CharFunction(3, 1, np.stack(tables)))
+    assert not ok.any() and all(g is None for g in groups)
+
+
 def _assert_stacked_matches_the_oracle(table):
     """Each member's verdict and group from one stacked call are the
     one-table oracle's."""
